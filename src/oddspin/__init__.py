@@ -16,7 +16,6 @@ from .bn import (
     bn_context,
     evaluate_taut,
     evaluate_taut_recursion,
-    expand_c_monomial,
     ht_value,
     ker_substitute,
 )

@@ -1,12 +1,39 @@
 """Top intersection numbers of tautological Chern monomials on the product
 of a curve with a Brill-Noether locus inside its Jacobian.
 
-Two independent evaluators are provided.  ``evaluate_taut`` routes every
-monomial through the Harris-Tu determinant of reciprocal factorials;
+With c_i = e_i(x_1..x_{r+1}) in the Chern roots, a root monomial x^e
+integrates (against eta and the matching theta power) to g! times the
+Harris-Tu determinant det[1/(b + e_j - j + l)!], b = g - d + r
+(``ht_value``).  ``evaluate_taut`` never expands a class into root
+monomials.  It integrates c_1^n prod_{k>=2} c_k^{m_k} in two steps:
+
+* c_1 = p_1 = x_1 + ... + x_{r+1}.  The determinant is multilinear in its
+  rows and row j depends on x_j alone, so with p_1^n = n! [t^n]
+  prod_j exp(t x_j) the whole symmetric sum over exponents is n! [t^n] of
+  one determinant of truncated power series, row j holding
+  sum_e t^e/e! * 1/(b + o_j + e + l)!.
+* The determinant depends on the row offsets o_j = e_j - j only up to the
+  sign of sorting them, so against a symmetric factor a Schur function
+  s_lambda integrates like the single monomial x^lambda.  The product of
+  c_2, c_3, ... is expanded in Schur functions by the dual Pieri rule
+  (c_k = s_(1^k) adds a vertical strip), which gives the offsets
+  lambda_j - j with positive integer multiplicities.
+
+Rows are scaled to integers and the determinant is fraction-free
+(``linalg.series_det``); only the final value is a rational.
+
 ``evaluate_taut_recursion`` first eliminates c_2, c_3, ... through the
 h^1 = 1 relation c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)! and
-then evaluates the remaining c_1 powers.  Their agreement on every
-valid-degree monomial is the package's main internal safety net.
+hands the resulting polynomial in c_1 and theta to ``evaluate_taut``.  The
+cross-check stays meaningful although both end in the same determinant:
+the rewritten class meets only the p_1 series with unshifted rows, while
+the raw integrand also goes through the Pieri expansion of c_2..c_{r+1}
+and the shifted rows.  Their agreement on every valid-degree monomial is
+the package's main internal safety net.
+
+Both evaluators take a k-free class, or a purely k-linear one with a
+``side``, that is homogeneous of degree rho+1 on curve x W^r_d; anything
+else raises RingDomainError rather than integrating to a silent 0.
 
 The degree-1 kernel class k stands for the first Chern class of the dual
 kernel line bundle of the defining bundle morphism of each degeneracy
@@ -21,7 +48,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import (
     NonSymmetricMonomialWarning,
@@ -29,7 +55,7 @@ from .errors import (
     PresetMismatchError,
     RingDomainError,
 )
-from .linalg import RatMatrix
+from .linalg import RatMatrix, series_det
 from .numerics import rho
 from .ring import (
     JACOBIAN,
@@ -73,6 +99,12 @@ def bn_context(g: int, r: int, d: int) -> BNContext:
         raise PreconditionError(
             f"negative Brill-Noether number rho({g},{r},{d}) = {value}"
         )
+    if g - d + r < 0:
+        # every degree-d line bundle then has r+1 sections: the locus is the
+        # whole Picard variety, not a degeneracy locus of expected dimension
+        raise PreconditionError(
+            f"g - d + r = {g - d + r} < 0: W^{r}_{d} is all of Pic^{d} in genus {g}"
+        )
     return BNContext(g, r, d, preset_jacobian_product(g, d, r))
 
 
@@ -100,12 +132,6 @@ def ht_matrix(ctx: BNContext, exponents: tuple[int, ...]) -> RatMatrix:
             for j in range(n)
         ]
     )
-
-
-@lru_cache(maxsize=None)
-def _ht_det(g: int, r: int, d: int, exponents: tuple[int, ...]) -> Fraction:
-    ctx = BNContext(g, r, d, preset_jacobian_product(g, d, r))
-    return ht_matrix(ctx, exponents).det()
 
 
 def ht_value(ctx: BNContext, query: HTQuery, *, _in_symmetric_sum: bool = False) -> Fraction:
@@ -138,54 +164,90 @@ def ht_value(ctx: BNContext, query: HTQuery, *, _in_symmetric_sum: bool = False)
     )
     if theta_total != ctx.g:
         return ZERO
-    return _ht_det(ctx.g, ctx.r, ctx.d, query.exponents) * math.factorial(ctx.g)
+    return ht_matrix(ctx, query.exponents).det() * math.factorial(ctx.g)
 
 
 # ---------------------------------------------------------------------------
-# Elementary-symmetric expansion of Chern monomials
+# Schur shapes and the generating-function determinant
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _elementary(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    terms = []
-    for combo in combinations(range(n), k):
-        mono = [0] * n
-        for idx in combo:
-            mono[idx] = 1
-        terms.append((tuple(mono), 1))
-    return tuple(terms)
+Shape = tuple[int, ...]  # a partition, padded with zeros to r+1 parts
 
 
-def _poly_mul(a, b):
-    out: dict[tuple[int, ...], int] = {}
-    for m1, c1 in a:
-        for m2, c2 in b:
-            key = tuple(x + y for x, y in zip(m1, m2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return tuple(out.items())
+def _vertical_strips(shape: Shape, k: int) -> list[Shape]:
+    """Partitions obtained from ``shape`` by adding k boxes, no two in one
+    row, within the same number of rows (the dual Pieri rule for e_k)."""
+    rows = len(shape)
+    out: list[Shape] = []
+
+    def extend(i: int, left: int, grown: list[int]) -> None:
+        if left == 0:
+            out.append(tuple(grown) + shape[i:])
+            return
+        if rows - i < left:
+            return
+        extend(i + 1, left, grown + [shape[i]])
+        if i == 0 or grown[i - 1] > shape[i]:
+            extend(i + 1, left - 1, grown + [shape[i] + 1])
+
+    extend(0, k, [])
+    return out
 
 
-@lru_cache(maxsize=None)
-def _expand_cached(n: int, exps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    poly = (((0,) * n, 1),)
-    for k, mult in enumerate(exps, start=1):
+@lru_cache(maxsize=1024)
+def _schur_expansion(rows: int, exponents: tuple[int, ...]) -> tuple[tuple[Shape, int], ...]:
+    """prod_{k>=2} e_k^{m_k} in Schur functions of ``rows`` variables, with
+    ``exponents`` = (m_2, m_3, ...): ((shape, multiplicity), ...).
+
+    e_k = s_(1^k), and each factor adds a vertical strip; shapes with more
+    than ``rows`` parts vanish.  Multiplicities are positive integers."""
+    shapes = {(0,) * rows: 1}
+    for k, mult in enumerate(exponents, start=2):
         for _ in range(mult):
-            poly = _poly_mul(poly, _elementary(n, k))
-    return poly
+            grown: dict[Shape, int] = {}
+            for shape, count in shapes.items():
+                for bigger in _vertical_strips(shape, k):
+                    grown[bigger] = grown.get(bigger, 0) + count
+            shapes = grown
+    return tuple(shapes.items())
 
 
-def expand_c_monomial(ctx: BNContext, c_exponents) -> dict[tuple[int, ...], int]:
-    """Expand prod_k e_k(x_1..x_{r+1})^{m_k} into Chern-root monomials.
+def _integrate_shapes(ctx: BNContext, weights: dict[tuple[int, Shape], Fraction]) -> Fraction:
+    """g! * sum of weight * L(p_1^n s_shape) over the keys (n, shape) of
+    ``weights``, where L is the Harris-Tu functional
+    x^e -> det[1/(b + e_j - j + l)!] and p_1 = x_1 + ... + x_{r+1}.
 
-    ``c_exponents`` lists the multiplicity of each elementary symmetric
-    class starting from e_1; shorter tuples are padded with zeros.
+    The determinant only depends on the row offsets e_j - j, up to the sign
+    of sorting them, so L(g s_shape) = L(g x^shape) for every symmetric g.
+    The determinant is multilinear in its rows and row j depends on x_j
+    alone, so p_1^n = n! [t^n] prod_j exp(t x_j) gives
+
+        L(p_1^n x^shape) = n! [t^n] det[ sum_e t^e/e! * 1/(b + shape_j - j + e + l)! ],
+
+    one determinant of truncated power series in place of a sum over all
+    exponent vectors.  Every entry is scaled by one integer, so each
+    determinant is a ``series_det`` over int and the scale is divided out
+    once at the end.
     """
-    n = ctx.r + 1
-    exps = tuple(c_exponents)
-    if len(exps) > n:
-        raise PreconditionError(f"at most {n} Chern classes exist in this context")
-    exps = exps + (0,) * (n - len(exps))
-    return dict(_expand_cached(n, exps))
+    rows = ctx.r + 1
+    base = ctx.g + ctx.r - ctx.d
+    top_order = max((order for order, _ in weights), default=0)
+    top = base + ctx.r + max((order + shape[0] for order, shape in weights), default=0)
+    fact = [math.factorial(i) for i in range(top + 1)]
+    scale = fact[top_order] * fact[top]
+
+    def entry(m: int, e: int) -> int:
+        return scale // (fact[e] * fact[m]) if m >= 0 else 0
+
+    total = ZERO
+    for (order, shape), weight in weights.items():
+        matrix = [
+            [[entry(base + shape[j] - j + l + e, e) for e in range(order + 1)]
+             for l in range(rows)]
+            for j in range(rows)
+        ]
+        total += weight * (fact[order] * series_det(matrix, order)[order])
+    return total * math.factorial(ctx.g) / scale ** rows
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +373,37 @@ def _has_kernel_class(e: RingElem) -> bool:
     return any(mono[k_index] for mono, _ in e.terms)
 
 
+def _ambient_integrand(ctx: BNContext, e: RingElem, side: str | None) -> RingElem:
+    """The k-free ambient class of degree rho+1 that ``e`` stands for.
+
+    A k-linear element is pushed down by the kernel-class substitution,
+    which carries the locus factor.  An element mixing k-free and k-linear
+    terms is refused: its k-free part would need the locus class too, which
+    the caller must supply (see ``evaluate_on_locus``).  A nonzero result
+    that is not homogeneous of degree rho+1 is refused rather than read as 0.
+    """
+    if e.preset != ctx.preset:
+        raise PresetMismatchError("element does not live in the context's preset")
+    free, linear = split_kernel_class(e)
+    if not linear.is_zero():
+        if not free.is_zero():
+            raise RingDomainError(
+                "element mixes k-free and k-linear terms; integrate the k-free"
+                " part against the locus class first"
+            )
+        if side is None:
+            raise RingDomainError(
+                "kernel class present: pass side='X' or side='Y' for substitution"
+            )
+        e = ker_substitution_class(ctx, side) * linear
+    if not e.is_zero() and (not e.is_homogeneous() or e.degree() != ctx.dim_total):
+        raise RingDomainError(
+            f"integrand must be homogeneous of degree rho+1 = {ctx.dim_total};"
+            f" got degrees {sorted({ctx.preset.monomial_degree(m) for m, _ in e.terms})}"
+        )
+    return e
+
+
 # ---------------------------------------------------------------------------
 # The two evaluators
 # ---------------------------------------------------------------------------
@@ -319,91 +412,62 @@ def evaluate_taut(ctx: BNContext, e: RingElem, side: str | None = None) -> Fract
     """Evaluate a tautological class against curve x Brill-Noether locus.
 
     Monomials containing gamma or missing eta integrate to zero; the
-    c-monomial of each surviving term expands into Chern-root monomials
-    that the Harris-Tu determinant evaluates.  If the kernel class is
-    present a ``side`` is required for its substitution.
+    others are integrated by the generating-function Harris-Tu determinant
+    (see the module docstring).  If the kernel class is present a ``side``
+    is required for its substitution.
     """
-    if e.preset != ctx.preset:
-        raise PresetMismatchError("element does not live in the context's preset")
-    if _has_kernel_class(e):
-        if side is None:
-            raise RingDomainError(
-                "kernel class present: pass side='X' or side='Y' for substitution"
-            )
-        e = ker_substitute(e, side)
-    k_index = ctx.preset.index("k")
-    total = ZERO
+    e = _ambient_integrand(ctx, e, side)
+    c1_index = ctx.preset.index("c1")
+    higher = slice(c1_index + 1, ctx.preset.index("k"))
+    weights: dict[tuple[int, Shape], Fraction] = {}
     for mono, coeff in e.terms:
-        eta_exp, gamma_exp, theta_exp = mono[0], mono[1], mono[2]
+        eta_exp, gamma_exp = mono[0], mono[1]
         if gamma_exp or eta_exp != 1:
             continue
-        c_exps = mono[3:k_index]
-        for root_mono, mult in expand_c_monomial(ctx, c_exps).items():
-            query = HTQuery(root_mono, theta_exp, True)
-            total += coeff * mult * ht_value(ctx, query, _in_symmetric_sum=True)
-    return total
+        for shape, count in _schur_expansion(ctx.r + 1, mono[higher]):
+            key = (mono[c1_index], shape)
+            weights[key] = weights.get(key, ZERO) + coeff * count
+    return _integrate_shapes(ctx, weights)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _recursion_images(preset: RingPreset) -> tuple[RingElem, ...]:
     # c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)!  for i >= 1
     theta = preset.gen("theta")
     c1 = preset.gen("c1")
     r = preset.param("r")
-    images = [c1]
-    for i in range(1, r + 1):
-        images.append(
-            recip_factorial(i) * c1 * theta ** i
-            - i * recip_factorial(i + 1) * theta ** (i + 1)
-        )
-    return tuple(images)
+    return tuple(
+        recip_factorial(i) * c1 * theta ** i - i * recip_factorial(i + 1) * theta ** (i + 1)
+        for i in range(1, r + 1)
+    )
 
 
 def evaluate_taut_recursion(ctx: BNContext, e: RingElem, side: str | None = None) -> Fraction:
     """Independent evaluator through the h^1 = 1 Chern-class recursion.
 
-    Valid only when the line bundles have h^1 = 1 across the whole locus,
-    i.e. g - d + r = 1 and the next Brill-Noether locus is empty; other
-    contexts are refused.
+    Rewrites c_2, c_3, ... in c_1 and theta, then evaluates the result with
+    ``evaluate_taut``.  Valid only when the line bundles have h^1 = 1
+    across the whole locus, i.e. g - d + r = 1 and the next Brill-Noether
+    locus is empty; other contexts are refused.
     """
     if ctx.g - ctx.d + ctx.r != 1 or rho(ctx.g, ctx.r + 1, ctx.d) >= 0:
         raise PreconditionError(
             "the h^1 = 1 recursion needs g - d + r = 1 and an empty next"
             " Brill-Noether locus"
         )
-    if e.preset != ctx.preset:
-        raise PresetMismatchError("element does not live in the context's preset")
-    if _has_kernel_class(e):
-        if side is None:
-            raise RingDomainError(
-                "kernel class present: pass side='X' or side='Y' for substitution"
-            )
-        e = ker_substitute(e, side)
-
+    e = _ambient_integrand(ctx, e, side)
     preset = ctx.preset
     images = _recursion_images(preset)
-    k_index = preset.index("k")
-    size = len(preset.generators)
+    higher = [preset.index(f"c{i}") for i in range(2, ctx.r + 2)]
 
     rewritten = preset.zero()
     for mono, coeff in e.terms:
-        skeleton = [0] * size
-        skeleton[0], skeleton[1], skeleton[2] = mono[0], mono[1], mono[2]
+        skeleton = list(mono)
+        for index in higher:
+            skeleton[index] = 0
         term = preset.element({tuple(skeleton): coeff})
-        for i in range(1, ctx.r + 2):
-            exp = mono[3 + i - 1]
-            if exp:
-                term = term * images[i - 1] ** exp
+        for image, index in zip(images, higher):
+            if mono[index]:
+                term = term * image ** mono[index]
         rewritten = rewritten + term
-
-    c1_index = preset.index("c1")
-    total = ZERO
-    for mono, coeff in rewritten.terms:
-        eta_exp, gamma_exp, theta_exp = mono[0], mono[1], mono[2]
-        if gamma_exp or eta_exp != 1:
-            continue
-        m1 = mono[c1_index]
-        for root_mono, mult in expand_c_monomial(ctx, (m1,)).items():
-            query = HTQuery(root_mono, theta_exp, True)
-            total += coeff * mult * ht_value(ctx, query, _in_symmetric_sum=True)
-    return total
+    return evaluate_taut(ctx, rewritten)

@@ -14,6 +14,7 @@ sign errors in one place.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -288,7 +289,7 @@ def zg_class(g: int) -> DivisorClass:
 def bn_divisor_exists(g: int) -> bool:
     """A Brill-Noether divisor exists exactly when g+1 is composite."""
     n = g + 1
-    return n >= 4 and any(n % k == 0 for k in range(2, int(n ** 0.5) + 1))
+    return n >= 4 and any(n % k == 0 for k in range(2, math.isqrt(n) + 1))
 
 
 def bn_divisor_class(g: int) -> DivisorClass:

@@ -3,13 +3,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddspin.bn import (
     HTQuery,
     bn_context,
     evaluate_taut,
     evaluate_taut_recursion,
-    expand_c_monomial,
     ht_matrix,
     ht_value,
     ker_substitute,
@@ -22,7 +23,13 @@ from oddspin.errors import (
     RingDomainError,
 )
 
-from oracles import laplace_det, poly_mul, poly_pow
+from oddspin.genus12 import c3_difference
+
+from oracles import expand_c_monomial, laplace_det, poly_mul, poly_pow, root_expansion_value
+
+# the Brill-Noether ladder of the benchmark, (g, r, d)
+LADDER = ((11, 4, 14), (12, 5, 16), (16, 3, 17), (20, 4, 21),
+          (24, 5, 26), (24, 7, 29), (30, 5, 32))
 
 
 @pytest.fixture(scope="module")
@@ -30,19 +37,29 @@ def ctx():
     return bn_context(11, 4, 14)
 
 
-def balanced_c_monomials():
-    """All (m1..m5) with sum i*mi <= 6; theta absorbs the rest."""
+def balanced_c_monomials(classes=5, weight=6):
+    """All (m1..m_classes) with sum i*mi <= weight; theta absorbs the rest."""
     out = []
 
     def rec(i, left, acc):
-        if i == 6:
+        if i == classes + 1:
             out.append(tuple(acc))
             return
         for m in range(left // i + 1):
             rec(i + 1, left - i * m, acc + [m])
 
-    rec(1, 6, [])
+    rec(1, weight, [])
     return out
+
+
+def balanced_element(ctx, exps):
+    """eta * theta^a * prod c_i^{m_i} of degree rho + 1."""
+    preset = ctx.preset
+    weight = sum(i * m for i, m in enumerate(exps, start=1))
+    elem = preset.gen("eta") * preset.gen("theta") ** (ctx.rho - weight)
+    for i, m in enumerate(exps, start=1):
+        elem = elem * preset.gen(f"c{i}") ** m
+    return elem
 
 
 def model_value(exps, theta_power):
@@ -206,28 +223,18 @@ def test_evaluate_taut_linearity(ctx):
 
 
 def test_evaluators_against_symmetric_product_model(ctx):
-    preset = ctx.preset
-    eta, theta = preset.gen("eta"), preset.gen("theta")
     for exps in balanced_c_monomials():
         weight = sum(i * m for i, m in enumerate(exps, start=1))
-        a = 6 - weight
-        elem = eta * theta ** a
-        for i, m in enumerate(exps, start=1):
-            elem = elem * preset.gen(f"c{i}") ** m
-        expected = model_value(exps, a)
+        elem = balanced_element(ctx, exps)
+        expected = model_value(exps, 6 - weight)
         assert evaluate_taut(ctx, elem) == expected
         assert evaluate_taut_recursion(ctx, elem) == expected
 
 
 def test_dual_evaluators_agree_exhaustively(ctx):
-    preset = ctx.preset
-    eta, theta = preset.gen("eta"), preset.gen("theta")
     count = 0
     for exps in balanced_c_monomials():
-        weight = sum(i * m for i, m in enumerate(exps, start=1))
-        elem = eta * theta ** (6 - weight)
-        for i, m in enumerate(exps, start=1):
-            elem = elem * preset.gen(f"c{i}") ** m
+        elem = balanced_element(ctx, exps)
         assert evaluate_taut(ctx, elem) == evaluate_taut_recursion(ctx, elem)
         count += 1
     # partitions of 0..6 into parts of size at most 5
@@ -256,6 +263,68 @@ def test_recursion_rewrites_c2_power_series_oracle(ctx):
     )
 
 
+@pytest.mark.parametrize("g,r,d", [(16, 3, 17), (20, 4, 21)])
+def test_evaluate_taut_matches_root_expansion_oracle(g, r, d):
+    ctx = bn_context(g, r, d)
+    for exps in balanced_c_monomials(ctx.r + 1, ctx.rho):
+        elem = balanced_element(ctx, exps)
+        assert evaluate_taut(ctx, elem) == root_expansion_value(ctx, elem), exps
+
+
+@pytest.mark.parametrize("g,r,d", LADDER)
+def test_acgh_closed_form_on_the_ladder(g, r, d):
+    # int eta*theta^rho = g! prod_{i=0..r} i!/(g-d+r+i)!  (ACGH, Ch. VII)
+    ctx = bn_context(g, r, d)
+    expected = Fraction(math.factorial(g))
+    for i in range(r + 1):
+        expected *= Fraction(math.factorial(i), math.factorial(g - d + r + i))
+    theta = ctx.preset.gen("theta")
+    assert evaluate_taut(ctx, ctx.preset.gen("eta") * theta ** ctx.rho) == expected
+
+
+@st.composite
+def small_context_monomials(draw):
+    g = draw(st.integers(1, 10))
+    r = draw(st.integers(0, 3))
+    h1 = draw(st.integers(0, g // (r + 1)))  # g - d + r, keeping rho >= 0
+    ctx = bn_context(g, r, g + r - h1)
+    exps = draw(st.sampled_from(balanced_c_monomials(r + 1, ctx.rho)))
+    return ctx, exps
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_context_monomials())
+def test_generating_function_core_matches_root_expansion_on_small_contexts(case):
+    ctx, exps = case
+    elem = balanced_element(ctx, exps)
+    assert evaluate_taut(ctx, elem) == root_expansion_value(ctx, elem)
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])
+def test_evaluators_refuse_mixed_kernel_input(ctx, evaluate):
+    # the k-free part of a restricted class needs the locus factor, which a
+    # bare substitution drops: -59400 in place of the pipeline's 197340
+    with pytest.raises(RingDomainError):
+        evaluate(ctx, c3_difference("X"), side="X")
+    preset = ctx.preset
+    with pytest.raises(RingDomainError):
+        evaluate(ctx, preset.gen("eta") * preset.gen("theta") ** 6 + preset.gen("k"), side="X")
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])
+def test_evaluators_refuse_off_degree_input(ctx, evaluate):
+    preset = ctx.preset
+    eta, theta, k = preset.gen("eta"), preset.gen("theta"), preset.gen("k")
+    for elem in (eta * theta ** 5, eta * theta ** 6 + eta * theta ** 5, preset.one()):
+        with pytest.raises(RingDomainError):
+            evaluate(ctx, elem)
+    with pytest.raises(RingDomainError):
+        evaluate(ctx, k * eta * theta ** 5, side="X")  # degree 11 after substitution
+    assert evaluate(ctx, preset.zero()) == 0
+    linear = k * eta * theta  # degree 2 on the locus, 7 after substitution
+    assert evaluate(ctx, linear, side="X") == evaluate(ctx, ker_substitute(linear, "X"))
+
+
 def test_recursion_refuses_wrong_context():
     ctx12 = bn_context(12, 4, 14)  # rho = 2 but h^1 = 2: refusal
     eta = ctx12.preset.gen("eta")
@@ -266,6 +335,8 @@ def test_recursion_refuses_wrong_context():
 def test_context_validation():
     with pytest.raises(PreconditionError):
         bn_context(11, 5, 14)  # rho = -1
+    with pytest.raises(PreconditionError):
+        bn_context(2, 0, 5)  # g - d + r < 0: W^0_5 is all of Pic^5
     ctx = bn_context(11, 4, 14)
     assert ctx.rho == 6
     assert ctx.dim_total == 7

@@ -1,13 +1,30 @@
 import random
+from itertools import permutations
 from fractions import Fraction
 
 import pytest
 
-from oddspin.errors import DimensionError
-from oddspin.linalg import RatMatrix, det, solve_linear
+from oddspin.errors import DimensionError, PreconditionError
+from oddspin.linalg import RatMatrix, det, series_det, solve_linear
 from oddspin.scalars import format_scalar, parse_scalar, recip_factorial
 
-from oracles import laplace_det
+from oracles import laplace_det, poly_mul
+
+
+def _truncated_permutation_det(rows, order):
+    """Signed sum over permutations of products of polynomials in t,
+    truncated after t^order."""
+    n = len(rows)
+    total = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        product = {(0,): -1 if inversions % 2 else 1}
+        for i in range(n):
+            entry = {(e,): c for e, c in enumerate(rows[i][perm[i]]) if c}
+            product = {m: c for m, c in poly_mul(product, entry).items() if m[0] <= order}
+        for m, c in product.items():
+            total[m] = total.get(m, 0) + c
+    return [total.get((e,), 0) for e in range(order + 1)]
 
 
 def test_det_identity_case():
@@ -123,3 +140,27 @@ def test_scalar_round_trips():
         assert parse_scalar(format_scalar(a)) == a
     assert format_scalar(Fraction(9867)) == "9867"
     assert format_scalar(Fraction(-32, 3)) == "-32/3"
+
+
+def test_series_det_against_permutation_expansion():
+    rng = random.Random(20261018)
+    for n, order in ((1, 3), (2, 0), (3, 2), (4, 3)):
+        for _ in range(5):
+            rows = [[[rng.randint(-5, 5) for _ in range(rng.randint(1, order + 2))]
+                     for _ in range(n)] for _ in range(n)]
+            constant = [[entry[0] for entry in row] for row in rows]
+            if laplace_det(constant) == 0:
+                with pytest.raises(PreconditionError):
+                    series_det(rows, order)
+                continue
+            assert series_det(rows, order) == _truncated_permutation_det(rows, order)
+
+
+def test_series_det_with_a_pivot_swap():
+    # constant part [[0, 1], [1, 0]] forces a row swap; the det is
+    # (t)(t) - (1 + t)(1 + 2t) = -1 - 3t - t^2
+    rows = [[[0, 1], [1, 1]], [[1, 2], [0, 1]]]
+    assert series_det(rows, 2) == [-1, -3, -1]
+    assert series_det(rows, 0) == [-1]
+    with pytest.raises(DimensionError):
+        series_det([[[1], [2]]], 0)

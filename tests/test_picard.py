@@ -126,6 +126,14 @@ def test_bn_divisor_existence_flag():
     assert not bn_divisor_exists(12)  # 13 prime
 
 
+def test_bn_divisor_existence_on_prime_squares_and_primes():
+    # g + 1 = p^2 is composite with its only nontrivial factor at sqrt(g + 1)
+    for square in (4, 9, 25, 49, 121, 169):
+        assert bn_divisor_exists(square - 1)
+    for prime in (2, 3, 5, 7, 11, 13, 101, 10007):
+        assert not bn_divisor_exists(prime - 1)
+
+
 # -- test curves ------------------------------------------------------------
 
 def test_curve_vectors():
