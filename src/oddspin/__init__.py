@@ -10,14 +10,12 @@ and exact bigness certificates for the spin canonical class.
 
 from .bn import (
     BNContext,
-    HTQuery,
     SIDE_X,
     SIDE_Y,
     bn_context,
     evaluate_taut,
     evaluate_taut_recursion,
-    ht_value,
-    ker_substitute,
+    restrict_to_locus,
 )
 from .errors import (
     BasisMismatchError,
@@ -25,7 +23,6 @@ from .errors import (
     EngineError,
     ExprSyntaxError,
     InternalCheckError,
-    NonSymmetricMonomialWarning,
     PreconditionError,
     PresetMismatchError,
     RingDomainError,
@@ -44,7 +41,7 @@ from .genus12 import (
     jet_inverse_chern,
     sym2_chern,
 )
-from .linalg import LinearSolveReport, RatMatrix, det, solve_linear
+from .linalg import LinearSolveReport, RatMatrix, solve_linear
 from .numerics import (
     MukaiProfile,
     SpinCounts,
@@ -85,12 +82,11 @@ from .ring import (
     RewriteRule,
     adjunction_genus,
     integrate,
-    multiply,
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
     pushforward_relative,
 )
-from .scalars import Scalar, format_scalar, parse_scalar, recip_factorial
+from .scalars import Scalar, format_scalar, recip_factorial
 
 __version__ = "0.1.0"

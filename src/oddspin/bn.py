@@ -3,9 +3,9 @@ of a curve with a Brill-Noether locus inside its Jacobian.
 
 With c_i = e_i(x_1..x_{r+1}) in the Chern roots, a root monomial x^e
 integrates (against eta and the matching theta power) to g! times the
-Harris-Tu determinant det[1/(b + e_j - j + l)!], b = g - d + r
-(``ht_value``).  ``evaluate_taut`` never expands a class into root
-monomials.  It integrates c_1^n prod_{k>=2} c_k^{m_k} in two steps:
+Harris-Tu determinant det[1/(b + e_j - j + l)!], b = g - d + r.
+``evaluate_taut`` never expands a class into root monomials.  It
+integrates c_1^n prod_{k>=2} c_k^{m_k} in two steps:
 
 * c_1 = p_1 = x_1 + ... + x_{r+1}.  The determinant is multilinear in its
   rows and row j depends on x_j alone, so with p_1^n = n! [t^n]
@@ -31,34 +31,33 @@ the raw integrand also goes through the Pieri expansion of c_2..c_{r+1}
 and the shifted rows.  Their agreement on every valid-degree monomial is
 the package's main internal safety net.
 
-Both evaluators take a k-free class, or a purely k-linear one with a
-``side``, that is homogeneous of degree rho+1 on curve x W^r_d; anything
-else raises RingDomainError rather than integrating to a silent 0.
+Both evaluators take only a k-free class homogeneous of degree rho+1 on
+curve x W^r_d; anything else raises RingDomainError rather than
+integrating to a silent 0.
 
 The degree-1 kernel class k stands for the first Chern class of the dual
-kernel line bundle of the defining bundle morphism of each degeneracy
-locus; ``ker_substitute`` eliminates it against the Chern class one degree
-past the locus class in the same series (one substitution per side of the
-genus-12 pipeline).
+kernel line bundle of the defining bundle morphism of a degeneracy locus.
+``restrict_to_locus`` is the one place it is consumed: it turns a class on
+the locus into a k-free ambient class, multiplying the k-free part by the
+locus class and pushing k down to the next class of the same Chern series
+(``degeneracy_classes``).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    NonSymmetricMonomialWarning,
-    PreconditionError,
-    PresetMismatchError,
-    RingDomainError,
-)
-from .linalg import RatMatrix, series_det
+from .errors import PreconditionError, PresetMismatchError, RingDomainError
+from .linalg import series_det
 from .numerics import rho
 from .ring import (
+    C1,
+    ETA,
+    GAMMA,
     JACOBIAN,
+    K,
     RingElem,
     RingPreset,
     geometric_series,
@@ -84,10 +83,6 @@ class BNContext:
         return rho(self.g, self.r, self.d)
 
     @property
-    def dim_locus(self) -> int:
-        return self.rho
-
-    @property
     def dim_total(self) -> int:
         # dimension of curve x Brill-Noether locus
         return self.rho + 1
@@ -106,65 +101,6 @@ def bn_context(g: int, r: int, d: int) -> BNContext:
             f"g - d + r = {g - d + r} < 0: W^{r}_{d} is all of Pic^{d} in genus {g}"
         )
     return BNContext(g, r, d, preset_jacobian_product(g, d, r))
-
-
-@dataclass(frozen=True)
-class HTQuery:
-    """One Chern-root monomial x_1^{i_1}..x_{r+1}^{i_{r+1}} theta^a (eta?)."""
-
-    exponents: tuple[int, ...]
-    theta_power: int
-    has_eta: bool
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents) or self.theta_power < 0:
-            raise PreconditionError("query exponents must be nonnegative")
-
-
-def ht_matrix(ctx: BNContext, exponents: tuple[int, ...]) -> RatMatrix:
-    """The (r+1)x(r+1) matrix of reciprocal factorials attached to a
-    Chern-root exponent vector; out-of-range entries are 0 by convention."""
-    base = ctx.g + ctx.r - ctx.d
-    n = ctx.r + 1
-    return RatMatrix.from_rows(
-        [
-            [recip_factorial(base + exponents[j] - j + l) for l in range(n)]
-            for j in range(n)
-        ]
-    )
-
-
-def ht_value(ctx: BNContext, query: HTQuery, *, _in_symmetric_sum: bool = False) -> Fraction:
-    """Intersection number of one Chern-root monomial on the product space.
-
-    Every permutation term of the determinant carries the same total theta
-    exponent E = (r+1)(g+r-d) + sum(i_j), so the monomial evaluates to
-    det(reciprocal factorials) * g! exactly when eta is present and
-    E + a = g (the normalization integrates eta * theta^g to g!).  Queries
-    without eta are pulled back from the Brill-Noether locus and pair to
-    zero on the product; off-degree queries return 0 by design.
-    """
-    if len(query.exponents) != ctx.r + 1:
-        raise PreconditionError(
-            f"expected {ctx.r + 1} Chern-root exponents, got {len(query.exponents)}"
-        )
-    if not _in_symmetric_sum and len(set(query.exponents)) > 1:
-        warnings.warn(
-            "bare non-symmetric Chern-root monomial evaluated directly; such"
-            " values are only meaningful inside symmetric sums",
-            NonSymmetricMonomialWarning,
-            stacklevel=2,
-        )
-    if not query.has_eta:
-        return ZERO
-    theta_total = (
-        (ctx.r + 1) * (ctx.g + ctx.r - ctx.d)
-        + sum(query.exponents)
-        + query.theta_power
-    )
-    if theta_total != ctx.g:
-        return ZERO
-    return ht_matrix(ctx, query.exponents).det() * math.factorial(ctx.g)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +187,7 @@ def _integrate_shapes(ctx: BNContext, weights: dict[tuple[int, Shape], Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Kernel-class substitution
+# Degeneracy loci and the kernel class
 # ---------------------------------------------------------------------------
 
 def total_chern_dual(preset: RingPreset) -> RingElem:
@@ -282,26 +218,20 @@ def point_pair_inverse_chern(preset: RingPreset, line_degree: int) -> RingElem:
     return geometric_series(line_degree * eta + gamma) * (preset.one() - eta)
 
 
-def _context_of(preset: RingPreset) -> BNContext:
-    if preset.kind != JACOBIAN:
-        raise RingDomainError("kernel substitution lives on the jacobian preset")
-    return bn_context(preset.param("g"), preset.param("r"), preset.param("d"))
-
-
-def ker_substitution_class(ctx: BNContext, side: str) -> RingElem:
-    """Ambient class standing for k times the degeneracy-locus class.
+def degeneracy_classes(ctx: BNContext, side: str) -> tuple[RingElem, RingElem]:
+    """(locus class, kernel push-down) of the side's degeneracy locus.
 
     Each locus is the first degeneracy locus of a morphism from a rank-2
-    bundle to the rank r+1 tautological one.  Resolving it inside the
+    source bundle to the rank r+1 tautological one: the jet bundle on side
+    X, the evaluation bundle at a moving plus a fixed point on side Y.  Its
+    class is c_r(target^dual - source^dual).  Resolving the locus inside the
     projectivized source bundle and pushing down gives, for any class xi,
 
         (integral over the locus of) c_1(Ker^dual) . xi
             = c_{r+1}(target^dual - source^dual) . xi   on the ambient space,
 
-    one degree past the locus class c_r(target^dual - source^dual) from the
-    same Chern series.  The substitution class therefore already carries
-    the locus factor: k-linear monomials pair directly against the ambient
-    product, with no extra locus multiplication.
+    so both classes are graded pieces of one Chern series (Harris-Tu,
+    Fulton 14.4), and the push-down already carries the locus factor.
     """
     if side == SIDE_X:
         series = jet_bundle_inverse_chern(ctx.preset, ctx.g, ctx.d)
@@ -309,7 +239,8 @@ def ker_substitution_class(ctx: BNContext, side: str) -> RingElem:
         series = point_pair_inverse_chern(ctx.preset, ctx.d)
     else:
         raise PreconditionError(f"unknown side {side!r}; expected 'X' or 'Y'")
-    return (total_chern_dual(ctx.preset) * series).homogeneous_part(ctx.r + 1)
+    total = total_chern_dual(ctx.preset) * series
+    return total.homogeneous_part(ctx.r), total.homogeneous_part(ctx.r + 1)
 
 
 def split_kernel_class(e: RingElem) -> tuple[RingElem, RingElem]:
@@ -319,113 +250,71 @@ def split_kernel_class(e: RingElem) -> tuple[RingElem, RingElem]:
     integrands are k-linear, so a square signals a caller bug rather than
     an excess-intersection situation this evaluator could silently absorb.
     """
-    preset = e.preset
-    k_index = preset.index("k")
+    if e.preset.kind != JACOBIAN:
+        raise RingDomainError("the kernel class lives on the jacobian preset")
     free: dict = {}
     linear: dict = {}
     for mono, coeff in e.terms:
-        k_exp = mono[k_index]
-        if k_exp == 0:
+        if mono[K] == 0:
             free[mono] = coeff
-        elif k_exp == 1:
-            stripped = list(mono)
-            stripped[k_index] = 0
-            linear[tuple(stripped)] = coeff
+        elif mono[K] == 1:
+            linear[mono[:K] + (0,)] = coeff
         else:
             raise RingDomainError(
                 "kernel class appears with exponent >= 2; excess intersection"
                 " is outside this evaluator's scope"
             )
-    return preset.element(free), preset.element(linear)
+    return e.preset.element(free), e.preset.element(linear)
 
 
-def ker_substitute(e: RingElem, side: str) -> RingElem:
-    """Replace each k-linear monomial k.xi by its side-specific push-down.
-
-    k-free monomials pass through unchanged.  Mind the grading: the
-    substitute of a k-linear monomial is an ambient class that already
-    contains the degeneracy-locus factor (see ker_substitution_class), so
-    a class restricted to the locus evaluates as
-
-        (k-free part) . [locus]  +  ker_substitute(k-linear part).
-    """
+def restrict_to_locus(ctx: BNContext, e: RingElem, side: str) -> RingElem:
+    """The k-free ambient class standing for ``e`` restricted to the side's
+    degeneracy locus: (k-free part) . [locus] + (k-linear part) . push-down,
+    with k stripped from the k-linear part (see ``degeneracy_classes``)."""
+    locus, push = degeneracy_classes(ctx, side)
     free, linear = split_kernel_class(e)
-    if linear.is_zero():
-        return e
-    ctx = _context_of(e.preset)
-    return free + ker_substitution_class(ctx, side) * linear
+    return free * locus + push * linear
 
 
-def evaluate_on_locus(ctx: BNContext, e: RingElem, side: str, locus: RingElem) -> Fraction:
-    """Integrate a class restricted to a degeneracy locus.
+def _check_integrand(ctx: BNContext, e: RingElem) -> None:
+    """Refuse anything but a k-free class homogeneous of degree rho+1.
 
-    The k-free part integrates against the locus class; k-linear monomials
-    are pushed down by the kernel-class substitution, which carries the
-    locus factor already.
-    """
-    free, linear = split_kernel_class(e)
-    ambient = free * locus + ker_substitution_class(ctx, side) * linear
-    return evaluate_taut(ctx, ambient)
-
-
-def _has_kernel_class(e: RingElem) -> bool:
-    k_index = e.preset.index("k")
-    return any(mono[k_index] for mono, _ in e.terms)
-
-
-def _ambient_integrand(ctx: BNContext, e: RingElem, side: str | None) -> RingElem:
-    """The k-free ambient class of degree rho+1 that ``e`` stands for.
-
-    A k-linear element is pushed down by the kernel-class substitution,
-    which carries the locus factor.  An element mixing k-free and k-linear
-    terms is refused: its k-free part would need the locus class too, which
-    the caller must supply (see ``evaluate_on_locus``).  A nonzero result
-    that is not homogeneous of degree rho+1 is refused rather than read as 0.
+    A class containing k lives on a degeneracy locus, not on the ambient
+    product; a nonzero class of another degree would integrate to a silent 0.
     """
     if e.preset != ctx.preset:
         raise PresetMismatchError("element does not live in the context's preset")
-    free, linear = split_kernel_class(e)
-    if not linear.is_zero():
-        if not free.is_zero():
-            raise RingDomainError(
-                "element mixes k-free and k-linear terms; integrate the k-free"
-                " part against the locus class first"
-            )
-        if side is None:
-            raise RingDomainError(
-                "kernel class present: pass side='X' or side='Y' for substitution"
-            )
-        e = ker_substitution_class(ctx, side) * linear
+    if any(mono[K] for mono, _ in e.terms):
+        raise RingDomainError(
+            "kernel class k present: integrate bn.restrict_to_locus(ctx, e, side)"
+            " instead"
+        )
     if not e.is_zero() and (not e.is_homogeneous() or e.degree() != ctx.dim_total):
         raise RingDomainError(
             f"integrand must be homogeneous of degree rho+1 = {ctx.dim_total};"
             f" got degrees {sorted({ctx.preset.monomial_degree(m) for m, _ in e.terms})}"
         )
-    return e
 
 
 # ---------------------------------------------------------------------------
 # The two evaluators
 # ---------------------------------------------------------------------------
 
-def evaluate_taut(ctx: BNContext, e: RingElem, side: str | None = None) -> Fraction:
-    """Evaluate a tautological class against curve x Brill-Noether locus.
+def evaluate_taut(ctx: BNContext, e: RingElem) -> Fraction:
+    """Evaluate a k-free tautological class of degree rho+1 against
+    curve x Brill-Noether locus.
 
     Monomials containing gamma or missing eta integrate to zero; the
     others are integrated by the generating-function Harris-Tu determinant
-    (see the module docstring).  If the kernel class is present a ``side``
-    is required for its substitution.
+    (see the module docstring).
     """
-    e = _ambient_integrand(ctx, e, side)
-    c1_index = ctx.preset.index("c1")
-    higher = slice(c1_index + 1, ctx.preset.index("k"))
+    _check_integrand(ctx, e)
     weights: dict[tuple[int, Shape], Fraction] = {}
     for mono, coeff in e.terms:
-        eta_exp, gamma_exp = mono[0], mono[1]
-        if gamma_exp or eta_exp != 1:
+        if mono[GAMMA] or mono[ETA] != 1:
             continue
-        for shape, count in _schur_expansion(ctx.r + 1, mono[higher]):
-            key = (mono[c1_index], shape)
+        for shape, count in _schur_expansion(ctx.r + 1, mono[C1 + 1:K]):
+            key = (mono[C1], shape)
             weights[key] = weights.get(key, ZERO) + coeff * count
     return _integrate_shapes(ctx, weights)
 
@@ -442,7 +331,7 @@ def _recursion_images(preset: RingPreset) -> tuple[RingElem, ...]:
     )
 
 
-def evaluate_taut_recursion(ctx: BNContext, e: RingElem, side: str | None = None) -> Fraction:
+def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
     """Independent evaluator through the h^1 = 1 Chern-class recursion.
 
     Rewrites c_2, c_3, ... in c_1 and theta, then evaluates the result with
@@ -455,19 +344,15 @@ def evaluate_taut_recursion(ctx: BNContext, e: RingElem, side: str | None = None
             "the h^1 = 1 recursion needs g - d + r = 1 and an empty next"
             " Brill-Noether locus"
         )
-    e = _ambient_integrand(ctx, e, side)
+    _check_integrand(ctx, e)
     preset = ctx.preset
     images = _recursion_images(preset)
-    higher = [preset.index(f"c{i}") for i in range(2, ctx.r + 2)]
-
     rewritten = preset.zero()
     for mono, coeff in e.terms:
-        skeleton = list(mono)
-        for index in higher:
-            skeleton[index] = 0
-        term = preset.element({tuple(skeleton): coeff})
-        for image, index in zip(images, higher):
-            if mono[index]:
-                term = term * image ** mono[index]
+        # keep eta, gamma, theta and c_1; c_2..c_{r+1} go through their images
+        term = preset.element({mono[:C1 + 1] + (0,) * (ctx.r + 1): coeff})
+        for image, power in zip(images, mono[C1 + 1:K]):
+            if power:
+                term = term * image ** power
         rewritten = rewritten + term
     return evaluate_taut(ctx, rewritten)

@@ -17,12 +17,13 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import genus12, numerics, picard
-from .bn import bn_context, evaluate_taut, _has_kernel_class
+from .bn import bn_context, evaluate_taut
 from .errors import (
     BasisMismatchError,
     EngineError,
     ExprSyntaxError,
     InternalCheckError,
+    PreconditionError,
     PresetMismatchError,
 )
 from .exprparse import expr_to_class, expr_to_ring, parse_expression
@@ -50,7 +51,9 @@ from .picard import (
 )
 from .ring import (
     JACOBIAN,
+    K,
     SURFACE,
+    TAUTOLOGICAL,
     UNIVERSAL_CURVE,
     integrate,
     preset_jacobian_product,
@@ -256,15 +259,21 @@ def _run_ring_eval(args):
     degree = elem.degree()
     if preset.kind == JACOBIAN:
         g, d, r = preset.param("g"), preset.param("d"), preset.param("r")
-        pure = not any(any(m[3:]) for m, _ in elem.terms)
-        if _has_kernel_class(elem):
+        pure = not any(any(m[TAUTOLOGICAL]) for m, _ in elem.terms)
+        if any(m[K] for m, _ in elem.terms):
             assumptions.append(
                 "kernel class present: no side-specific substitution applied"
             )
         elif degree == rho(g, r, d) + 1:
-            ctx = bn_context(g, r, d)
-            result["value"] = format_scalar(evaluate_taut(ctx, elem))
-            result["value_method"] = "tautological-evaluation"
+            # a refused context has g - d + r != 0, so rho + 1 != g + 1 and
+            # integrate does not apply either
+            try:
+                ctx = bn_context(g, r, d)
+            except PreconditionError as refusal:
+                assumptions.append(f"no tautological evaluation: {refusal}")
+            else:
+                result["value"] = format_scalar(evaluate_taut(ctx, elem))
+                result["value_method"] = "tautological-evaluation"
         elif pure and degree == g + 1:
             result["value"] = format_scalar(integrate(elem))
             result["value_method"] = "integrate"
@@ -462,7 +471,7 @@ def _dispatch(args) -> tuple[str, dict, object, list]:
 
 def run_command(argv) -> CommandOutcome:
     """Execute one command line; never raises for engine errors."""
-    started = time.monotonic()
+    started = time.monotonic_ns()
     try:
         args = build_parser().parse_args(list(argv))
     except UsageError as err:
@@ -478,7 +487,7 @@ def run_command(argv) -> CommandOutcome:
             result=result,
             assumptions=notes,
             warnings=[str(w.message) for w in caught],
-            elapsed_ms=int((time.monotonic() - started) * 1000),
+            elapsed_ms=(time.monotonic_ns() - started) // 1_000_000,
         )
         text = report.to_json() if args.format == "json" else report.to_text()
         return CommandOutcome(0, text, "", report)

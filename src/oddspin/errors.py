@@ -40,7 +40,3 @@ class ExprSyntaxError(EngineError):
         super().__init__(f"{message} (at byte offset {position})")
         self.message = message
         self.position = position
-
-
-class NonSymmetricMonomialWarning(UserWarning):
-    """A bare non-symmetric Chern-root monomial was evaluated directly."""

@@ -20,17 +20,16 @@ from .bn import (
     SIDE_X,
     SIDE_Y,
     bn_context,
+    degeneracy_classes,
     evaluate_taut,
     evaluate_taut_recursion,
     jet_bundle_inverse_chern,
-    ker_substitution_class,
-    point_pair_inverse_chern,
+    restrict_to_locus,
     split_kernel_class,
-    total_chern_dual,
 )
 from .errors import InternalCheckError, PreconditionError
 from .picard import DivisorClass, moduli_basis, test_curve
-from .ring import RingElem, multiply
+from .ring import RingElem
 from .scalars import format_scalar
 
 CURVE_GENUS = 11
@@ -85,27 +84,26 @@ def jet_inverse_chern(g_curve: int, d: int) -> RingElem:
     return jet_bundle_inverse_chern(context().preset, g_curve, d)
 
 
+def _recorded_locus(side: str) -> RingElem:
+    # recorded degree-4 locus classes, checked against their re-derivation
+    eta, gamma, theta, _ = _gens()
+    if side == SIDE_X:
+        return _c(4) - 6 * eta * theta * _c(2) + (48 * eta + 2 * gamma) * _c(3)
+    return _c(4) - 2 * eta * theta * _c(2) + (13 * eta + gamma) * _c(3)
+
+
 @lru_cache(maxsize=None)
 def class_locus(side: str) -> RingElem:
     """Degree-4 class of the degeneracy 3-fold on each side.
 
     Side X is the locus of pencils with a double base-like point at a
     moving point; side Y replaces the double point by a moving point plus
-    a fixed one.  The X class is re-derived internally from the jet-bundle
-    Chern series through the degeneracy-locus formula and hard-checked
-    against the recorded form (likewise Y against its evaluation bundle).
+    a fixed one.  The recorded form is hard-checked against the locus class
+    that ``bn.degeneracy_classes`` re-derives from the jet-bundle (X) or
+    evaluation-bundle (Y) Chern series.
     """
-    eta, gamma, theta, _ = _gens()
-    ctx = context()
-    if side == SIDE_X:
-        recorded = _c(4) - 6 * eta * theta * _c(2) + (48 * eta + 2 * gamma) * _c(3)
-        series = jet_bundle_inverse_chern(ctx.preset, CURVE_GENUS, LINE_DEGREE)
-    elif side == SIDE_Y:
-        recorded = _c(4) - 2 * eta * theta * _c(2) + (13 * eta + gamma) * _c(3)
-        series = point_pair_inverse_chern(ctx.preset, LINE_DEGREE)
-    else:
-        raise PreconditionError(f"unknown side {side!r}; expected 'X' or 'Y'")
-    derived = (total_chern_dual(ctx.preset) * series).homogeneous_part(4)
+    derived, _ = degeneracy_classes(context(), side)
+    recorded = _recorded_locus(side)
     if derived != recorded:
         raise InternalCheckError(
             f"re-derived class of the side-{side} locus disagrees with the"
@@ -240,14 +238,11 @@ def c3_difference(side: str) -> RingElem:
 
 @lru_cache(maxsize=None)
 def ambient_integrand(side: str) -> RingElem:
-    """Degree-7 ambient integrand of one side: the k-free part of the
-    restricted degree-3 class times the locus class, plus the kernel-class
-    push-down (which carries the locus factor on its own)."""
-    ctx = context()
-    kfree, klinear = split_kernel_class(c3_difference(side))
-    return multiply(kfree, class_locus(side)) + multiply(
-        ker_substitution_class(ctx, side), klinear
-    )
+    """Degree-7 ambient integrand of one side: the restricted degree-3 class
+    pushed to the ambient product by ``bn.restrict_to_locus``, once the
+    recorded locus class has passed its check."""
+    class_locus(side)
+    return restrict_to_locus(context(), c3_difference(side), side)
 
 
 @lru_cache(maxsize=None)

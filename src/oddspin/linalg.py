@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, InternalCheckError, PreconditionError
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ZERO, as_scalar
 
 
 @dataclass(frozen=True)
@@ -46,59 +46,6 @@ class RatMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        rows = []
-        for i in range(self.rows):
-            rows.append(
-                tuple(
-                    sum(
-                        (self.entries[i][t] * other.entries[t][j] for t in range(self.cols)),
-                        start=ZERO,
-                    )
-                    for j in range(other.cols)
-                )
-            )
-        return RatMatrix(tuple(rows))
-
-    def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
-        if self.cols != len(vector):
-            raise DimensionError("vector length does not match column count")
-        vec = [as_scalar(v) for v in vector]
-        return tuple(
-            sum((row[j] * vec[j] for j in range(self.cols)), start=ZERO)
-            for row in self.entries
-        )
-
-    def det(self) -> Fraction:
-        return det(self)
-
-
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant by Gaussian elimination with exact pivots."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    a = [list(row) for row in m.entries]
-    n = m.rows
-    sign = ONE
-    result = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        pv = a[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / pv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return sign * result
 
 
 def _bareiss_entry(head, entry, lead, pivot_row_entry, previous) -> list[int]:

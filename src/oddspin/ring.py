@@ -7,8 +7,8 @@ small ring presets:
   generators eta (point class on the curve factor), gamma (the mixed
   Kuenneth piece of the Poincare bundle) and theta (the polarization),
   the Chern classes c_1..c_{r+1} of the dual tautological bundle (degree i)
-  and an inert degree-1 kernel class k that only the Brill-Noether
-  evaluator consumes.  Rewrite rules: eta^2 -> 0, eta*gamma -> 0,
+  and an inert degree-1 kernel class k that only ``bn.restrict_to_locus``
+  consumes.  Rewrite rules: eta^2 -> 0, eta*gamma -> 0,
   gamma^2 -> -2*eta*theta (so gamma^3 -> 0 follows).  Monomials purely in
   eta, gamma, theta truncate above degree g+1, the dimension of the
   ambient product; c- and k-monomials are never truncated here.
@@ -46,6 +46,12 @@ SURFACE = "surface"
 UNIVERSAL_CURVE = "universal-curve"
 
 Monomial = tuple[int, ...]
+
+# Generator layout of the jacobian preset: eta, gamma, theta on the curve x
+# Jacobian factor, then the Chern classes c_1..c_{r+1}, then the kernel class k.
+ETA, GAMMA, THETA, C1 = 0, 1, 2, 3
+K = -1
+TAUTOLOGICAL = slice(C1, None)  # c_1..c_{r+1} and k
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,9 @@ class RingPreset:
             return False
         if self.kind == JACOBIAN:
             # only monomials living purely on the curve x Jacobian factor
-            if any(mono[3:]):
+            if any(mono[TAUTOLOGICAL]):
                 return False
-            return mono[0] + mono[1] + mono[2] > self.top_degree
+            return mono[ETA] + mono[GAMMA] + mono[THETA] > self.top_degree
         return self.monomial_degree(mono) > self.top_degree
 
 
@@ -289,11 +295,6 @@ def _render_terms(pairs: list[tuple[str, Fraction]]) -> str:
     return "".join(out)
 
 
-def multiply(a: RingElem, b: RingElem) -> RingElem:
-    """Product in normal form; all generators commute."""
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
@@ -304,6 +305,7 @@ def preset_jacobian_product(g: int, d: int, r: int) -> RingPreset:
         raise PreconditionError(
             f"jacobian preset needs g >= 1, d >= 0, r >= 0 (got g={g}, d={d}, r={r})"
         )
+    # in the order ETA, GAMMA, THETA, C1.. and K of the layout constants
     gens = [Generator("eta", 1), Generator("gamma", 1), Generator("theta", 1)]
     gens += [Generator(f"c{i}", i) for i in range(1, r + 2)]
     gens.append(Generator("k", 1))
@@ -393,15 +395,15 @@ def integrate(e: RingElem, preset: RingPreset | None = None) -> Fraction:
         raise PresetMismatchError("element does not belong to the given preset")
     p = e.preset
     if p.kind == JACOBIAN:
-        if any(any(m[3:]) for m, _ in e.terms):
+        if any(any(m[TAUTOLOGICAL]) for m, _ in e.terms):
             raise RingDomainError(
                 "element contains tautological Chern classes or the kernel class;"
                 " use the Brill-Noether evaluator (bn.evaluate_taut)"
             )
         g = p.param("g")
         target = [0] * len(p.generators)
-        target[0] = 1   # eta
-        target[2] = g   # theta^g
+        target[ETA] = 1
+        target[THETA] = g
         return e.coefficient(tuple(target)) * math.factorial(g)
     if p.kind == SURFACE:
         table = dict(p.pairings)

@@ -23,7 +23,7 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return parse_scalar(value)
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -33,10 +33,6 @@ def format_scalar(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_scalar(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def recip_factorial(n: int) -> Fraction:

@@ -3,21 +3,23 @@
 Everything here is deliberately written against the naive definition
 (permutation sums, raw polynomial dictionaries) rather than reusing the
 package's algorithms, so that agreement is meaningful.  The Chern-root
-oracle evaluates each root monomial with the package's single-determinant
-``ht_value`` (itself checked against ``laplace_det``) and shares nothing
-with the evaluators' generating-function core.
+oracle evaluates each root monomial as ``laplace_det`` of its matrix of
+reciprocal factorials and shares nothing with the evaluators'
+generating-function core.
 """
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oddspin.bn import HTQuery, ht_value
-from oddspin.errors import PreconditionError
+from oddspin.errors import DimensionError, PreconditionError
+from oddspin.linalg import RatMatrix
 
 
 def laplace_det(rows):
-    """Determinant as the signed sum over all permutations."""
+    """Determinant as the signed sum over all permutations; exact for int
+    and Fraction entries alike."""
     n = len(rows)
-    total = Fraction(0)
+    total = 0
     for perm in permutations(range(n)):
         sign = 1
         seen = list(perm)
@@ -27,11 +29,54 @@ def laplace_det(rows):
         )
         if inversions % 2:
             sign = -1
-        prod = Fraction(1)
+        prod = 1
         for i in range(n):
-            prod *= Fraction(rows[i][perm[i]])
+            prod *= rows[i][perm[i]]
+            if not prod:  # a zero factor ends the term
+                break
         total += sign * prod
     return total
+
+
+def matmul(a, b):
+    """Product of two ``RatMatrix`` values by the row-column definition."""
+    if a.cols != b.rows:
+        raise DimensionError("inner dimensions do not match")
+    return RatMatrix.from_rows(
+        [[sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), Fraction(0))
+          for j in range(b.cols)]
+         for i in range(a.rows)]
+    )
+
+
+def apply(m, vector):
+    """``m`` times ``vector`` taken as a column."""
+    column = matmul(m, RatMatrix.from_rows([[v] for v in vector]))
+    return tuple(row[0] for row in column.entries)
+
+
+def recip_factorial_rows(ctx, exponents):
+    """The Harris-Tu matrix [1/(b + e_j - j + l)!] of a Chern-root exponent
+    vector, b = g - d + r; entries with a negative argument are 0."""
+    def entry(m):
+        return Fraction(1, math.factorial(m)) if m >= 0 else Fraction(0)
+
+    base = ctx.g - ctx.d + ctx.r
+    n = ctx.r + 1
+    return [[entry(base + exponents[j] - j + l) for l in range(n)] for j in range(n)]
+
+
+def root_monomial_value(ctx, exponents, theta_power):
+    """Integral of eta * theta^a * x^e over curve x W^r_d: g! times the
+    Harris-Tu determinant when the theta degrees add up to g, else 0."""
+    b = ctx.g - ctx.d + ctx.r
+    if (ctx.r + 1) * b + sum(exponents) + theta_power != ctx.g:
+        return Fraction(0)
+    rows = recip_factorial_rows(ctx, exponents)
+    # top! clears every denominator, so the permutation sum runs over ints
+    top = math.factorial(b + max(exponents) + ctx.r)
+    integral = [[int(top * entry) for entry in row] for row in rows]
+    return Fraction(laplace_det(integral) * math.factorial(ctx.g), top ** len(rows))
 
 
 def poly_mul(a, b):
@@ -72,7 +117,8 @@ def expand_c_monomial(ctx, c_exponents):
 def root_expansion_value(ctx, elem):
     """Integral of a k-free class over curve x W^r_d by the Chern-root
     expansion: every c-monomial is expanded into root monomials and each
-    one is evaluated by its own Harris-Tu determinant (``ht_value``)."""
+    one is evaluated by its own Harris-Tu determinant
+    (``root_monomial_value``)."""
     names = elem.preset.names
     c_names = [f"c{i}" for i in range(1, ctx.r + 2)]
     values = {}
@@ -87,7 +133,6 @@ def root_expansion_value(ctx, elem):
         for root, mult in expand_c_monomial(ctx, c_exps).items():
             key = (root, exps["theta"])
             if key not in values:
-                values[key] = ht_value(ctx, HTQuery(root, exps["theta"], True),
-                                       _in_symmetric_sum=True)
+                values[key] = root_monomial_value(ctx, root, exps["theta"])
             total += coeff * mult * values[key]
     return total

@@ -11,14 +11,11 @@ from fractions import Fraction
 import pytest
 
 from oddspin.bn import (
-    HTQuery,
     SIDE_X,
     SIDE_Y,
     bn_context,
     evaluate_taut,
     evaluate_taut_recursion,
-    ht_matrix,
-    ht_value,
 )
 from oddspin.cli import run_command
 from oddspin.errors import PreconditionError
@@ -58,7 +55,7 @@ from oddspin.picard import (
 from oddspin.picard import test_curve as boundary_curve
 from oddspin.ring import integrate
 
-from oracles import laplace_det
+from oracles import laplace_det, recip_factorial_rows
 
 
 def report(n, message):
@@ -253,10 +250,10 @@ def test_criterion_11_scorza_and_counts():
 
 def test_criterion_12_harris_tu_base_value():
     ctx = bn_context(11, 4, 14)
-    rows = [list(row) for row in ht_matrix(ctx, (0,) * 5).entries]
-    oracle = laplace_det(rows)
+    oracle = laplace_det(recip_factorial_rows(ctx, (0,) * 5))
     assert oracle == Fraction(1, 120)
-    value = ht_value(ctx, HTQuery((0, 0, 0, 0, 0), 6, True))
+    preset = ctx.preset
+    value = evaluate_taut(ctx, preset.gen("eta") * preset.gen("theta") ** 6)
     assert value == 332640
     assert value == oracle * math.factorial(11)
     assert value == math.factorial(11) // math.factorial(5)  # Serre duality

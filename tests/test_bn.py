@@ -7,25 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddspin.bn import (
-    HTQuery,
     bn_context,
+    degeneracy_classes,
     evaluate_taut,
     evaluate_taut_recursion,
-    ht_matrix,
-    ht_value,
-    ker_substitute,
-    ker_substitution_class,
+    restrict_to_locus,
     split_kernel_class,
 )
-from oddspin.errors import (
-    NonSymmetricMonomialWarning,
-    PreconditionError,
-    RingDomainError,
-)
+from oddspin.errors import PreconditionError, RingDomainError
 
 from oddspin.genus12 import c3_difference
 
-from oracles import expand_c_monomial, laplace_det, poly_mul, poly_pow, root_expansion_value
+from oracles import (
+    expand_c_monomial,
+    laplace_det,
+    poly_mul,
+    poly_pow,
+    recip_factorial_rows,
+    root_expansion_value,
+    root_monomial_value,
+)
 
 # the Brill-Noether ladder of the benchmark, (g, r, d)
 LADDER = ((11, 4, 14), (12, 5, 16), (16, 3, 17), (20, 4, 21),
@@ -87,36 +88,37 @@ def model_value(exps, theta_power):
     return total
 
 
-# -- ht_value ---------------------------------------------------------------
+# -- Harris-Tu base value and degree bookkeeping ----------------------------
 
 def test_ht_base_value_with_determinant_and_serre_oracles(ctx):
-    rows = [[ctx_entry for ctx_entry in row] for row in ht_matrix(ctx, (0,) * 5).entries]
+    rows = recip_factorial_rows(ctx, (0,) * 5)
     assert laplace_det(rows) == Fraction(1, 120)
-    value = ht_value(ctx, HTQuery((0, 0, 0, 0, 0), 6, True))
-    assert value == Fraction(1, 120) * math.factorial(11)
+    preset = ctx.preset
+    value = evaluate_taut(ctx, preset.gen("eta") * preset.gen("theta") ** 6)
+    assert value == laplace_det(rows) * math.factorial(11)
     assert value == 332640
     # Serre duality cross-check: the locus is the sixth symmetric product
     assert value == math.factorial(11) // math.factorial(5)
 
 
 def test_ht_degree_guard(ctx):
-    assert ht_value(ctx, HTQuery((0, 0, 0, 0, 0), 7, True)) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonSymmetricMonomialWarning)
-        assert ht_value(ctx, HTQuery((1, 0, 0, 0, 0), 6, True)) == 0
+    # a root monomial off the top degree integrates to 0; a class off the
+    # top degree is refused by the evaluator rather than read as 0
+    assert root_monomial_value(ctx, (0, 0, 0, 0, 0), 7) == 0
+    assert root_monomial_value(ctx, (1, 0, 0, 0, 0), 6) == 0
+    preset = ctx.preset
+    with pytest.raises(RingDomainError):
+        evaluate_taut(ctx, preset.gen("eta") * preset.gen("theta") ** 7)
 
 
 def test_ht_eta_required(ctx):
-    assert ht_value(ctx, HTQuery((0, 0, 0, 0, 0), 7, False)) == 0
-    assert ht_value(ctx, HTQuery((0, 0, 0, 0, 0), 6, False)) == 0
-
-
-def test_ht_nonsymmetric_warning(ctx):
-    with pytest.warns(NonSymmetricMonomialWarning):
-        ht_value(ctx, HTQuery((2, 0, 0, 0, 0), 4, True))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ht_value(ctx, HTQuery((0, 0, 0, 0, 0), 6, True))  # symmetric: quiet
+    # classes pulled back from the locus (no eta) or carrying gamma pair to 0
+    preset = ctx.preset
+    eta, gamma, theta = preset.gen("eta"), preset.gen("gamma"), preset.gen("theta")
+    assert evaluate_taut(ctx, theta ** 7) == 0
+    assert evaluate_taut(ctx, theta ** 6 * preset.gen("c1")) == 0
+    assert evaluate_taut(ctx, gamma * theta ** 6) == 0
+    assert evaluate_taut(ctx, eta * theta ** 6 + theta ** 7) == 332640
 
 
 def test_evaluate_taut_emits_no_warnings(ctx):
@@ -157,10 +159,8 @@ def test_symmetric_sums_invariant_under_slot_reversal(ctx):
         forward = Fraction(0)
         reverse = Fraction(0)
         for mono, mult in expand_c_monomial(ctx, exps).items():
-            forward += mult * ht_value(ctx, HTQuery(mono, a, True), _in_symmetric_sum=True)
-            reverse += mult * ht_value(
-                ctx, HTQuery(tuple(reversed(mono)), a, True), _in_symmetric_sum=True
-            )
+            forward += mult * root_monomial_value(ctx, mono, a)
+            reverse += mult * root_monomial_value(ctx, tuple(reversed(mono)), a)
         assert forward == reverse
 
 
@@ -168,32 +168,44 @@ def test_symmetric_sums_invariant_under_slot_reversal(ctx):
 
 def test_ker_substitute_linear_monomial_term_by_term(ctx):
     # oracle: substitute, then normalize term by term; eta^2 = eta*gamma = 0
-    # kill everything except the c5 part of the substitution class.
+    # kill everything except the c5 part of the kernel push-down.
     preset = ctx.preset
     eta, theta, k = preset.gen("eta"), preset.gen("theta"), preset.gen("k")
     c5 = preset.gen("c5")
-    substituted = ker_substitute(k * eta * theta, "X")
-    assert substituted == c5 * eta * theta
+    assert restrict_to_locus(ctx, k * eta * theta, "X") == c5 * eta * theta
 
 
-def test_ker_substitute_identity_on_k_free_input(ctx):
+def test_restrict_to_locus_multiplies_k_free_input_by_the_locus_class(ctx):
     preset = ctx.preset
     elem = 3 * preset.gen("eta") * preset.gen("c2")
-    assert ker_substitute(elem, "X") == elem
+    locus, _ = degeneracy_classes(ctx, "X")
+    assert restrict_to_locus(ctx, elem, "X") == elem * locus
+    # eta kills every eta- and gamma-term of the locus class but c4
+    assert restrict_to_locus(ctx, elem, "X") == elem * preset.gen("c4")
 
 
 def test_ker_substitute_rejects_k_squared(ctx):
     k = ctx.preset.gen("k")
     with pytest.raises(RingDomainError):
-        ker_substitute(k * k, "X")
+        restrict_to_locus(ctx, k * k, "X")
 
 
 def test_ker_substitution_class_forms(ctx):
+    # degeneracy_classes gives the locus class (degree r = 4) and the kernel
+    # push-down (degree r+1 = 5) as two graded parts of one Chern series
     preset = ctx.preset
     eta, gamma, theta = preset.gen("eta"), preset.gen("gamma"), preset.gen("theta")
-    c3, c4, c5 = preset.gen("c3"), preset.gen("c4"), preset.gen("c5")
-    assert ker_substitution_class(ctx, "X") == c5 - 6 * eta * theta * c3 + (48 * eta + 2 * gamma) * c4
-    assert ker_substitution_class(ctx, "Y") == c5 + (13 * eta + gamma) * c4 - 2 * eta * theta * c3
+    c2, c3, c4, c5 = (preset.gen(f"c{i}") for i in range(2, 6))
+    assert degeneracy_classes(ctx, "X") == (
+        c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3,
+        c5 - 6 * eta * theta * c3 + (48 * eta + 2 * gamma) * c4,
+    )
+    assert degeneracy_classes(ctx, "Y") == (
+        c4 - 2 * eta * theta * c2 + (13 * eta + gamma) * c3,
+        c5 + (13 * eta + gamma) * c4 - 2 * eta * theta * c3,
+    )
+    with pytest.raises(PreconditionError):
+        degeneracy_classes(ctx, "Z")
 
 
 def test_split_kernel_class(ctx):
@@ -303,12 +315,15 @@ def test_generating_function_core_matches_root_expansion_on_small_contexts(case)
 @pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])
 def test_evaluators_refuse_mixed_kernel_input(ctx, evaluate):
     # the k-free part of a restricted class needs the locus factor, which a
-    # bare substitution drops: -59400 in place of the pipeline's 197340
-    with pytest.raises(RingDomainError):
-        evaluate(ctx, c3_difference("X"), side="X")
+    # bare kernel substitution dropped: -59400 in place of the pipeline's
+    # 197340.  Any class containing k is now refused.
+    integrand = c3_difference("X")
+    with pytest.raises(RingDomainError, match="restrict_to_locus"):
+        evaluate(ctx, integrand)
+    assert evaluate(ctx, restrict_to_locus(ctx, integrand, "X")) == 197340
     preset = ctx.preset
     with pytest.raises(RingDomainError):
-        evaluate(ctx, preset.gen("eta") * preset.gen("theta") ** 6 + preset.gen("k"), side="X")
+        evaluate(ctx, preset.gen("eta") * preset.gen("theta") ** 6 + preset.gen("k"))
 
 
 @pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])
@@ -319,10 +334,14 @@ def test_evaluators_refuse_off_degree_input(ctx, evaluate):
         with pytest.raises(RingDomainError):
             evaluate(ctx, elem)
     with pytest.raises(RingDomainError):
-        evaluate(ctx, k * eta * theta ** 5, side="X")  # degree 11 after substitution
+        evaluate(ctx, restrict_to_locus(ctx, k * eta * theta ** 5, "X"))  # degree 11
     assert evaluate(ctx, preset.zero()) == 0
-    linear = k * eta * theta  # degree 2 on the locus, 7 after substitution
-    assert evaluate(ctx, linear, side="X") == evaluate(ctx, ker_substitute(linear, "X"))
+    linear = k * eta * theta  # degree 7 once k is pushed down to c5
+    with pytest.raises(RingDomainError, match="restrict_to_locus"):
+        evaluate(ctx, linear)
+    assert evaluate(ctx, restrict_to_locus(ctx, linear, "X")) == evaluate(
+        ctx, eta * theta * preset.gen("c5")
+    )
 
 
 def test_recursion_refuses_wrong_context():

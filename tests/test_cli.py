@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oddspin.cli import run_command
 
 
@@ -204,6 +206,19 @@ def test_ring_eval_kernel_class_notes_assumption():
     )
     assert payload["result"]["value"] is None
     assert any("kernel class" in note for note in payload["assumptions"])
+
+
+@pytest.mark.parametrize("preset,expression,refusal", [
+    ("jac:g=11,d=14,r=5", "3", "negative Brill-Noether number"),  # rho = -1
+    ("jac:g=2,d=5,r=0", "c1^6", "W^0_5 is all of Pic^5"),          # g - d + r < 0
+])
+def test_ring_eval_skips_a_refused_brill_noether_context(preset, expression, refusal):
+    # the expression has degree rho+1, but the context has no Brill-Noether
+    # locus to integrate over: no value, a note, exit 0
+    payload = run_json(["ring", "eval", "--preset", preset, expression, "--format", "json"])
+    assert payload["result"]["value"] is None
+    assert payload["result"]["value_method"] is None
+    assert any(refusal in note for note in payload["assumptions"])
 
 
 def test_pic_class_d12():

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from oddspin import genus12
 from oddspin.bn import SIDE_X, SIDE_Y, evaluate_taut, evaluate_taut_recursion, split_kernel_class
-from oddspin.errors import PreconditionError
+from oddspin.cli import run_command
+from oddspin.errors import InternalCheckError, PreconditionError
 from oddspin.genus12 import (
     BundleChern,
     ambient_integrand,
@@ -20,7 +22,7 @@ from oddspin.genus12 import (
 )
 from oddspin.picard import pair, slope
 from oddspin.picard import test_curve as boundary_curve
-from oddspin.ring import geometric_series, multiply
+from oddspin.ring import geometric_series
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def test_class_locus_displays(preset):
 
 def test_class_locus_killed_by_eta_squared(preset):
     eta = preset.gen("eta")
-    assert multiply(class_locus(SIDE_X), eta * eta).is_zero()
+    assert (class_locus(SIDE_X) * eta * eta).is_zero()
 
 
 # -- symmetric square -------------------------------------------------------
@@ -219,3 +221,50 @@ def test_degenerate_pencil_class(preset):
     assert degenerate_pencil_class(2, x, x).is_zero()
     with pytest.raises(PreconditionError):
         degenerate_pencil_class(0, c1E, c1F)
+
+
+# -- the pipeline's hard checks ---------------------------------------------
+
+@pytest.fixture
+def fresh_pipeline():
+    """Empty every pipeline cache before and after the test, so a perturbed
+    check runs now and the good values are recomputed afterwards."""
+    caches = (class_locus, c3_difference, ambient_integrand, genus12._side_total,
+              d12_coefficients)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def _perturbed_recorded_locus(monkeypatch):
+    recorded = genus12._recorded_locus
+    monkeypatch.setattr(genus12, "_recorded_locus",
+                        lambda side: recorded(side) + genus12._c(4))
+
+
+def _perturbed_kfree_reference(monkeypatch):
+    reference = genus12._kfree_reference
+    monkeypatch.setattr(genus12, "_kfree_reference",
+                        lambda side: reference(side) + genus12._c(3))
+
+
+def _perturbed_evaluator_agreement(monkeypatch):
+    recursion = genus12.evaluate_taut_recursion
+    monkeypatch.setattr(genus12, "evaluate_taut_recursion",
+                        lambda ctx, e: recursion(ctx, e) + 1)
+
+
+@pytest.mark.parametrize("perturb,message", [
+    (_perturbed_recorded_locus, "recorded degree-4 form"),
+    (_perturbed_kfree_reference, "recorded polynomial"),
+    (_perturbed_evaluator_agreement, "evaluators disagree"),
+], ids=["recorded_locus", "kfree_reference", "evaluator_agreement"])
+def test_pipeline_hard_checks_fire(fresh_pipeline, monkeypatch, perturb, message):
+    perturb(monkeypatch)
+    with pytest.raises(InternalCheckError, match=message):
+        d12_coefficients()
+    outcome = run_command(["d12", "run"])
+    assert outcome.exit_code == 4
+    assert outcome.stderr.startswith("internal check failed:")

@@ -8,7 +8,6 @@ from oddspin.errors import PresetMismatchError, RingDomainError
 from oddspin.ring import (
     adjunction_genus,
     integrate,
-    multiply,
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
@@ -79,7 +78,7 @@ def test_truncation_spares_chern_monomials(jac11):
 def test_preset_mismatch_is_an_error(jac11):
     other = preset_jacobian_product(12, 14, 4)
     with pytest.raises(PresetMismatchError):
-        multiply(jac11.gen("eta"), other.gen("eta"))
+        jac11.gen("eta") * other.gen("eta")
 
 
 def test_confluence_on_random_products(jac11):
