@@ -1,19 +1,21 @@
 """Command-line front end.
 
-Every subcommand is batch: read flags, compute, print one report, exit.
+Every command is batch: read flags, compute, print one report, exit.
 Reports carry exact rationals serialized as "p/q" (or "p" for integers)
 and are byte-identical across runs for identical inputs in JSON mode.
+`--format json|text` follows the leaf command (`oddspin pic class --g 3
+--name zg --format json`); `-h` works at every level.
 
-Exit codes: 0 success, 2 expression/usage parse error, 3 basis or preset
-mismatch, 4 failed internal cross-check, 1 any other engine error.
+Exit codes: 0 success (and help), 2 expression/usage parse error, 3 basis
+or preset mismatch, 4 failed internal cross-check, 1 any other engine error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from . import genus12, numerics, picard
@@ -64,13 +66,23 @@ from .ring import (
 from .scalars import format_scalar
 
 
+NAMED_CLASSES = ("zg", "k", "bn", "d12")
+
+
 class UsageError(EngineError):
     pass
+
+
+class _HelpRequested(Exception):
+    """Carries the help text of ``-h`` back to ``run_command``."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help().rstrip("\n"))
 
 
 @dataclass
@@ -79,7 +91,6 @@ class Report:
     inputs: dict
     result: object
     assumptions: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
     elapsed_ms: int = 0
 
     def to_json(self) -> str:
@@ -88,7 +99,7 @@ class Report:
             "inputs": self.inputs,
             "result": self.result,
             "assumptions": self.assumptions,
-            "warnings": self.warnings,
+            "warnings": [],
         }
         return json.dumps(payload, indent=2)
 
@@ -99,10 +110,9 @@ class Report:
             lines.extend(_text_block(self.inputs, indent=2))
         lines.append("result:")
         lines.extend(_text_block(self.result, indent=2))
-        for label, items in (("assumptions", self.assumptions), ("warnings", self.warnings)):
-            if items:
-                lines.append(f"{label}:")
-                lines.extend(f"  - {item}" for item in items)
+        if self.assumptions:
+            lines.append("assumptions:")
+            lines.extend(f"  - {item}" for item in self.assumptions)
         lines.append(f"elapsed: {self.elapsed_ms} ms")
         return "\n".join(lines)
 
@@ -128,62 +138,62 @@ class CommandOutcome:
     exit_code: int
     stdout: str
     stderr: str
-    report: Report | None
 
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="oddspin", description=__doc__)
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _leaf(commands, label: str, run) -> _ArgumentParser:
+    """Declare the command ``label``: its handler, its label and ``--format``."""
+    leaf = commands.add_parser(label.split()[-1])
+    leaf.add_argument("--format", choices=("json", "text"), default="text")
+    leaf.set_defaults(run=run, label=label)
+    return leaf
 
-    ring = sub.add_parser("ring", parents=[common])
-    ring_sub = ring.add_subparsers(dest="ring_command", required=True)
-    ring_eval = ring_sub.add_parser("eval", parents=[common])
+
+@functools.cache
+def build_parser() -> _ArgumentParser:
+    """The parser of every command, built once per process on first use."""
+    parser = _ArgumentParser(prog="oddspin", description=__doc__)
+    commands = parser.add_subparsers(required=True)
+    ring, pic, d12 = (
+        commands.add_parser(name).add_subparsers(required=True)
+        for name in ("ring", "pic", "d12")
+    )
+    ring_eval = _leaf(ring, "ring eval", _run_ring_eval)
     ring_eval.add_argument("--preset", required=True,
                            help="jac:g=<g>,d=<d>,r=<r> | surface:g=<g> | uc:g=<g>")
     ring_eval.add_argument("expression")
 
-    pic = sub.add_parser("pic", parents=[common])
-    pic_sub = pic.add_subparsers(dest="pic_command", required=True)
-
-    pic_class = pic_sub.add_parser("class", parents=[common])
+    pic_class = _leaf(pic, "pic class", _run_pic_class)
     pic_class.add_argument("--g", type=int, required=True)
-    pic_class.add_argument("--name", required=True, choices=("zg", "k", "bn", "d12"))
+    pic_class.add_argument("--name", required=True, choices=NAMED_CLASSES)
     pic_class.add_argument("--space", choices=(SPIN, MODULI), default=None)
 
-    pic_pair = pic_sub.add_parser("pair", parents=[common])
+    pic_pair = _leaf(pic, "pic pair", _run_pic_pair)
     pic_pair.add_argument("--g", type=int, required=True)
     pic_pair.add_argument("--curve", required=True,
                           help="F:<i> | G:<i> | H0 | F0 | G0 | C0 | C1 | R | P")
     pic_pair.add_argument("--class", dest="class_spec", required=True,
-                          help="zg | k | bn | d12 | expression in the basis")
+                          help=" | ".join(NAMED_CLASSES) + " | expression in the basis")
 
-    for direction in ("push", "pull"):
-        cmd = pic_sub.add_parser(direction, parents=[common])
+    for label in ("pic push", "pic pull"):
+        cmd = _leaf(pic, label, _run_pic_push_pull)
         cmd.add_argument("--g", type=int, required=True)
         cmd.add_argument("expression", nargs="?", default=None)
-        cmd.add_argument("--class", dest="class_spec", default=None,
-                         help="zg | k | bn | d12 (alternative to an expression)")
+        cmd.add_argument("--class", dest="class_spec", default=None, choices=NAMED_CLASSES,
+                         help="a named class (alternative to an expression)")
 
-    pic_solve = pic_sub.add_parser("solve-zg", parents=[common])
-    pic_solve.add_argument("--g", type=int, required=True)
+    _leaf(pic, "pic solve-zg", _run_pic_solve_zg).add_argument("--g", type=int, required=True)
 
-    cert = sub.add_parser("cert", parents=[common])
+    cert = _leaf(commands, "cert", _run_cert)
     cert.add_argument("--g", type=int, required=True)
     cert.add_argument("--aux", required=True, choices=("bn", "d12"))
 
-    d12 = sub.add_parser("d12", parents=[common])
-    d12_sub = d12.add_subparsers(dest="d12_command", required=True)
-    d12_run = d12_sub.add_parser("run", parents=[common])
-    d12_run.add_argument("--dump-intermediates", action="store_true")
+    _leaf(d12, "d12 run", _run_d12).add_argument("--dump-intermediates", action="store_true")
 
-    numbers = sub.add_parser("numbers", parents=[common])
-    numbers.add_argument("--g", type=int, required=True)
+    _leaf(commands, "numbers", _run_numbers).add_argument("--g", type=int, required=True)
     return parser
 
 
@@ -218,11 +228,9 @@ def _named_class(name: str, g: int, space: str | None):
         return canonical_class(space or SPIN, g)
     if name == "bn":
         return picard.bn_divisor_class(g)
-    if name == "d12":
-        if g != 12:
-            raise UsageError("the d12 class lives on genus 12")
-        return genus12.d12_class()
-    raise UsageError(f"unknown class name {name!r}")
+    if g != 12:
+        raise UsageError("the d12 class lives on genus 12")
+    return genus12.d12_class()
 
 
 def _resolve_curve(spec: str, g: int):
@@ -314,7 +322,7 @@ def _run_pic_class(args):
 
 def _run_pic_pair(args):
     curve = _resolve_curve(args.curve, args.g)
-    if args.class_spec in ("zg", "k", "bn", "d12"):
+    if args.class_spec in NAMED_CLASSES:
         space = curve.basis.space if args.class_spec == "k" else None
         cls = _named_class(args.class_spec, args.g, space)
     else:
@@ -332,7 +340,8 @@ def _run_pic_pair(args):
     return inputs, result, assumptions
 
 
-def _run_pic_push_pull(args, direction: str):
+def _run_pic_push_pull(args):
+    direction = args.label.split()[-1]
     if (args.expression is None) == (args.class_spec is None):
         raise UsageError("pass exactly one of an expression or --class")
     source_basis = spin_basis(args.g) if direction == "push" else moduli_basis(args.g)
@@ -439,66 +448,31 @@ def _run_numbers(args):
     return {"g": g}, result, assumptions
 
 
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-def _dispatch(args) -> tuple[str, dict, object, list]:
-    if args.command == "ring":
-        inputs, result, notes = _run_ring_eval(args)
-        return "ring eval", inputs, result, notes
-    if args.command == "pic":
-        handler = {
-            "class": lambda: _run_pic_class(args),
-            "pair": lambda: _run_pic_pair(args),
-            "push": lambda: _run_pic_push_pull(args, "push"),
-            "pull": lambda: _run_pic_push_pull(args, "pull"),
-            "solve-zg": lambda: _run_pic_solve_zg(args),
-        }[args.pic_command]
-        inputs, result, notes = handler()
-        return f"pic {args.pic_command}", inputs, result, notes
-    if args.command == "cert":
-        inputs, result, notes = _run_cert(args)
-        return "cert", inputs, result, notes
-    if args.command == "d12":
-        inputs, result, notes = _run_d12(args)
-        return "d12 run", inputs, result, notes
-    if args.command == "numbers":
-        inputs, result, notes = _run_numbers(args)
-        return "numbers", inputs, result, notes
-    raise UsageError(f"unknown command {args.command!r}")
-
-
 def run_command(argv) -> CommandOutcome:
-    """Execute one command line; never raises for engine errors."""
+    """Execute one command line; returns help, reports and engine errors
+    as an outcome and never raises for them."""
     started = time.monotonic_ns()
     try:
         args = build_parser().parse_args(list(argv))
-    except UsageError as err:
-        return CommandOutcome(2, "", f"error: {err}", None)
-
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            command, inputs, result, notes = _dispatch(args)
-        report = Report(
-            command=command,
-            inputs=inputs,
-            result=result,
-            assumptions=notes,
-            warnings=[str(w.message) for w in caught],
-            elapsed_ms=(time.monotonic_ns() - started) // 1_000_000,
-        )
-        text = report.to_json() if args.format == "json" else report.to_text()
-        return CommandOutcome(0, text, "", report)
+        inputs, result, notes = args.run(args)
+    except _HelpRequested as help_text:
+        return CommandOutcome(0, str(help_text), "")
     except (UsageError, ExprSyntaxError) as err:
-        return CommandOutcome(2, "", f"error: {err}", None)
+        return CommandOutcome(2, "", f"error: {err}")
     except (PresetMismatchError, BasisMismatchError) as err:
-        return CommandOutcome(3, "", f"error: {err}", None)
+        return CommandOutcome(3, "", f"error: {err}")
     except InternalCheckError as err:
-        return CommandOutcome(4, "", f"internal check failed: {err}", None)
+        return CommandOutcome(4, "", f"internal check failed: {err}")
     except EngineError as err:
-        return CommandOutcome(1, "", f"error: {err}", None)
+        return CommandOutcome(1, "", f"error: {err}")
+    report = Report(
+        command=args.label,
+        inputs=inputs,
+        result=result,
+        assumptions=notes,
+        elapsed_ms=(time.monotonic_ns() - started) // 1_000_000,
+    )
+    return CommandOutcome(0, report.to_json() if args.format == "json" else report.to_text(), "")
 
 
 def main() -> None:

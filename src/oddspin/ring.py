@@ -9,9 +9,11 @@ small ring presets:
   the Chern classes c_1..c_{r+1} of the dual tautological bundle (degree i)
   and an inert degree-1 kernel class k that only ``bn.restrict_to_locus``
   consumes.  Rewrite rules: eta^2 -> 0, eta*gamma -> 0,
-  gamma^2 -> -2*eta*theta (so gamma^3 -> 0 follows).  Monomials purely in
-  eta, gamma, theta truncate above degree g+1, the dimension of the
-  ambient product; c- and k-monomials are never truncated here.
+  gamma^2 -> -2*eta*theta (so gamma^3 -> 0 follows).  A monomial whose
+  eta, gamma, theta part has degree above g+1, the dimension of the
+  ambient product, is zero whatever its c- and k-part, and is dropped;
+  the rules keep that degree, so the dropped monomials form an ideal and
+  products do not depend on bracketing.
 * ``surface``: the self-product of a curve, generated by the two fiber
   classes F1, F2 and the diagonal Delta, with the top-degree pairing
   table F1.F2 = Delta.F1 = Delta.F2 = 1, F1^2 = F2^2 = 0 and
@@ -134,9 +136,6 @@ class RingPreset:
         if self.top_degree is None:
             return False
         if self.kind == JACOBIAN:
-            # only monomials living purely on the curve x Jacobian factor
-            if any(mono[TAUTOLOGICAL]):
-                return False
             return mono[ETA] + mono[GAMMA] + mono[THETA] > self.top_degree
         return self.monomial_degree(mono) > self.top_degree
 
@@ -253,9 +252,16 @@ class RingElem:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise RingDomainError("ring exponents are nonnegative integers")
-        result = self.preset.one()
-        for _ in range(n):
-            result = result * self
+        # square and multiply; a zero square or partial product ends it early
+        result, square = self.preset.one(), self
+        while n and not result.is_zero():
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
+                if square.is_zero():
+                    return square
         return result
 
     # -- rendering ----------------------------------------------------

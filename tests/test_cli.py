@@ -1,8 +1,25 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oddspin import cli
 from oddspin.cli import run_command
+
+# every leaf command, by its report label, with one valid argument list
+LEAVES = {
+    "ring eval": ["ring", "eval", "--preset", "surface:g=3", "Delta^2"],
+    "pic class": ["pic", "class", "--g", "3", "--name", "zg"],
+    "pic pair": ["pic", "pair", "--g", "7", "--curve", "F:3", "--class", "zg"],
+    "pic push": ["pic", "push", "--g", "3", "--class", "zg"],
+    "pic pull": ["pic", "pull", "--g", "5", "--class", "k"],
+    "pic solve-zg": ["pic", "solve-zg", "--g", "5"],
+    "cert": ["cert", "--g", "13", "--aux", "bn"],
+    "d12 run": ["d12", "run"],
+    "numbers": ["numbers", "--g", "8"],
+}
 
 
 def run_json(argv):
@@ -227,3 +244,108 @@ def test_pic_class_d12():
     assert payload["result"]["slope"] == "4415/642"
     assert payload["result"]["coefficients"]["delta1"] == "-9867"
     assert any("conservative bound" in note for note in payload["assumptions"])
+
+
+@pytest.mark.parametrize("label", LEAVES)
+def test_every_leaf_reports_its_label(label):
+    payload = run_json([*LEAVES[label], "--format", "json"])
+    assert list(payload) == ["command", "inputs", "result", "assumptions", "warnings"]
+    assert payload["command"] == label
+    assert payload["warnings"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["pic", "--format", "json", "class", "--g", "3", "--name", "zg"],
+    ["ring", "--format", "json", "eval", "--preset", "surface:g=3", "Delta^2"],
+    ["d12", "--format", "json", "run"],
+])
+def test_format_before_the_leaf_is_a_usage_error(argv):
+    outcome = run_command(argv)
+    assert outcome.exit_code == 2
+    assert outcome.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["pic", "-h"], ["ring", "eval", "-h"], ["d12", "run", "--help"],
+])
+def test_help_is_an_outcome_not_an_exit(capsys, argv):
+    outcome = run_command(argv)
+    assert outcome.exit_code == 0
+    assert outcome.stdout.startswith(f"usage: oddspin {' '.join(argv[:-1])}".rstrip())
+    assert outcome.stderr == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_prints_help_and_exits_zero(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oddspin", "pic", "class", "-h"])
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    assert stop.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: oddspin pic class") and "--format" in out
+    assert err == ""
+
+
+def test_parser_reuse_leaves_no_state_behind():
+    codes = [run_command(["pic", "push", "--g", "3", *rest]).exit_code
+             for rest in (["lambda"], ["--class", "zg"], [])]
+    assert codes == [0, 0, 2]
+    argv = ["pic", "class", "--g", "12", "--name", "d12"]
+    first = run_command([*argv, "--format", "json"]).stdout
+    assert run_command(argv).stdout.startswith("command: pic class")
+    assert run_command([*argv, "--format", "json"]).stdout == first
+
+
+def test_parser_tree_is_built_once(monkeypatch):
+    run_command(["numbers", "--g", "3"])
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
+    for argv in LEAVES.values():
+        run_command(argv)
+    run_command(["pic", "-h"])
+    assert built == []
+
+
+# argv fuzz: a leaf's valid argument list with some of its values replaced,
+# then maybe -h, a --format or one more word; the words come from the
+# command table, genera from -2..40, expressions have exponents at most 6
+GENUS = st.integers(-2, 40).map(str)
+FUZZ_TOKEN = st.one_of(
+    st.sampled_from(sorted({word for argv in LEAVES.values() for word in argv} | {
+        "-h", "--format", "json", "--space", "spin", "moduli", "--dump-intermediates",
+        "bn", "d12", "k", "P", "C0", "G:2", "H0", "jac:g=3,d=2,r=0", "uc:g=3", "jac:g",
+    })),
+    GENUS,
+    st.builds("{}^{}".format,
+              st.sampled_from(("theta", "eta", "c1", "omega", "lambda", "Delta", "(1/2*theta - c1)")),
+              st.integers(0, 6)),
+)
+TAIL = st.one_of(
+    st.just([]),
+    st.sampled_from((["-h"], ["--format", "json"], ["--format", "text"])),
+    FUZZ_TOKEN.map(lambda word: [word]),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    label = draw(st.sampled_from(list(LEAVES)))
+    argv = list(LEAVES[label])
+    values = [i for i in range(len(label.split()), len(argv)) if not argv[i].startswith("-")]
+    for i in draw(st.lists(st.sampled_from(values), max_size=2)) if values else ():
+        argv[i] = draw(GENUS if argv[i - 1] == "--g" else FUZZ_TOKEN)
+    return argv + draw(TAIL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_argv())
+def test_random_argv_gives_an_exit_code(argv):
+    outcome = run_command(argv)
+    assert outcome.exit_code in {0, 1, 2, 3, 4}
+    assert (outcome.exit_code == 0) == (outcome.stderr == "")

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddspin.errors import PresetMismatchError, RingDomainError
 from oddspin.ring import (
+    RingElem,
     adjunction_genus,
     integrate,
     preset_jacobian_product,
@@ -73,6 +76,65 @@ def test_truncation_spares_chern_monomials(jac11):
     eta, theta, c5 = gens(jac11, "eta", "theta", "c5")
     elem = eta * c5 * theta ** 10  # codimension 16, still stored
     assert not elem.is_zero()
+
+
+def test_jacobian_normal_form_does_not_depend_on_bracketing():
+    # at g = 1 a monomial with theta^3 is zero on curve x Pic^d (dimension 2),
+    # whatever its c-part; before, (theta + c1)^4 kept 3*theta^3*c1 + ...
+    preset = preset_jacobian_product(1, 1, 0)
+    theta, c1 = gens(preset, "theta", "c1")
+    expected = 6 * theta ** 2 * c1 ** 2 + 4 * theta * c1 ** 3 + c1 ** 4
+    assert (theta + c1) ** 4 == expected
+    assert (theta + c1) ** 2 * (theta + c1) ** 2 == expected
+    assert (theta ** 3 * c1).is_zero() and (theta * (theta ** 2 * c1)).is_zero()
+
+
+JAC_SMALL = (preset_jacobian_product(1, 1, 0), preset_jacobian_product(2, 3, 1))
+
+
+@st.composite
+def jacobian_triples(draw):
+    preset = draw(st.sampled_from(JAC_SMALL))
+    # each c_i and k mostly absent, so that products mix terms with and
+    # without a c- or k-part
+    exponents = [st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)]
+    exponents += [st.sampled_from((0, 0, 1))] * (len(preset.generators) - 3)
+
+    def element():
+        terms = draw(st.dictionaries(st.tuples(*exponents), st.integers(-3, 3),
+                                     min_size=1, max_size=3))
+        return preset.element(terms)
+
+    return element(), element(), element()
+
+
+@settings(max_examples=200, deadline=None)
+@given(jacobian_triples())
+def test_jacobian_product_is_associative(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("preset,name", [
+    (preset_jacobian_product(3, 2, 0), "theta"),
+    (preset_universal_curve(3), "omega"),
+])
+def test_power_takes_logarithmically_many_products(monkeypatch, preset, name):
+    products = []
+    multiply = RingElem.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    n = 10 ** 8
+    power = preset.gen(name) ** n
+    assert len(products) <= 2 * n.bit_length()
+    if name == "theta":
+        assert power.is_zero()  # theta^5 already vanishes at g = 3
+    else:
+        assert power.render() == f"omega^{n}"
 
 
 def test_preset_mismatch_is_an_error(jac11):
