@@ -76,10 +76,8 @@ from .picard import (
     zg_class,
 )
 from .ring import (
-    Generator,
     RingElem,
     RingPreset,
-    RewriteRule,
     adjunction_genus,
     integrate,
     preset_jacobian_product,

@@ -401,7 +401,8 @@ def _run_d12(args):
             "slope_times_13": str(report.cross_lhs),
             "threshold_times_642": str(report.cross_rhs),
         },
-        "class": "13245*lambda - 1926*delta0 - 9867*delta1 - sum_{j>=2} b_j*delta_j",
+        "class": f"{format_scalar(report.a)}*lambda - {format_scalar(report.b0)}*delta0"
+                 f" - {format_scalar(report.b1)}*delta1 - sum_{{j>=2}} b_j*delta_j",
     }
     info = genus12.d12_class_info()
     assumptions = [report.higher_boundary_note]

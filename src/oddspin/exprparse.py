@@ -23,7 +23,7 @@ from typing import Union
 from .errors import ExprSyntaxError
 from .picard import DivisorClass, PicBasis
 from .ring import RingElem, RingPreset
-from .scalars import ZERO, as_scalar
+from .scalars import ZERO, digit_limit
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     tokens = []
     i, n = 0, len(text)
+    limit = digit_limit()
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -45,6 +46,8 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if limit and j - i > limit:
+                raise ExprSyntaxError(f"integer literal longer than {limit} digits", i)
             tokens.append(Token("num", text[i:j], i))
             i = j
             continue
@@ -190,11 +193,9 @@ class _Parser:
 
 
 def _context_names(context) -> tuple[str, tuple[str, ...]]:
-    if isinstance(context, RingPreset):
-        return context.label, context.names
-    if isinstance(context, PicBasis):
-        return context.label, context.names
-    raise TypeError("context must be a RingPreset or a PicBasis")
+    if not isinstance(context, (RingPreset, PicBasis)):
+        raise TypeError("context must be a RingPreset or a PicBasis")
+    return context.label, context.names
 
 
 def parse_expression(text: str, context) -> Expr:
@@ -222,6 +223,20 @@ def parse_expression(text: str, context) -> Expr:
     return Expr(text, root, label)
 
 
+def _refuse_oversized_power(base: Fraction, node: Pow) -> None:
+    """Refuse ``base^exponent`` before computing it when its numerator or
+    denominator is sure to pass the digit limit: |n| >= 2^(bit_length - 1),
+    so the power has at least (bit_length - 1) * exponent bits."""
+    limit = digit_limit()
+    if not limit:
+        return
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+    if bits * node.exponent >= (10 ** limit).bit_length():
+        raise ExprSyntaxError(
+            f"constant power has more than {limit} digits", node.pos
+        )
+
+
 def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
     """Evaluate a parsed expression to a normalized ring element."""
 
@@ -231,7 +246,10 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
         if isinstance(node, Name):
             return preset.gen(node.name)
         if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
+            base = ev(node.base)
+            if len(base.terms) == 1 and not any(base.terms[0][0]):
+                _refuse_oversized_power(base.terms[0][1], node)
+            return base ** node.exponent
         if node.op == "+":
             return ev(node.left) + ev(node.right)
         if node.op == "-":
@@ -241,58 +259,41 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
     return ev(expr.root)
 
 
-@dataclass(frozen=True)
-class _LinValue:
-    const: Fraction
-    coeffs: tuple[tuple[str, Fraction], ...]
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
-
 def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
     """Evaluate a parsed expression to a divisor class (linear in generators)."""
+    zero = DivisorClass(basis, (ZERO,) * len(basis.names))
 
-    def lin(const: Fraction = ZERO, coeffs: dict | None = None) -> _LinValue:
-        return _LinValue(const, tuple(sorted((coeffs or {}).items())))
-
-    def ev(node: Node) -> _LinValue:
+    def ev(node: Node) -> tuple[Fraction, DivisorClass]:
+        # (constant part, class part)
         if isinstance(node, Num):
-            return lin(const=node.value)
+            return node.value, zero
         if isinstance(node, Name):
-            return lin(coeffs={node.name: as_scalar(1)})
+            return ZERO, DivisorClass.from_mapping(basis, {node.name: 1})
         if isinstance(node, Pow):
-            base = ev(node.base)
-            if not base.coeffs:
-                return lin(const=base.const ** node.exponent)
+            const, cls = ev(node.base)
+            if cls.is_zero():
+                _refuse_oversized_power(const, node)
+                return const ** node.exponent, zero
             if node.exponent == 1:
-                return base
+                return const, cls
             raise ExprSyntaxError(
                 "powers of divisor-class generators are not defined", node.pos
             )
-        left, right = ev(node.left), ev(node.right)
-        if node.op in ("+", "-"):
-            sign = 1 if node.op == "+" else -1
-            merged = left.as_dict()
-            for name, value in right.coeffs:
-                merged[name] = merged.get(name, ZERO) + sign * value
-            merged = {k: v for k, v in merged.items() if v != 0}
-            return lin(const=left.const + sign * right.const, coeffs=merged)
+        (lconst, lcls), (rconst, rcls) = ev(node.left), ev(node.right)
+        if node.op == "+":
+            return lconst + rconst, lcls + rcls
+        if node.op == "-":
+            return lconst - rconst, lcls - rcls
         # multiplication: at least one side must be a pure scalar
-        if left.coeffs and right.coeffs:
+        if not (lcls.is_zero() or rcls.is_zero()):
             raise ExprSyntaxError(
                 "products of divisor-class generators are not defined", node.pos
             )
-        scalar_side, class_side = (left, right) if not left.coeffs else (right, left)
-        scale = scalar_side.const
-        return lin(
-            const=scale * class_side.const,
-            coeffs={name: scale * v for name, v in class_side.coeffs if scale * v != 0},
-        )
+        return lconst * rconst, rconst * lcls + lconst * rcls
 
-    value = ev(expr.root)
-    if value.const != 0:
+    const, cls = ev(expr.root)
+    if const != 0:
         raise ExprSyntaxError(
             "constant terms do not belong to a divisor class", 0
         )
-    return DivisorClass.from_mapping(basis, value.as_dict())
+    return cls

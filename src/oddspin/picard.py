@@ -559,13 +559,13 @@ class CertificateReport:
 def certificate(g: int, auxiliary: str) -> CertificateReport:
     """Bigness certificate for the spin canonical class.
 
-    auxiliary "bn" uses the fixed weights x = 2/(g-2) on the
-    degenerate-theta divisor and y = 3(3g-10)/((g-2)(g+1)) on the pulled
-    back Brill-Noether class (g >= 13; in genus 12 no Brill-Noether divisor
-    exists).  auxiliary "d12" (genus 12 only) solves the 2x2 system that
-    matches the alpha_0 and beta_0 coefficients of the canonical class,
-    with the unknown higher boundary coefficients of the auxiliary divisor
-    conservatively set to b_1 (larger values only increase slack).
+    The weights x on the degenerate-theta divisor and y on the pulled-back
+    auxiliary divisor solve the 2x2 system that matches the alpha_0 and
+    beta_0 coefficients of the canonical class.  auxiliary "bn" is the
+    Brill-Noether class (g >= 13; in genus 12 no Brill-Noether divisor
+    exists).  auxiliary "d12" (genus 12 only) is the genus-12 divisor, with
+    its unknown higher boundary coefficients conservatively set to b_1
+    (larger values only increase slack).
     """
     aux = auxiliary.lower()
     if aux not in ("bn", "d12"):
@@ -582,8 +582,6 @@ def certificate(g: int, auxiliary: str) -> CertificateReport:
                 "no Brill-Noether divisor exists in genus 12;"
                 " use the d12 auxiliary divisor instead"
             )
-        x = Fraction(2, g - 2)
-        y = Fraction(3 * (3 * g - 10), (g - 2) * (g + 1))
         aux_spin = pullback(g, bn_divisor_class(g))
         if not bn_divisor_exists(g):
             assumptions.append(
@@ -599,19 +597,20 @@ def certificate(g: int, auxiliary: str) -> CertificateReport:
         aux_spin = pullback(g, info.divisor)
         assumptions.extend(info.assumptions)
         assumed_zero.extend(info.assumed_zero_pairings)
-        zg = zg_class(g)
-        system = RatMatrix.from_rows(
-            [
-                [zg.bar("alpha0"), aux_spin.bar("alpha0")],
-                [zg.bar("beta0"), aux_spin.bar("beta0")],
-            ]
-        )
-        solved = solve_linear(system, [as_scalar(2), as_scalar(3)])
-        if solved.status != "unique":
-            raise InternalCheckError("certificate weight system is degenerate")
-        x, y = solved.solution
 
-    combo = combine([zg_class(g), aux_spin], [x, y])
+    zg = zg_class(g)
+    system = RatMatrix.from_rows(
+        [
+            [zg.bar("alpha0"), aux_spin.bar("alpha0")],
+            [zg.bar("beta0"), aux_spin.bar("beta0")],
+        ]
+    )
+    solved = solve_linear(system, [as_scalar(2), as_scalar(3)])
+    if solved.status != "unique":
+        raise InternalCheckError("certificate weight system is degenerate")
+    x, y = solved.solution
+
+    combo = combine([zg, aux_spin], [x, y])
     if combo.bar("alpha0") != 2 or combo.bar("beta0") != 3:
         raise InternalCheckError(
             "certificate combination does not match the canonical boundary"

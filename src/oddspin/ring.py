@@ -1,4 +1,4 @@
-"""Sparse graded-commutative polynomial engine with monomial rewrite rules.
+"""Sparse graded-commutative polynomial engine over three ring presets.
 
 All cohomology computations in this package happen inside one of three
 small ring presets:
@@ -8,25 +8,24 @@ small ring presets:
   Kuenneth piece of the Poincare bundle) and theta (the polarization),
   the Chern classes c_1..c_{r+1} of the dual tautological bundle (degree i)
   and an inert degree-1 kernel class k that only ``bn.restrict_to_locus``
-  consumes.  Rewrite rules: eta^2 -> 0, eta*gamma -> 0,
-  gamma^2 -> -2*eta*theta (so gamma^3 -> 0 follows).  A monomial whose
-  eta, gamma, theta part has degree above g+1, the dimension of the
-  ambient product, is zero whatever its c- and k-part, and is dropped;
-  the rules keep that degree, so the dropped monomials form an ideal and
-  products do not depend on bracketing.
+  consumes.  The relations eta^2 = eta*gamma = 0 and
+  gamma^2 = -2*eta*theta have a closed normal form: a monomial with
+  eta + gamma >= 2 vanishes unless it is gamma^2*theta^t times a c/k
+  part (no eta), which becomes -2*eta*theta^(t+1) times the same part.  A
+  monomial whose eta, gamma, theta part has degree above g+1, the
+  dimension of the ambient product, is zero whatever its c- and k-part,
+  and is dropped; the relations keep that degree, so the dropped
+  monomials form an ideal and products do not depend on bracketing.
 * ``surface``: the self-product of a curve, generated by the two fiber
   classes F1, F2 and the diagonal Delta, with the top-degree pairing
   table F1.F2 = Delta.F1 = Delta.F2 = 1, F1^2 = F2^2 = 0 and
-  Delta^2 = 2 - 2g.
+  Delta^2 = 2 - 2g.  Monomials above degree 2 are dropped.
 * ``universal-curve``: the universal spin curve, generated by the relative
   dualizing class omega and the pulled-back Hodge class lambda; it has no
-  rewrite rules and is consumed by ``pushforward_relative``.
+  relations and is consumed by ``pushforward_relative``.
 
 Monomials are exponent vectors over the preset's fixed generator order;
 elements are sparse maps from normalized monomials to nonzero rationals.
-Every rewrite strictly reduces the (eta, gamma)-exponent weight, so
-normalization terminates; gamma is an ordinary commuting generator whose
-odd character is fully encoded by the rules above.
 
 Integration conventions, fixed once for the whole package: on the
 Jacobian-product preset the only monomial with nonzero integral is
@@ -57,34 +56,16 @@ TAUTOLOGICAL = slice(C1, None)  # c_1..c_{r+1} and k
 
 
 @dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """Replace any monomial divisible by ``lhs`` using the ``rhs`` terms."""
-
-    lhs: Monomial
-    rhs: tuple[tuple[Monomial, Fraction], ...]
-
-
-@dataclass(frozen=True)
 class RingPreset:
     label: str
     kind: str
-    generators: tuple[Generator, ...]
-    rules: tuple[RewriteRule, ...]
+    names: tuple[str, ...]
+    degrees: tuple[int, ...]
     top_degree: int | None
     params: tuple[tuple[str, int], ...] = ()
     pairings: tuple[tuple[Monomial, Fraction], ...] = ()
 
     # -- bookkeeping -------------------------------------------------
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
-
     def param(self, name: str) -> int:
         for key, value in self.params:
             if key == name:
@@ -92,21 +73,21 @@ class RingPreset:
         raise KeyError(name)
 
     def index(self, name: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                return i
-        raise RingDomainError(f"no generator {name!r} in preset {self.label}")
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise RingDomainError(f"no generator {name!r} in preset {self.label}") from None
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(mono, self.generators))
+        return sum(e * d for e, d in zip(mono, self.degrees))
 
     def monomial_text(self, mono: Monomial) -> str:
         parts = []
-        for e, g in zip(mono, self.generators):
+        for e, name in zip(mono, self.names):
             if e == 1:
-                parts.append(g.name)
+                parts.append(name)
             elif e > 1:
-                parts.append(f"{g.name}^{e}")
+                parts.append(f"{name}^{format_scalar(e)}")
         return "*".join(parts)
 
     # -- element construction ----------------------------------------
@@ -114,10 +95,10 @@ class RingPreset:
         return RingElem(self, ())
 
     def one(self) -> "RingElem":
-        return self.element({(0,) * len(self.generators): 1})
+        return self.element({(0,) * len(self.names): 1})
 
     def gen(self, name: str) -> "RingElem":
-        mono = [0] * len(self.generators)
+        mono = [0] * len(self.names)
         mono[self.index(name)] = 1
         return self.element({tuple(mono): 1})
 
@@ -125,35 +106,21 @@ class RingPreset:
         acc = _normalize(self, ((m, as_scalar(c)) for m, c in terms.items()))
         return RingElem(self, tuple(sorted(acc.items(), reverse=True)))
 
-    # -- normalization internals --------------------------------------
-    def _match_rule(self, mono: Monomial) -> RewriteRule | None:
-        for rule in self.rules:
-            if all(m >= l for m, l in zip(mono, rule.lhs)):
-                return rule
-        return None
-
-    def _truncates(self, mono: Monomial) -> bool:
-        if self.top_degree is None:
-            return False
-        if self.kind == JACOBIAN:
-            return mono[ETA] + mono[GAMMA] + mono[THETA] > self.top_degree
-        return self.monomial_degree(mono) > self.top_degree
-
 
 def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, Fraction]]) -> dict:
+    """Sum ``raw`` into normal form: the Jacobian closed form, then truncation."""
     acc: dict[Monomial, Fraction] = {}
-    stack = list(raw)
-    while stack:
-        mono, coeff = stack.pop()
-        if coeff == 0:
-            continue
-        rule = preset._match_rule(mono)
-        if rule is not None:
-            for rmono, rcoeff in rule.rhs:
-                shifted = tuple(m - l + r for m, l, r in zip(mono, rule.lhs, rmono))
-                stack.append((shifted, coeff * rcoeff))
-            continue
-        if preset._truncates(mono):
+    jacobian, top = preset.kind == JACOBIAN, preset.top_degree
+    for mono, coeff in raw:
+        if jacobian:
+            if mono[ETA] + mono[GAMMA] >= 2:
+                if mono[ETA] or mono[GAMMA] != 2:
+                    continue
+                mono = (1, 0, mono[THETA] + 1) + mono[C1:]
+                coeff = -2 * coeff
+            if mono[ETA] + mono[GAMMA] + mono[THETA] > top:
+                continue
+        elif top is not None and preset.monomial_degree(mono) > top:
             continue
         total = acc.get(mono, ZERO) + coeff
         if total == 0:
@@ -171,9 +138,6 @@ class RingElem:
     terms: tuple[tuple[Monomial, Fraction], ...]
 
     # -- inspection ---------------------------------------------------
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.terms)
-
     def coefficient(self, mono: Monomial) -> Fraction:
         for m, c in self.terms:
             if m == mono:
@@ -312,27 +276,12 @@ def preset_jacobian_product(g: int, d: int, r: int) -> RingPreset:
             f"jacobian preset needs g >= 1, d >= 0, r >= 0 (got g={g}, d={d}, r={r})"
         )
     # in the order ETA, GAMMA, THETA, C1.. and K of the layout constants
-    gens = [Generator("eta", 1), Generator("gamma", 1), Generator("theta", 1)]
-    gens += [Generator(f"c{i}", i) for i in range(1, r + 2)]
-    gens.append(Generator("k", 1))
-    size = len(gens)
-
-    def mono(**exps: int) -> Monomial:
-        vec = [0] * size
-        for name, e in exps.items():
-            vec[[gn.name for gn in gens].index(name)] = e
-        return tuple(vec)
-
-    rules = (
-        RewriteRule(mono(eta=2), ()),
-        RewriteRule(mono(eta=1, gamma=1), ()),
-        RewriteRule(mono(gamma=2), ((mono(eta=1, theta=1), Fraction(-2)),)),
-    )
+    names = ("eta", "gamma", "theta") + tuple(f"c{i}" for i in range(1, r + 2)) + ("k",)
     return RingPreset(
         label=f"jacobian(g={g},d={d},r={r})",
         kind=JACOBIAN,
-        generators=tuple(gens),
-        rules=rules,
+        names=names,
+        degrees=(1, 1, 1) + tuple(range(1, r + 2)) + (1,),
         top_degree=g + 1,
         params=(("d", d), ("g", g), ("r", r)),
     )
@@ -342,7 +291,6 @@ def preset_surface_product(g: int) -> RingPreset:
     """Cohomology preset for the self-product of a genus-g curve."""
     if g < 2:
         raise PreconditionError(f"surface preset needs g >= 2 (got g={g})")
-    gens = (Generator("F1", 1), Generator("F2", 1), Generator("Delta", 1))
     pairings = (
         ((2, 0, 0), ZERO),
         ((1, 1, 0), as_scalar(1)),
@@ -354,8 +302,8 @@ def preset_surface_product(g: int) -> RingPreset:
     return RingPreset(
         label=f"surface(g={g})",
         kind=SURFACE,
-        generators=gens,
-        rules=(),
+        names=("F1", "F2", "Delta"),
+        degrees=(1, 1, 1),
         top_degree=2,
         params=(("g", g),),
         pairings=pairings,
@@ -366,12 +314,11 @@ def preset_universal_curve(g: int) -> RingPreset:
     """Preset for the universal curve: omega over the Hodge class lambda."""
     if g < 2:
         raise PreconditionError(f"universal-curve preset needs g >= 2 (got g={g})")
-    gens = (Generator("omega", 1), Generator("lambda", 1))
     return RingPreset(
         label=f"universal-curve(g={g})",
         kind=UNIVERSAL_CURVE,
-        generators=gens,
-        rules=(),
+        names=("omega", "lambda"),
+        degrees=(1, 1),
         top_degree=None,
         params=(("g", g),),
     )
@@ -389,7 +336,7 @@ def surface_canonical_class(preset: RingPreset) -> RingElem:
 # Integration functionals
 # ---------------------------------------------------------------------------
 
-def integrate(e: RingElem, preset: RingPreset | None = None) -> Fraction:
+def integrate(e: RingElem) -> Fraction:
     """Evaluate the top-degree part of ``e`` against the preset's pairing.
 
     Jacobian preset: only the coefficient of eta*theta^g survives, scaled by
@@ -397,8 +344,6 @@ def integrate(e: RingElem, preset: RingPreset | None = None) -> Fraction:
     take the Brill-Noether evaluator).  Surface preset: degree-2 monomials
     evaluate through the pairing table.
     """
-    if preset is not None and e.preset != preset:
-        raise PresetMismatchError("element does not belong to the given preset")
     p = e.preset
     if p.kind == JACOBIAN:
         if any(any(m[TAUTOLOGICAL]) for m, _ in e.terms):
@@ -407,7 +352,7 @@ def integrate(e: RingElem, preset: RingPreset | None = None) -> Fraction:
                 " use the Brill-Noether evaluator (bn.evaluate_taut)"
             )
         g = p.param("g")
-        target = [0] * len(p.generators)
+        target = [0] * len(p.names)
         target[ETA] = 1
         target[THETA] = g
         return e.coefficient(tuple(target)) * math.factorial(g)

@@ -8,7 +8,10 @@ of the package relies on.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+from .errors import EngineError
 
 Scalar = Fraction
 
@@ -27,12 +30,22 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def digit_limit() -> int:
+    """Python's integer-to-string digit limit; 0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def format_scalar(value) -> str:
     """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     value = as_scalar(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise EngineError(
+            f"number too long to print: more than {digit_limit()} digits"
+        ) from None
 
 
 def recip_factorial(n: int) -> Fraction:

@@ -5,7 +5,9 @@ Everything here is deliberately written against the naive definition
 package's algorithms, so that agreement is meaningful.  The Chern-root
 oracle evaluates each root monomial as ``laplace_det`` of its matrix of
 reciprocal factorials and shares nothing with the evaluators'
-generating-function core.
+generating-function core.  ``jacobian_normal_form`` applies the three
+Jacobian relations by repeated rewriting, as a reference for the ring's
+closed-form normalization.
 """
 import math
 from fractions import Fraction
@@ -136,3 +138,39 @@ def root_expansion_value(ctx, elem):
                 values[key] = root_monomial_value(ctx, root, exps["theta"])
             total += coeff * mult * values[key]
     return total
+
+
+JACOBIAN_RELATIONS = (
+    # (lhs, rhs): a monomial divisible by lhs becomes sum coeff * (mono / lhs * rhs_mono)
+    ({"eta": 2}, ()),
+    ({"eta": 1, "gamma": 1}, ()),
+    ({"gamma": 2}, (({"eta": 1, "theta": 1}, -2),)),
+)
+
+
+def jacobian_normal_form(preset, mono, coeff):
+    """Normal form of ``coeff * mono`` on a Jacobian preset, as a dict: the
+    relations eta^2 = 0, eta*gamma = 0 and gamma^2 = -2*eta*theta are
+    rewritten until none applies, then every monomial whose eta, gamma,
+    theta degree exceeds g + 1 is dropped."""
+    names = preset.names
+    top = preset.param("g") + 1
+    out = {}
+    pending = [(dict(zip(names, mono)), Fraction(coeff))]
+    while pending:
+        exps, c = pending.pop()
+        for lhs, rhs in JACOBIAN_RELATIONS:
+            if all(exps[name] >= e for name, e in lhs.items()):
+                for shift, scale in rhs:
+                    new = dict(exps)
+                    for name, e in lhs.items():
+                        new[name] -= e
+                    for name, e in shift.items():
+                        new[name] += e
+                    pending.append((new, c * scale))
+                break
+        else:
+            if exps["eta"] + exps["gamma"] + exps["theta"] <= top:
+                key = tuple(exps[name] for name in names)
+                out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}

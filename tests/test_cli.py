@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddspin import cli
+from oddspin import cli, genus12
 from oddspin.cli import run_command
 
 # every leaf command, by its report label, with one valid argument list
@@ -37,6 +39,16 @@ def test_d12_run_json_values():
     assert result["slope"] == "4415/642"
     assert result["violates_slope_conjecture"] is True
     assert result["threshold"] == "90/13"
+
+
+def test_d12_class_string_follows_the_computed_coefficients(monkeypatch):
+    golden = "13245*lambda - 1926*delta0 - 9867*delta1 - sum_{j>=2} b_j*delta_j"
+    assert run_json(["d12", "run", "--format", "json"])["result"]["class"] == golden
+    report = genus12.d12_slope_report()
+    monkeypatch.setattr(genus12, "d12_slope_report", lambda: dataclasses.replace(
+        report, a=Fraction(7), b0=Fraction(5, 2), b1=Fraction(3)))
+    result = run_json(["d12", "run", "--format", "json"])["result"]
+    assert result["class"] == "7*lambda - 5/2*delta0 - 3*delta1 - sum_{j>=2} b_j*delta_j"
 
 
 def test_d12_json_bytes_deterministic():
@@ -349,3 +361,53 @@ def test_random_argv_gives_an_exit_code(argv):
     outcome = run_command(argv)
     assert outcome.exit_code in {0, 1, 2, 3, 4}
     assert (outcome.exit_code == 0) == (outcome.stderr == "")
+
+
+# -- numbers past Python's integer-to-string digit limit --------------------
+
+@pytest.fixture
+def digit_limit_4300():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer digit limit before Python 3.11")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("argv,exit_code,message", [
+    (["ring", "eval", "--preset", "uc:g=3", "2^20000*omega^2"], 2,
+     "constant power has more than 4300 digits (at byte offset 1)"),
+    (["ring", "eval", "--preset", "uc:g=3", "1" * 4400 + "*omega^2"], 2,
+     "integer literal longer than 4300 digits (at byte offset 0)"),
+    (["ring", "eval", "--preset", "uc:g=3", "10^4000*10^4000*omega^2"], 1,
+     "number too long to print: more than 4300 digits"),
+    (["pic", "pair", "--g", "5", "--curve", "C0", "--class", "2^20000*delta0"], 2,
+     "constant power has more than 4300 digits (at byte offset 1)"),
+], ids=["power", "literal", "product", "pic-pair-power"])
+def test_oversized_numbers_give_an_exit_code(digit_limit_4300, argv, exit_code, message):
+    outcome = run_command(argv)
+    assert outcome.exit_code == exit_code
+    assert outcome.stderr == f"error: {message}"
+
+
+def test_nilpotent_power_is_not_refused(digit_limit_4300):
+    result = run_json(["ring", "eval", "--preset", "jac:g=3,d=2,r=0", "(2*theta)^300000",
+                       "--format", "json"])["result"]
+    assert result["normalized"] == "0"
+
+
+def test_printable_constant_power_is_computed(digit_limit_4300):
+    # 2^14000 has 4215 digits; (10/3)^4000 has parts of 4001 and 1909 digits
+    for expression, coefficient in (("2^14000*omega^2", 2 ** 14000),
+                                    ("(10/3)^4000*omega^2", Fraction(10, 3) ** 4000)):
+        result = run_json(["ring", "eval", "--preset", "uc:g=3", expression,
+                           "--format", "json"])["result"]
+        assert result["normalized"] == f"{coefficient}*omega^2"
+
+
+def test_no_digit_limit_means_no_refusal(digit_limit_4300):
+    sys.set_int_max_str_digits(0)
+    result = run_json(["ring", "eval", "--preset", "uc:g=3", "2^20000*omega^2",
+                       "--format", "json"])["result"]
+    assert result["normalized"] == f"{2 ** 20000}*omega^2"

@@ -56,7 +56,7 @@ def test_jet_inverse_degree_one_eta_coefficient(preset):
     for g_curve, d in ((2, 5), (7, 9), (11, 14)):
         part = jet_inverse_chern(g_curve, d).homogeneous_part(1)
         eta_index = preset.index("eta")
-        mono = [0] * len(preset.generators)
+        mono = [0] * len(preset.names)
         mono[eta_index] = 1
         assert part.coefficient(tuple(mono)) == d + (2 * g_curve - 2 + d)
 

@@ -334,6 +334,14 @@ def test_certificate_bn_examples_and_closed_form():
         assert all(v >= 0 for v in slacks.values())
 
 
+def test_certificate_bn_weights_closed_form_oracle():
+    # oracle: the closed-form solution of the alpha_0 / beta_0 weight system
+    for g in range(13, 31):
+        rep = certificate(g, "bn")
+        assert rep.weight_zg == Fraction(2, g - 2)
+        assert rep.weight_aux == Fraction(3 * (3 * g - 10), (g - 2) * (g + 1))
+
+
 def test_certificate_d12():
     report = certificate(12, "d12")
     assert report.weight_zg == Fraction(1, 5)

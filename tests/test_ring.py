@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddspin.errors import PresetMismatchError, RingDomainError
@@ -17,6 +17,8 @@ from oddspin.ring import (
     pushforward_relative,
 )
 
+from oracles import jacobian_normal_form
+
 
 @pytest.fixture(scope="module")
 def jac11():
@@ -27,7 +29,7 @@ def gens(preset, *names):
     return tuple(preset.gen(n) for n in names)
 
 
-# -- rewrite rules ----------------------------------------------------------
+# -- relations --------------------------------------------------------------
 
 def test_gamma_eta_annihilate(jac11):
     eta, gamma = gens(jac11, "eta", "gamma")
@@ -98,7 +100,7 @@ def jacobian_triples(draw):
     # each c_i and k mostly absent, so that products mix terms with and
     # without a c- or k-part
     exponents = [st.integers(0, 1), st.integers(0, 1), st.integers(0, 2)]
-    exponents += [st.sampled_from((0, 0, 1))] * (len(preset.generators) - 3)
+    exponents += [st.sampled_from((0, 0, 1))] * (len(preset.names) - 3)
 
     def element():
         terms = draw(st.dictionaries(st.tuples(*exponents), st.integers(-3, 3),
@@ -113,6 +115,32 @@ def jacobian_triples(draw):
 def test_jacobian_product_is_associative(triple):
     a, b, c = triple
     assert (a * b) * c == a * (b * c)
+
+
+@st.composite
+def jacobian_monomials(draw):
+    g, r = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    preset = preset_jacobian_product(g, g + 1, r)
+    # eta^2, gamma^3 and beyond, eta+gamma+theta degrees up to g + 3
+    head = (draw(st.integers(0, 3)), draw(st.integers(0, 4)), draw(st.integers(0, g + 2)))
+    tail = tuple(draw(st.integers(0, 2)) for _ in range(len(preset.names) - 3))
+    coeff = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4)))
+    return preset, head + tail, coeff
+
+
+J2 = preset_jacobian_product(2, 3, 1)  # eta, gamma, theta, c1, c2, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_monomials())
+@example((J2, (2, 0, 0, 1, 0, 0), Fraction(1)))   # eta^2
+@example((J2, (0, 3, 0, 0, 1, 1), Fraction(5)))   # gamma^3, mixed c/k part
+@example((J2, (0, 2, 1, 2, 1, 1), Fraction(-3)))  # gamma^2*theta at degree g + 1
+@example((J2, (0, 2, 2, 0, 0, 0), Fraction(2)))   # gamma^2*theta^2 above g + 1
+@example((J2, (1, 1, 0, 0, 2, 0), Fraction(7)))   # eta*gamma
+def test_normal_form_matches_repeated_rewriting(case):
+    preset, mono, coeff = case
+    assert dict(preset.element({mono: coeff}).terms) == jacobian_normal_form(preset, mono, coeff)
 
 
 @pytest.mark.parametrize("preset,name", [
@@ -168,7 +196,7 @@ def test_grading_is_additive(jac11):
             degree = 0
             while degree < target:
                 name = rng.choice(names)
-                gen_degree = jac11.generators[jac11.index(name)].degree
+                gen_degree = jac11.degrees[jac11.index(name)]
                 if degree + gen_degree > target:
                     continue
                 mono = mono * jac11.gen(name)
@@ -195,7 +223,7 @@ def test_integrate_kills_gamma_monomials(jac11):
 
 
 def test_integrate_gamma_squared_two_step_oracle(jac11):
-    # oracle: gamma^2 theta^10 -> -2 eta theta^11 by the rewrite rule, then
+    # oracle: gamma^2 theta^10 -> -2 eta theta^11 by the relation, then
     # the normalization integral of eta theta^g is g!.
     gamma, theta = gens(jac11, "gamma", "theta")
     assert integrate(gamma * gamma * theta ** 10) == -2 * math.factorial(11)
