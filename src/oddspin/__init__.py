@@ -37,7 +37,6 @@ from .genus12 import (
     d12_class,
     d12_coefficients,
     d12_slope_report,
-    degenerate_pencil_class,
     jet_inverse_chern,
     sym2_chern,
 )

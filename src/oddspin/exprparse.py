@@ -13,24 +13,26 @@ Grammar (letter for letter):
 Integers are signed (the minus of a leading literal belongs to the
 literal), exponents and denominators are unsigned, and every error carries
 the byte offset it was detected at.  All spellings are plain ASCII.
+
+Parsing and evaluation are iterative, so neither the length nor the
+nesting depth of an expression meets Python's recursion limit.  One
+left-to-right pass over the tokens writes a postfix program, after
+Dijkstra's operator-precedence ("shunting-yard") idea; one stack machine
+runs that program over either algebra, ring elements or (constant, divisor
+class) pairs.  Each run of '+'/'-' terms is one step that sums all of its
+terms at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
-from typing import Union
 
 from .errors import ExprSyntaxError
 from .picard import DivisorClass, PicBasis
 from .ring import RingElem, RingPreset
 from .scalars import ZERO, digit_limit
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+Token = tuple[str, str, int]  # (kind, text, byte offset)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -48,7 +50,7 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
             if limit and j - i > limit:
                 raise ExprSyntaxError(f"integer literal longer than {limit} digits", i)
-            tokens.append(Token("num", text[i:j], i))
+            tokens.append(("num", text[i:j], i))
             i = j
             continue
         if ch.isalpha():
@@ -57,243 +59,219 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("name", text[i:j], i))
+            tokens.append(("name", text[i:j], i))
             i = j
             continue
         if ch in "+-*^/()":
-            tokens.append(Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
-# AST nodes -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int
-
-
-@dataclass(frozen=True)
-class Name:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int
-
-
-Node = Union[Num, Name, BinOp, Pow]
-
-
-@dataclass(frozen=True)
 class Expr:
-    text: str
-    root: Node
-    context_label: str
+    """A parsed expression as a postfix program of (kind, value, offset) steps.
+
+    ``num`` pushes a rational and ``name`` a generator; ``^`` raises the top
+    operand to the integer ``value``; ``*`` multiplies the top two; ``+``
+    replaces the top ``len(value)`` operands by their sum, each taken with
+    its sign in ``value``.
+    """
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[tuple[str, object, int]]):
+        self.steps = steps
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.idx = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.idx + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.idx]
-        if tok.kind != "end":
-            self.idx += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {what}", tok.pos)
-        return self.next()
-
-    # grammar ---------------------------------------------------------
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            right = self.term()
-            node = BinOp(op.kind, node, right, op.pos)
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek().kind == "*":
-            op = self.next()
-            right = self.factor()
-            node = BinOp("*", node, right, op.pos)
-        return node
-
-    def factor(self) -> Node:
-        node = self.atom()
-        if self.peek().kind == "^":
-            caret = self.next()
-            exp_tok = self.expect("num", "a nonnegative integer exponent")
-            node = Pow(node, int(exp_tok.text), caret.pos)
-        return node
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "-":
-            if self.peek(1).kind != "num":
-                raise ExprSyntaxError(
-                    "'-' may only prefix an integer literal here", tok.pos
-                )
-            self.next()
-            return self.rational(sign=-1, start=tok.pos)
-        if tok.kind == "num":
-            return self.rational(sign=1, start=tok.pos)
-        if tok.kind == "name":
-            self.next()
-            return Name(tok.text, tok.pos)
-        if tok.kind == "(":
-            self.next()
-            node = self.expr()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ExprSyntaxError(
-                    "unbalanced parentheses: expected ')'", closing.pos
-                )
-            self.next()
-            return node
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def rational(self, sign: int, start: int) -> Num:
-        num_tok = self.expect("num", "an integer")
-        numerator = sign * int(num_tok.text)
-        if self.peek().kind == "/":
-            self.next()
-            den_tok = self.expect("num", "a denominator")
-            denominator = int(den_tok.text)
-            if denominator == 0:
-                raise ExprSyntaxError("zero denominator in rational literal", den_tok.pos)
-            return Num(Fraction(numerator, denominator), start)
-        return Num(Fraction(numerator), start)
+def _rational(tokens: list[Token], i: int, steps: list) -> int:
+    """Append the signed literal starting at ``tokens[i]``; return the index after it."""
+    kind, _, start = tokens[i]
+    sign = 1
+    if kind == "-":
+        if tokens[i + 1][0] != "num":
+            raise ExprSyntaxError("'-' may only prefix an integer literal here", start)
+        sign, i = -1, i + 1
+    numerator = sign * int(tokens[i][1])
+    if tokens[i + 1][0] != "/":
+        steps.append(("num", Fraction(numerator), start))
+        return i + 1
+    kind, text, pos = tokens[i + 2]
+    if kind != "num":
+        raise ExprSyntaxError("expected a denominator", pos)
+    denominator = int(text)
+    if denominator == 0:
+        raise ExprSyntaxError("zero denominator in rational literal", pos)
+    steps.append(("num", Fraction(numerator, denominator), start))
+    return i + 3
 
 
-def _context_names(context) -> tuple[str, tuple[str, ...]]:
-    if not isinstance(context, (RingPreset, PicBasis)):
-        raise TypeError("context must be a RingPreset or a PicBasis")
-    return context.label, context.names
+def _sum_step(signs: list[int], pos: int, steps: list) -> None:
+    if len(signs) > 1:
+        steps.append(("+", tuple(signs), pos))
 
 
 def parse_expression(text: str, context) -> Expr:
     """Parse and resolve every name against the active preset or basis."""
-    label, valid_names = _context_names(context)
-    parser = _Parser(tokenize(text))
-    root = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    if not isinstance(context, (RingPreset, PicBasis)):
+        raise TypeError("context must be a RingPreset or a PicBasis")
+    tokens = tokenize(text)
+    steps: list = []
+    # one frame per open group: the signs of its terms so far, and the offset
+    # of a '*' whose right factor is still being read (None when none is)
+    frames = [[[1], None]]
+    i = 0
+    while True:
+        # operand state: a group opens, or an atom is read
+        kind, word, pos = tokens[i]
+        if kind == "(":
+            frames.append([[1], None])
+            i += 1
+            continue
+        if kind == "name":
+            steps.append(("name", word, pos))
+            i += 1
+        elif kind in ("num", "-"):
+            i = _rational(tokens, i, steps)
+        else:
+            raise ExprSyntaxError(f"unexpected token {word!r}", pos)
+        # operator state: the factor's exponent, then each ')' that closes a
+        # group (with its own exponent), then the next binary operator
+        while True:
+            if tokens[i][0] == "^":
+                kind, word, pos = tokens[i + 1]
+                if kind != "num":
+                    raise ExprSyntaxError("expected a nonnegative integer exponent", pos)
+                steps.append(("^", int(word), tokens[i][2]))
+                i += 2
+            frame = frames[-1]
+            if frame[1] is not None:
+                steps.append(("*", None, frame[1]))
+                frame[1] = None
+            kind, word, pos = tokens[i]
+            if kind != ")" or len(frames) == 1:
+                break
+            _sum_step(frames.pop()[0], pos, steps)
+            i += 1
+        if kind == "*":
+            frame[1] = pos
+        elif kind in ("+", "-"):
+            frame[0].append(1 if kind == "+" else -1)
+        elif len(frames) > 1:
+            raise ExprSyntaxError("unbalanced parentheses: expected ')'", pos)
+        elif kind == "end":
+            break
+        else:
+            raise ExprSyntaxError(f"unexpected trailing input {word!r}", pos)
+        i += 1
+    _sum_step(frames[0][0], pos, steps)
+    # names are checked once the whole input has parsed, in textual order, so
+    # a syntax error anywhere wins over an unknown name before it
+    for kind, name, pos in steps:
+        if kind == "name" and name not in context.names:
+            raise ExprSyntaxError(f"unknown name {name!r} in {context.label}", pos)
+    return Expr(steps)
 
-    def check(node: Node) -> None:
-        if isinstance(node, Name):
-            if node.name not in valid_names:
-                raise ExprSyntaxError(
-                    f"unknown name {node.name!r} in {label}", node.pos
-                )
-        elif isinstance(node, BinOp):
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, Pow):
-            check(node.base)
 
-    check(root)
-    return Expr(text, root, label)
+def _run(expr: Expr, leaf, power, product, total):
+    """Run ``expr``'s program over one algebra and return its value.
+
+    ``leaf(kind, value)`` makes an operand, ``power(base, exponent, pos)``
+    and ``product(left, right, pos)`` combine them, and ``total`` sums an
+    iterable of (sign, operand) pairs.
+    """
+    leaf = functools.cache(leaf)  # operands are immutable: make each once
+    stack = []
+    for kind, value, pos in expr.steps:
+        if kind == "^":
+            stack.append(power(stack.pop(), value, pos))
+        elif kind == "*":
+            right = stack.pop()
+            stack.append(product(stack.pop(), right, pos))
+        elif kind == "+":
+            n = len(value)
+            stack[-n:] = [total(zip(value, stack[-n:]))]
+        else:
+            stack.append(leaf(kind, value))
+    return stack.pop()
 
 
-def _refuse_oversized_power(base: Fraction, node: Pow) -> None:
+def _refuse_oversized_power(base: Fraction, exponent: int, pos: int) -> None:
     """Refuse ``base^exponent`` before computing it when its numerator or
     denominator is sure to pass the digit limit: |n| >= 2^(bit_length - 1),
     so the power has at least (bit_length - 1) * exponent bits."""
     limit = digit_limit()
-    if not limit:
-        return
     bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
-    if bits * node.exponent >= (10 ** limit).bit_length():
-        raise ExprSyntaxError(
-            f"constant power has more than {limit} digits", node.pos
-        )
+    if limit and bits > 0 and bits * exponent >= (10 ** limit).bit_length():
+        raise ExprSyntaxError(f"constant power has more than {limit} digits", pos)
 
 
 def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
     """Evaluate a parsed expression to a normalized ring element."""
+    one = preset.one()
+    constant = (0,) * len(preset.names)
 
-    def ev(node: Node) -> RingElem:
-        if isinstance(node, Num):
-            return node.value * preset.one()
-        if isinstance(node, Name):
-            return preset.gen(node.name)
-        if isinstance(node, Pow):
-            base = ev(node.base)
-            if len(base.terms) == 1 and not any(base.terms[0][0]):
-                _refuse_oversized_power(base.terms[0][1], node)
-            return base ** node.exponent
-        if node.op == "+":
-            return ev(node.left) + ev(node.right)
-        if node.op == "-":
-            return ev(node.left) - ev(node.right)
-        return ev(node.left) * ev(node.right)
+    def power(base: RingElem, exponent: int, pos: int) -> RingElem:
+        # every generator has positive degree, so the constant term of the
+        # power is exactly the power of the base's constant term
+        _refuse_oversized_power(base.coefficient(constant), exponent, pos)
+        return base ** exponent
 
-    return ev(expr.root)
+    def total(signed) -> RingElem:
+        acc: dict = {}
+        for sign, elem in signed:
+            for mono, coeff in elem.terms:
+                acc[mono] = acc.get(mono, ZERO) + (coeff if sign > 0 else -coeff)
+        return preset.element(acc)
+
+    return _run(
+        expr,
+        lambda kind, value: value * one if kind == "num" else preset.gen(value),
+        power,
+        lambda left, right, pos: left * right,
+        total,
+    )
 
 
 def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
     """Evaluate a parsed expression to a divisor class (linear in generators)."""
     zero = DivisorClass(basis, (ZERO,) * len(basis.names))
 
-    def ev(node: Node) -> tuple[Fraction, DivisorClass]:
-        # (constant part, class part)
-        if isinstance(node, Num):
-            return node.value, zero
-        if isinstance(node, Name):
-            return ZERO, DivisorClass.from_mapping(basis, {node.name: 1})
-        if isinstance(node, Pow):
-            const, cls = ev(node.base)
-            if cls.is_zero():
-                _refuse_oversized_power(const, node)
-                return const ** node.exponent, zero
-            if node.exponent == 1:
-                return const, cls
-            raise ExprSyntaxError(
-                "powers of divisor-class generators are not defined", node.pos
-            )
-        (lconst, lcls), (rconst, rcls) = ev(node.left), ev(node.right)
-        if node.op == "+":
-            return lconst + rconst, lcls + rcls
-        if node.op == "-":
-            return lconst - rconst, lcls - rcls
-        # multiplication: at least one side must be a pure scalar
+    # operands are (constant part, class part) pairs
+    def leaf(kind: str, value) -> tuple[Fraction, DivisorClass]:
+        if kind == "num":
+            return value, zero
+        return ZERO, DivisorClass.from_mapping(basis, {value: 1})
+
+    def power(base, exponent: int, pos: int):
+        const, cls = base
+        if cls.is_zero():
+            _refuse_oversized_power(const, exponent, pos)
+            return const ** exponent, zero
+        if exponent == 1:
+            return base
+        raise ExprSyntaxError("powers of divisor-class generators are not defined", pos)
+
+    def product(left, right, pos: int):
+        (lconst, lcls), (rconst, rcls) = left, right
         if not (lcls.is_zero() or rcls.is_zero()):
             raise ExprSyntaxError(
-                "products of divisor-class generators are not defined", node.pos
+                "products of divisor-class generators are not defined", pos
             )
         return lconst * rconst, rconst * lcls + lconst * rcls
 
-    const, cls = ev(expr.root)
+    def total(signed):
+        const, coefficients = ZERO, [ZERO] * len(basis.names)
+        for sign, (c, cls) in signed:
+            const += c if sign > 0 else -c
+            for j, x in enumerate(cls.coefficients):
+                if x:
+                    coefficients[j] += x if sign > 0 else -x
+        return const, DivisorClass(basis, tuple(coefficients))
+
+    const, cls = _run(expr, leaf, power, product, total)
     if const != 0:
-        raise ExprSyntaxError(
-            "constant terms do not belong to a divisor class", 0
-        )
+        raise ExprSyntaxError("constant terms do not belong to a divisor class", 0)
     return cls

@@ -351,14 +351,6 @@ def d12_slope_report() -> SlopeReport:
     )
 
 
-def degenerate_pencil_class(e: int, c1E: RingElem, c1F: RingElem) -> RingElem:
-    """Class (e-1)(e*c1(F) - (e^2+e-4)*c1(E)) of the locus where the kernel
-    pencil of a surjection Sym^2 E -> F of a rank-e bundle degenerates."""
-    if e < 1:
-        raise PreconditionError("pencil-degeneracy classes need rank e >= 1")
-    return (e - 1) * (e * c1F - (e * e + e - 4) * c1E)
-
-
 def intermediates() -> dict[str, str]:
     """Rendered intermediate classes of the pipeline, for reports."""
     kfree_x, kcoeff_x = split_kernel_class(c3_difference(SIDE_X))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -391,6 +392,26 @@ def test_oversized_numbers_give_an_exit_code(digit_limit_4300, argv, exit_code, 
     assert outcome.stderr == f"error: {message}"
 
 
+@pytest.mark.parametrize("preset,expression", [
+    ("jac:g=3,d=2,r=0", "(2+theta)^200000"),
+    ("uc:g=3", "(2+omega)^20000"),
+])
+def test_power_with_an_oversized_constant_term_is_refused(digit_limit_4300, preset, expression):
+    # every generator has positive degree: the constant term of (2 + x)^N is 2^N
+    outcome = run_command(["ring", "eval", "--preset", preset, expression])
+    assert outcome.exit_code == 2
+    assert outcome.stderr == "error: constant power has more than 4300 digits (at byte offset 9)"
+
+
+def test_power_with_a_unit_constant_term_is_computed(digit_limit_4300):
+    n = 300000
+    result = run_json(["ring", "eval", "--preset", "jac:g=3,d=2,r=0", f"(1+theta)^{n}",
+                       "--format", "json"])["result"]
+    # theta^5 vanishes at g = 3
+    binomials = [f"{math.comb(n, k)}*theta^{k}" for k in (4, 3, 2)]
+    assert result["normalized"] == " + ".join(binomials + [f"{n}*theta", "1"])
+
+
 def test_nilpotent_power_is_not_refused(digit_limit_4300):
     result = run_json(["ring", "eval", "--preset", "jac:g=3,d=2,r=0", "(2*theta)^300000",
                        "--format", "json"])["result"]
@@ -411,3 +432,25 @@ def test_no_digit_limit_means_no_refusal(digit_limit_4300):
     result = run_json(["ring", "eval", "--preset", "uc:g=3", "2^20000*omega^2",
                        "--format", "json"])["result"]
     assert result["normalized"] == f"{2 ** 20000}*omega^2"
+
+
+# -- long and deeply nested expressions -------------------------------------
+
+LONG = 10 ** 5
+
+
+@pytest.mark.parametrize("expression,normalized", [
+    ("+".join(["omega"] * LONG), f"{LONG}*omega"),
+    ("(" * LONG + "omega" + ")" * LONG, "omega"),
+], ids=["sum", "nesting"])
+def test_long_and_deep_ring_expressions_give_their_value(expression, normalized):
+    result = run_json(["ring", "eval", "--preset", "uc:g=3", expression,
+                       "--format", "json"])["result"]
+    assert result["normalized"] == normalized
+
+
+def test_long_class_expression_gives_its_pairing():
+    result = run_json(["pic", "pair", "--g", "5", "--curve", "G0",
+                       "--class", "+".join(["lambda"] * LONG), "--format", "json"])["result"]
+    assert result["class"] == f"{LONG}*lambda"
+    assert result["value"] == str(3 * LONG)  # lambda alone pairs to 3 with G0

@@ -5,7 +5,7 @@ import pytest
 from oddspin import genus12
 from oddspin.bn import SIDE_X, SIDE_Y, evaluate_taut, evaluate_taut_recursion, split_kernel_class
 from oddspin.cli import run_command
-from oddspin.errors import InternalCheckError, PreconditionError
+from oddspin.errors import InternalCheckError
 from oddspin.genus12 import (
     BundleChern,
     ambient_integrand,
@@ -16,7 +16,6 @@ from oddspin.genus12 import (
     d12_class,
     d12_coefficients,
     d12_slope_report,
-    degenerate_pencil_class,
     jet_inverse_chern,
     sym2_chern,
 )
@@ -209,18 +208,6 @@ def test_elliptic_pencil_relation():
     a, b0, b1 = d12_coefficients()
     assert a - 12 * b0 + b1 == 0
     assert b0 > 0 and b1 > 0
-
-
-# -- degenerate pencils -----------------------------------------------------
-
-def test_degenerate_pencil_class(preset):
-    c1E, c1F = preset.gen("c1"), preset.gen("c2")
-    assert degenerate_pencil_class(6, c1E, c1F) == 30 * c1F - 190 * c1E
-    assert degenerate_pencil_class(1, c1E, c1F).is_zero()
-    x = preset.gen("c1")
-    assert degenerate_pencil_class(2, x, x).is_zero()
-    with pytest.raises(PreconditionError):
-        degenerate_pencil_class(0, c1E, c1F)
 
 
 # -- the pipeline's hard checks ---------------------------------------------

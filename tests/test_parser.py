@@ -2,11 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddspin.errors import ExprSyntaxError
 from oddspin.exprparse import expr_to_class, expr_to_ring, parse_expression
 from oddspin.picard import DivisorClass, moduli_basis, spin_basis
-from oddspin.ring import preset_jacobian_product, preset_surface_product
+from oddspin.ring import (
+    RingElem,
+    preset_jacobian_product,
+    preset_surface_product,
+    preset_universal_curve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +131,122 @@ def test_class_render_parse_round_trip():
             back = expr_to_class(parse_expression(text, basis), basis)
             assert back == cls
             assert back.render() == text
+
+
+JAC_3 = preset_jacobian_product(3, 2, 0)
+MODULI_5 = moduli_basis(5)
+
+
+def evaluate(text, context):
+    """The rendered value of ``text``, or the (message, position) of its refusal."""
+    try:
+        expr = parse_expression(text, context)
+        if context is MODULI_5:
+            return expr_to_class(expr, context).render()
+        return expr_to_ring(expr, context).render()
+    except ExprSyntaxError as err:
+        return err.message, err.position
+
+
+UNBALANCED = "unbalanced parentheses: expected ')'"
+EXPONENT = "expected a nonnegative integer exponent"
+
+
+@pytest.mark.parametrize("context,text,expected", [
+    (JAC_3, "eta^2^3", ("unexpected trailing input '^'", 5)),
+    (JAC_3, "(eta^2^3)", (UNBALANCED, 6)),
+    (JAC_3, "((eta)^2^3)", (UNBALANCED, 8)),
+    (JAC_3, "eta theta", ("unexpected trailing input 'theta'", 4)),
+    (JAC_3, "(eta theta", (UNBALANCED, 5)),
+    (JAC_3, "eta + theta)", ("unexpected trailing input ')'", 11)),
+    (JAC_3, "2/3/4", ("unexpected trailing input '/'", 3)),
+    (JAC_3, "eta/2", ("unexpected trailing input '/'", 3)),
+    (JAC_3, "zeta + (", ("unexpected token ''", 8)),
+    (JAC_3, "1/", ("expected a denominator", 2)),
+    (JAC_3, "1/0", ("zero denominator in rational literal", 2)),
+    (JAC_3, "theta^", (EXPONENT, 6)),
+    (JAC_3, "theta^-1", (EXPONENT, 6)),
+    (JAC_3, "eta^(2)", (EXPONENT, 4)),
+    (JAC_3, "", ("unexpected token ''", 0)),
+    (JAC_3, "(", ("unexpected token ''", 1)),
+    (JAC_3, ")", ("unexpected token ')'", 0)),
+    (JAC_3, "-eta", ("'-' may only prefix an integer literal here", 0)),
+    (JAC_3, "2 - - eta", ("'-' may only prefix an integer literal here", 4)),
+    (JAC_3, "eta*+theta", ("unexpected token '+'", 4)),
+    (JAC_3, "eta $ theta", ("unexpected character '$'", 4)),
+    (JAC_3, "eta*zeta + (", ("unexpected token ''", 12)),
+    (JAC_3, "eta*zeta", ("unknown name 'zeta' in jacobian(g=3,d=2,r=0)", 4)),
+    (JAC_3, "-3^2", "9"),
+    (JAC_3, "2--3", "5"),
+    (JAC_3, "2*-3 - 1/2", "-13/2"),
+    (JAC_3, "((theta))^2*(eta - 1)^1", "eta*theta^2 - theta^2"),
+    (MODULI_5, "lambda^2", ("powers of divisor-class generators are not defined", 6)),
+    (MODULI_5, "delta0*delta1", ("products of divisor-class generators are not defined", 6)),
+    (MODULI_5, "lambda + 1", ("constant terms do not belong to a divisor class", 0)),
+    (MODULI_5, "(2*lambda)^1", "2*lambda"),
+    (MODULI_5, "(1 - 1)^0*delta0 - 2^2*(delta1 - lambda)", "4*lambda + delta0 - 4*delta1"),
+])
+def test_every_parser_path_gives_its_value_or_refusal(context, text, expected):
+    assert evaluate(text, context) == expected
+
+
+FUZZ_WORDS = ("eta", "theta", "zeta", "2", "3", "0", "1/2", "-", "+", "*", "^",
+              "(", ")", "/", "$", "c1", "k", " ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FUZZ_WORDS),
+                          st.integers(1, 10 ** 4).map("(".__mul__)),
+                max_size=40).map("".join))
+def test_parser_refuses_only_with_an_offset_inside_the_input(text):
+    try:
+        parse_expression(text, JAC_3)
+    except ExprSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+
+
+@pytest.mark.parametrize("preset", [preset_surface_product(4), preset_universal_curve(5)],
+                         ids=["surface", "uc"])
+def test_ring_render_parse_round_trip_on_surface_and_uc(preset):
+    rng = random.Random(779)
+    for _ in range(80):
+        elem = random_ring_elem(preset, rng)
+        text = elem.render()
+        back = expr_to_ring(parse_expression(text, preset), preset)
+        assert back == elem
+        assert back.render() == text
+
+
+def test_class_render_parse_round_trip_on_the_moduli_basis():
+    rng = random.Random(780)
+    for g in (3, 8, 12):
+        basis = moduli_basis(g)
+        for _ in range(30):
+            cls = DivisorClass.from_mapping(basis, {
+                name: Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                for name in basis.names if rng.random() < 0.7
+            })
+            text = cls.render()
+            if text == "0":
+                continue
+            back = expr_to_class(parse_expression(text, basis), basis)
+            assert back == cls
+            assert back.render() == text
+
+
+def test_a_long_sum_is_normalised_once(monkeypatch):
+    uc = preset_universal_curve(3)
+    text = " + ".join(f"omega^{i}*lambda^{j}" for i in range(80) for j in range(100))
+    expr = parse_expression(text, uc)
+    sums = []
+    init = RingElem.__init__
+
+    def counted(self, preset, terms):
+        if len(terms) > 1:
+            sums.append(len(terms))
+        init(self, preset, terms)
+
+    monkeypatch.setattr(RingElem, "__init__", counted)
+    assert len(expr_to_ring(expr, uc).terms) == 8000
+    # one element holds the whole sum; no partial sum is built on the way
+    assert sums == [8000]
