@@ -40,7 +40,7 @@ from .genus12 import (
     jet_inverse_chern,
     sym2_chern,
 )
-from .linalg import LinearSolveReport, RatMatrix, solve_linear
+from .linalg import LinearSolveReport, solve_linear
 from .numerics import (
     MukaiProfile,
     SpinCounts,

@@ -1,51 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Only small matrices appear in this package (a handful of rows and columns),
-so plain Gaussian elimination on ``Fraction`` entries is both exact and
-fast enough.  ``solve_linear`` never guesses: it returns a report that is
-either a unique solution, an explicit list of undetermined columns, or an
-inconsistency witness.  ``series_det`` takes determinants of matrices of
-truncated integer power series, the Brill-Noether evaluator's core, in
-integer arithmetic.
+The linear systems of this package are small and sparse (a few dozen rows
+of at most four entries), so ``solve_linear`` runs Gauss-Jordan elimination
+on sparse rows of ``Fraction`` entries.  It never guesses: it returns a
+report that is either a unique solution, an explicit list of undetermined
+columns, or an inconsistency witness.  ``series_det`` takes determinants of
+matrices of truncated integer power series, the Brill-Noether evaluator's
+core, in integer arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionError, InternalCheckError, PreconditionError
 from .scalars import ZERO, as_scalar
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
-        if not rows:
-            raise DimensionError("matrix needs at least one row")
-        width = len(rows[0])
-        if width == 0:
-            raise DimensionError("matrix needs at least one column")
-        converted = []
-        for row in rows:
-            if len(row) != width:
-                raise DimensionError("ragged rows in matrix literal")
-            converted.append(tuple(as_scalar(v) for v in row))
-        return RatMatrix(tuple(converted))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
 
 
 def _bareiss_entry(head, entry, lead, pivot_row_entry, previous) -> list[int]:
@@ -125,49 +95,75 @@ class LinearSolveReport:
     witness_row: int | None
 
 
-def solve_linear(m: RatMatrix, rhs: Sequence) -> LinearSolveReport:
-    """Solve m x = rhs exactly (Gauss-Jordan), reporting degeneracy."""
-    if m.rows != len(rhs):
+def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
+                 rhs: Sequence) -> LinearSolveReport:
+    """Solve rows x = rhs exactly (Gauss-Jordan), reporting degeneracy.
+
+    Each row maps column indices in 0..n_cols-1 to its nonzero entries.
+    Elimination works on those sparse rows, with the right-hand side kept
+    as column n_cols: it touches only nonzero entries and drops an entry
+    that cancels.  Columns are taken in order, each pivoting on the first
+    remaining row with an entry there, so the reduced rows, and with them
+    the report, are those of dense Gauss-Jordan.
+    """
+    if len(rows) != len(rhs):
         raise DimensionError("right-hand side length does not match row count")
-    a = [list(row) + [as_scalar(rhs[i])] for i, row in enumerate(m.entries)]
-    n_rows, n_cols = m.rows, m.cols
+    if n_cols < 1:
+        raise DimensionError("a linear system needs at least one column")
+    a: list[dict[int, Fraction]] = []
+    for row, value in zip(rows, rhs):
+        entries = {}
+        for col, v in row.items():
+            if not (isinstance(col, int) and 0 <= col < n_cols):
+                raise DimensionError(f"column {col!r} is outside 0..{n_cols - 1}")
+            if v := as_scalar(v):
+                entries[col] = v
+        if value := as_scalar(value):
+            entries[n_cols] = value
+        a.append(entries)
+    n_rows = len(a)
 
     pivot_cols: list[int] = []
     row = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if a[r][col] != 0), None)
+        if row == n_rows:
+            break
+        pivot = next((r for r in range(row, n_rows) if col in a[r]), None)
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
         pv = a[row][col]
-        a[row] = [v / pv for v in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [a[r][c] - factor * a[row][c] for c in range(n_cols + 1)]
+        pivot_row = a[row] = {c: v / pv for c, v in a[row].items()}
+        for r, other in enumerate(a):
+            factor = other.get(col)
+            if r == row or factor is None:
+                continue
+            for c, v in pivot_row.items():
+                if total := other.get(c, ZERO) - factor * v:
+                    other[c] = total
+                else:
+                    del other[c]
         pivot_cols.append(col)
         row += 1
-        if row == n_rows:
-            break
 
     rank = len(pivot_cols)
-    for r in range(rank, n_rows):
-        if a[r][n_cols] != 0:
-            return LinearSolveReport(
-                status="inconsistent",
-                solution=None,
-                rank=rank,
-                pivot_columns=tuple(pivot_cols),
-                free_columns=tuple(c for c in range(n_cols) if c not in pivot_cols),
-                undetermined_columns=(),
-                witness_row=r,
-            )
-
     free_cols = tuple(c for c in range(n_cols) if c not in pivot_cols)
+    witness = next((r for r in range(rank, n_rows) if n_cols in a[r]), None)
+    if witness is not None:
+        return LinearSolveReport(
+            status="inconsistent",
+            solution=None,
+            rank=rank,
+            pivot_columns=tuple(pivot_cols),
+            free_columns=free_cols,
+            undetermined_columns=(),
+            witness_row=witness,
+        )
+
     if not free_cols:
         solution = [ZERO] * n_cols
         for r, col in enumerate(pivot_cols):
-            solution[col] = a[r][n_cols]
+            solution[col] = a[r].get(n_cols, ZERO)
         return LinearSolveReport(
             status="unique",
             solution=tuple(solution),
@@ -180,7 +176,7 @@ def solve_linear(m: RatMatrix, rhs: Sequence) -> LinearSolveReport:
 
     undetermined = set(free_cols)
     for r, col in enumerate(pivot_cols):
-        if any(a[r][f] != 0 for f in free_cols):
+        if not undetermined.isdisjoint(a[r]):
             undetermined.add(col)
     return LinearSolveReport(
         status="underdetermined",

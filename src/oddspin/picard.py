@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     UndefinedSlopeError,
 )
-from .linalg import RatMatrix, solve_linear
+from .linalg import solve_linear
 from .numerics import boundary_degrees, theta_counts
 from .ring import _render_terms, preset_universal_curve, pushforward_relative
 from .scalars import ZERO, as_scalar, format_scalar
@@ -380,14 +380,14 @@ class ZgSolveReport:
     assumptions: tuple[str, ...]
 
 
-def _bar_pairing_row(curve: TestCurve) -> dict[str, Fraction]:
+def _bar_pairing_row(curve: TestCurve) -> dict[int, Fraction]:
     # pairing with a*lambda - sum b*boundary, expressed in the bar unknowns
-    row = {}
-    for name, value in zip(curve.basis.names, curve.pairings):
-        if value == 0:
-            continue
-        row[name] = value if name == "lambda" else -value
-    return row
+    # and keyed by column; column 0 is lambda
+    return {
+        j: value if j == 0 else -value
+        for j, value in enumerate(curve.pairings)
+        if value
+    }
 
 
 def solve_zg(g: int) -> ZgSolveReport:
@@ -405,16 +405,16 @@ def solve_zg(g: int) -> ZgSolveReport:
     basis = spin_basis(g)
     m = g // 2
     names = basis.names
-    rows: list[dict[str, Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
     assumptions: list[str] = []
 
-    rows.append({"lambda": as_scalar(1)})
+    rows.append({basis.index("lambda"): as_scalar(1)})
     rhs.append(degenerate_theta_lambda_coefficient(g))
     labels.append("porteous-lambda")
 
-    rows.append({"alpha1": as_scalar(1)})
+    rows.append({basis.index("alpha1"): as_scalar(1)})
     rhs.append(as_scalar(2 * (g - 1)))
     labels.append("family-F1-closed-form")
     assumptions.append(
@@ -440,14 +440,8 @@ def solve_zg(g: int) -> ZgSolveReport:
         labels.append(f"pencil-{curve.name}")
         assumptions.extend(curve.assumed_zero_labels())
 
-    matrix = RatMatrix.from_rows(
-        [[row.get(name, ZERO) for name in names] for row in rows]
-    )
-    report = solve_linear(matrix, rhs)
+    report = solve_linear(rows, len(names), rhs)
     closed = zg_class(g)
-
-    def bar_vector(cls: DivisorClass) -> list[Fraction]:
-        return [cls.bar(name) for name in names]
 
     if report.status == "unique":
         solved = DivisorClass(
@@ -475,10 +469,9 @@ def solve_zg(g: int) -> ZgSolveReport:
             f" {report.witness_row}"
         )
 
-    fallback_vec = bar_vector(closed)
+    fallback_vec = [closed.bar(name) for name in names]
     consistent = all(
-        sum((row.get(name, ZERO) * fallback_vec[j] for j, name in enumerate(names)),
-            start=ZERO) == rhs_value
+        sum((v * fallback_vec[j] for j, v in row.items()), start=ZERO) == rhs_value
         for row, rhs_value in zip(rows, rhs)
     )
     undetermined = tuple(names[c] for c in report.undetermined_columns)
@@ -599,13 +592,14 @@ def certificate(g: int, auxiliary: str) -> CertificateReport:
         assumed_zero.extend(info.assumed_zero_pairings)
 
     zg = zg_class(g)
-    system = RatMatrix.from_rows(
+    solved = solve_linear(
         [
-            [zg.bar("alpha0"), aux_spin.bar("alpha0")],
-            [zg.bar("beta0"), aux_spin.bar("beta0")],
-        ]
+            {0: zg.bar("alpha0"), 1: aux_spin.bar("alpha0")},
+            {0: zg.bar("beta0"), 1: aux_spin.bar("beta0")},
+        ],
+        2,
+        [as_scalar(2), as_scalar(3)],
     )
-    solved = solve_linear(system, [as_scalar(2), as_scalar(3)])
     if solved.status != "unique":
         raise InternalCheckError("certificate weight system is degenerate")
     x, y = solved.solution

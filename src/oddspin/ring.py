@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
-from .scalars import ZERO, as_scalar, format_scalar
+from .scalars import ONE, ZERO, as_scalar, format_scalar
 
 JACOBIAN = "jacobian"
 SURFACE = "surface"
@@ -216,6 +216,13 @@ class RingElem:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise RingDomainError("ring exponents are nonnegative integers")
+        if len(self.terms) == 1:
+            # the normal form is a ring homomorphism, so a monomial's power is
+            # its exponent vector times n, normalised once; a truncated power
+            # is dropped before its coefficient is raised
+            ((mono, coeff),) = self.terms
+            acc = _normalize(self.preset, [(tuple(n * e for e in mono), ONE)])
+            return RingElem(self.preset, tuple((m, c * coeff**n) for m, c in acc.items()))
         # square and multiply; a zero square or partial product ends it early
         result, square = self.preset.one(), self
         while n and not result.is_zero():

@@ -5,16 +5,17 @@ Everything here is deliberately written against the naive definition
 package's algorithms, so that agreement is meaningful.  The Chern-root
 oracle evaluates each root monomial as ``laplace_det`` of its matrix of
 reciprocal factorials and shares nothing with the evaluators'
-generating-function core.  ``jacobian_normal_form`` applies the three
-Jacobian relations by repeated rewriting, as a reference for the ring's
-closed-form normalization.
+generating-function core.  ``dense_solve`` is dense Gauss-Jordan
+elimination, the reference for the sparse ``solve_linear``.
+``jacobian_normal_form`` applies the three Jacobian relations by repeated
+rewriting, as a reference for the ring's closed-form normalization.
 """
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from oddspin.errors import DimensionError, PreconditionError
-from oddspin.linalg import RatMatrix
+from oddspin.linalg import LinearSolveReport
 
 
 def laplace_det(rows):
@@ -41,20 +42,67 @@ def laplace_det(rows):
 
 
 def matmul(a, b):
-    """Product of two ``RatMatrix`` values by the row-column definition."""
-    if a.cols != b.rows:
+    """Product of two matrices, given as lists of rows, by the row-column
+    definition."""
+    if any(len(row) != len(b) for row in a):
         raise DimensionError("inner dimensions do not match")
-    return RatMatrix.from_rows(
-        [[sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), Fraction(0))
-          for j in range(b.cols)]
-         for i in range(a.rows)]
-    )
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))]
+            for row in a]
 
 
 def apply(m, vector):
     """``m`` times ``vector`` taken as a column."""
-    column = matmul(m, RatMatrix.from_rows([[v] for v in vector]))
-    return tuple(row[0] for row in column.entries)
+    return tuple(row[0] for row in matmul(m, [[v] for v in vector]))
+
+
+def dense_solve(rows, rhs):
+    """Dense Gauss-Jordan elimination of ``rows x = rhs`` over a list of
+    equally long rows, reported as a ``LinearSolveReport``: the reference
+    for ``solve_linear`` on sparse rows."""
+    if len(rows) != len(rhs):
+        raise DimensionError("right-hand side length does not match row count")
+    n_rows, n_cols = len(rows), len(rows[0])
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+
+    pivot_cols = []
+    row = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(row, n_rows) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        pv = a[row][col]
+        a[row] = [v / pv for v in a[row]]
+        for r in range(n_rows):
+            if r != row and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [a[r][c] - factor * a[row][c] for c in range(n_cols + 1)]
+        pivot_cols.append(col)
+        row += 1
+        if row == n_rows:
+            break
+
+    rank = len(pivot_cols)
+    free_cols = tuple(c for c in range(n_cols) if c not in pivot_cols)
+    report = dict(rank=rank, pivot_columns=tuple(pivot_cols), free_columns=free_cols,
+                  solution=None, undetermined_columns=(), witness_row=None)
+    for r in range(rank, n_rows):
+        if a[r][n_cols] != 0:
+            return LinearSolveReport(status="inconsistent", **dict(report, witness_row=r))
+    if not free_cols:
+        solution = [Fraction(0)] * n_cols
+        for r, col in enumerate(pivot_cols):
+            solution[col] = a[r][n_cols]
+        return LinearSolveReport(status="unique", **dict(report, solution=tuple(solution)))
+    undetermined = set(free_cols)
+    for r, col in enumerate(pivot_cols):
+        if any(a[r][f] != 0 for f in free_cols):
+            undetermined.add(col)
+    return LinearSolveReport(
+        status="underdetermined",
+        **dict(report, undetermined_columns=tuple(sorted(undetermined))),
+    )
 
 
 def recip_factorial_rows(ctx, exponents):

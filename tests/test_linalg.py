@@ -3,12 +3,14 @@ from itertools import permutations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddspin.errors import DimensionError, PreconditionError
-from oddspin.linalg import RatMatrix, series_det, solve_linear
+from oddspin.linalg import series_det, solve_linear
 from oddspin.scalars import as_scalar, format_scalar, recip_factorial
 
-from oracles import apply, laplace_det, poly_mul
+from oracles import apply, dense_solve, laplace_det, poly_mul
 
 
 def _truncated_permutation_det(rows, order):
@@ -59,16 +61,19 @@ def test_recip_factorial_total_function():
     assert recip_factorial(3) == Fraction(1, 6)
 
 
+def _sparse(rows):
+    """Dense rows as the ``{column: value}`` rows ``solve_linear`` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def test_solve_identity():
-    m = RatMatrix.from_rows([[1, 0], [0, 1]])
-    report = solve_linear(m, [Fraction(5), Fraction(-2, 3)])
+    report = solve_linear([{0: 1}, {1: 1}], 2, [Fraction(5), Fraction(-2, 3)])
     assert report.status == "unique"
     assert report.solution == (Fraction(5), Fraction(-2, 3))
 
 
 def test_solve_diagonal():
-    m = RatMatrix.from_rows([[2, 0], [0, 4]])
-    report = solve_linear(m, [1, 1])
+    report = solve_linear([{0: 2}, {1: 4}], 2, [1, 1])
     assert report.solution == (Fraction(1, 2), Fraction(1, 4))
 
 
@@ -79,8 +84,8 @@ def test_solve_certificate_system_matches_hand_elimination():
     x = Fraction(-1) / Fraction(-5)
     y = (2 - Fraction(14, 4) * x) / 1926
     assert (x, y) == (Fraction(1, 5), Fraction(13, 19260))
-    m = RatMatrix.from_rows([[Fraction(14, 4), 1926], [2, 2 * 1926]])
-    report = solve_linear(m, [2, 3])
+    rows = [{0: Fraction(14, 4), 1: 1926}, {0: 2, 1: 2 * 1926}]
+    report = solve_linear(rows, 2, [2, 3])
     assert report.status == "unique"
     assert report.solution == (x, y)
 
@@ -89,35 +94,72 @@ def test_solve_resubstitution_on_random_systems():
     rng = random.Random(99)
     made = 0
     while made < 12:
-        m = RatMatrix.from_rows(
-            [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
              for _ in range(4)]
-        )
-        if laplace_det(m.entries) == 0:
+        if laplace_det(m) == 0:
             continue
         made += 1
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
         rhs = apply(m, x)
-        report = solve_linear(m, rhs)
+        report = solve_linear(_sparse(m), 4, rhs)
         assert report.status == "unique"
         assert apply(m, report.solution) == rhs
         assert report.solution == tuple(x)
 
 
 def test_solve_reports_inconsistency_with_witness():
-    m = RatMatrix.from_rows([[1, 1], [1, 1]])
-    report = solve_linear(m, [1, 2])
+    report = solve_linear([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, [1, 2])
     assert report.status == "inconsistent"
     assert report.witness_row is not None
 
 
 def test_solve_reports_undetermined_columns():
-    m = RatMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
-    report = solve_linear(m, [2, 5])
+    report = solve_linear([{0: 1, 1: 1}, {2: 1}], 3, [2, 5])
     assert report.status == "underdetermined"
     assert report.free_columns == (1,)
     # the pivot in column 0 depends on the free column
     assert report.undetermined_columns == (0, 1)
+
+
+def test_solve_refuses_malformed_systems():
+    with pytest.raises(DimensionError, match="right-hand side"):
+        solve_linear([{0: 1}], 1, [1, 2])
+    with pytest.raises(DimensionError, match="at least one column"):
+        solve_linear([{}], 0, [1])
+    for column in (2, -1, "beta0"):
+        with pytest.raises(DimensionError, match="outside 0..1"):
+            solve_linear([{0: 1}, {column: 1}], 2, [1, 1])
+
+
+@st.composite
+def sparse_systems(draw):
+    """Dense rows and a right-hand side of a random rational system, 1-8
+    rows and columns, each entry nonzero with probability 0.4."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def entry(density):
+        if draw(st.integers(0, 9)) >= density:
+            return Fraction(0)
+        return Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4)))
+
+    rows = [[entry(4) for _ in range(n_cols)] for _ in range(n_rows)]
+    return rows, [entry(7) for _ in range(n_rows)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+@example(([[2, 0], [0, 4]], [1, 1]))                   # unique
+@example(([[1, 1, 0], [0, 0, 1]], [2, 5]))             # underdetermined
+@example(([[0, 1], [0, 2], [0, 0]], [1, 2, 0]))        # column 0 free, extra rows
+@example(([[1, 1], [1, 1]], [1, 2]))                   # inconsistent
+@example(([[0, 0], [1, 2], [2, 4]], [3, 1, 2]))        # inconsistent after a swap
+def test_sparse_solve_matches_the_dense_oracle(system):
+    rows, rhs = system
+    expected = dense_solve(rows, rhs)
+    assert solve_linear(_sparse(rows), len(rows[0]), rhs) == expected
+    # explicit zero entries are dropped, not pivoted on
+    full = [dict(enumerate(row)) for row in rows]
+    assert solve_linear(full, len(rows[0]), rhs) == expected
 
 
 def test_scalar_round_trips():

@@ -8,6 +8,8 @@ from oddspin.errors import (
     PreconditionError,
     UndefinedSlopeError,
 )
+from oddspin import picard
+from oddspin.linalg import solve_linear
 from oddspin.numerics import boundary_degrees, theta_counts, theta_pencil_profile
 from oddspin.picard import (
     MODULI,
@@ -244,6 +246,28 @@ def test_solve_zg_full_rank_range():
             assert report.undetermined == ("beta0", "beta1")
         else:
             assert report.full_rank and not report.degenerate
+
+
+def test_solve_zg_rows_are_sparse_and_the_solution_is_the_closed_form(monkeypatch):
+    seen = []
+
+    def recording(rows, n_cols, rhs):
+        seen.append((rows, n_cols))
+        return solve_linear(rows, n_cols, rhs)
+
+    monkeypatch.setattr(picard, "solve_linear", recording)
+    for g in range(3, 61):
+        report = solve_zg(g)
+        rows, n_cols = seen.pop()
+        assert n_cols == len(spin_basis(g).names)
+        # the sparse elimination relies on these short rows
+        assert max(sum(1 for v in row.values() if v) for row in rows) <= 4
+        assert report.matches_closed_form
+        assert report.divisor_class == zg_class(g)
+        assert report.degenerate == (g == 5)
+    report = solve_zg(5)
+    assert report.undetermined == ("beta0", "beta1")
+    assert report.fallback_consistent
 
 
 def test_solve_zg_genus7_hand_elimination_oracle():

@@ -165,6 +165,81 @@ def test_power_takes_logarithmically_many_products(monkeypatch, preset, name):
         assert power.render() == f"omega^{n}"
 
 
+def _square_and_multiply(base, n):
+    result, square = base.preset.one(), base
+    while n:
+        if n & 1:
+            result = result * square
+        n >>= 1
+        square = square * square
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_monomials(), st.integers(0, 6))
+@example((J2, (0, 1, 0, 0, 0, 0), Fraction(1)), 2)    # gamma^2 = -2*eta*theta
+@example((J2, (0, 1, 1, 1, 0, 1), Fraction(-3)), 2)   # with theta, c1 and k
+@example((J2, (0, 1, 0, 0, 0, 0), Fraction(5)), 3)    # gamma^3 = 0
+@example((J2, (1, 0, 1, 0, 0, 0), Fraction(2)), 0)    # any base to the 0 is 1
+def test_monomial_power_matches_square_and_multiply(case, n):
+    preset, mono, coeff = case
+    base = preset.element({mono: coeff})
+    assert base ** n == _square_and_multiply(base, n)
+
+
+def test_monomial_power_on_the_universal_curve():
+    preset = preset_universal_curve(3)
+    rng = random.Random(5)
+    for _ in range(40):
+        mono = (rng.randint(0, 4), rng.randint(0, 4))
+        base = preset.element({mono: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))})
+        n = rng.randint(0, 9)
+        assert base ** n == _square_and_multiply(base, n)
+
+
+@pytest.mark.parametrize("preset,name", [
+    (preset_jacobian_product(3, 2, 1), "gamma"),
+    (preset_jacobian_product(3, 2, 1), "c2"),
+    (preset_surface_product(3), "Delta"),
+    (preset_universal_curve(3), "omega"),
+])
+def test_a_one_term_power_takes_no_product(monkeypatch, preset, name):
+    base = Fraction(-2, 3) * preset.gen(name)
+    products = []
+    multiply = RingElem.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    monkeypatch.setattr(RingElem, "__rmul__", counted)
+    powers = [base ** n for n in range(6)]
+    assert products == []
+    assert powers[0] == preset.one() and powers[1] == base
+
+
+@pytest.mark.parametrize("preset,name", [
+    (preset_jacobian_product(3, 2, 0), "theta"),
+    (preset_surface_product(3), "F1"),
+])
+def test_a_truncated_monomial_power_never_raises_its_coefficient(monkeypatch, preset, name):
+    base = 2 * preset.gen(name)
+    raised = []
+    power = Fraction.__pow__
+
+    def recorded(a, b, *rest):
+        raised.append(b)
+        return power(a, b, *rest)
+
+    monkeypatch.setattr(Fraction, "__pow__", recorded)
+    assert (base ** 10 ** 8).is_zero()
+    assert raised == []
+    gen = preset.gen(name)
+    assert base ** 2 == 4 * gen * gen and not (gen * gen).is_zero()
+    assert raised == [2]
+
+
 def test_preset_mismatch_is_an_error(jac11):
     other = preset_jacobian_product(12, 14, 4)
     with pytest.raises(PresetMismatchError):
