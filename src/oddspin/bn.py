@@ -45,13 +45,13 @@ locus class and pushing k down to the next class of the same Chern series
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .linalg import series_det
 from .numerics import rho
+from .record import Record
 from .ring import (
     C1,
     ETA,
@@ -69,14 +69,10 @@ SIDE_X = "X"
 SIDE_Y = "Y"
 
 
-@dataclass(frozen=True)
-class BNContext:
+class BNContext(Record):
     """Fixed (g, r, d) together with the matching ring preset."""
 
-    g: int
-    r: int
-    d: int
-    preset: RingPreset
+    __slots__ = ("g", "r", "d", "preset")
 
     @property
     def rho(self) -> int:

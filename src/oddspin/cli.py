@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import genus12, numerics, picard
 from .bn import bn_context, evaluate_taut
@@ -51,6 +50,7 @@ from .picard import (
     test_curve,
     zg_class,
 )
+from .record import Record
 from .ring import (
     JACOBIAN,
     K,
@@ -63,7 +63,7 @@ from .ring import (
     preset_universal_curve,
     pushforward_relative,
 )
-from .scalars import format_scalar
+from .scalars import format_scalar, too_long_to_print
 
 
 NAMED_CLASSES = ("zg", "k", "bn", "d12")
@@ -85,13 +85,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help().rstrip("\n"))
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    result: object
-    assumptions: list = field(default_factory=list)
-    elapsed_ms: int = 0
+class Report(Record):
+    __slots__ = ("command", "inputs", "result", "assumptions", "elapsed_ms")
+
+    def render(self, fmt: str) -> str:
+        """The report as JSON or text; a number past the digit limit is
+        an engine error."""
+        try:
+            return self.to_json() if fmt == "json" else self.to_text()
+        except ValueError:  # raised by int-to-str, where json and text print ints
+            raise too_long_to_print() from None
 
     def to_json(self) -> str:
         payload = {
@@ -133,11 +136,8 @@ def _text_block(value, indent: int) -> list[str]:
     return [f"{pad}{value}"]
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    stdout: str
-    stderr: str
+class CommandOutcome(Record):
+    __slots__ = ("exit_code", "stdout", "stderr")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +456,8 @@ def run_command(argv) -> CommandOutcome:
     try:
         args = build_parser().parse_args(list(argv))
         inputs, result, notes = args.run(args)
+        elapsed_ms = (time.monotonic_ns() - started) // 1_000_000
+        stdout = Report(args.label, inputs, result, notes, elapsed_ms).render(args.format)
     except _HelpRequested as help_text:
         return CommandOutcome(0, str(help_text), "")
     except (UsageError, ExprSyntaxError) as err:
@@ -466,14 +468,7 @@ def run_command(argv) -> CommandOutcome:
         return CommandOutcome(4, "", f"internal check failed: {err}")
     except EngineError as err:
         return CommandOutcome(1, "", f"error: {err}")
-    report = Report(
-        command=args.label,
-        inputs=inputs,
-        result=result,
-        assumptions=notes,
-        elapsed_ms=(time.monotonic_ns() - started) // 1_000_000,
-    )
-    return CommandOutcome(0, report.to_json() if args.format == "json" else report.to_text(), "")
+    return CommandOutcome(0, stdout, "")
 
 
 def main() -> None:

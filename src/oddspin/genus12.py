@@ -12,7 +12,6 @@ degrees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,6 +28,7 @@ from .bn import (
 )
 from .errors import InternalCheckError, PreconditionError
 from .picard import DivisorClass, moduli_basis, test_curve
+from .record import Record
 from .ring import RingElem
 from .scalars import format_scalar
 
@@ -52,27 +52,15 @@ def _c(i: int) -> RingElem:
     return context().preset.gen(f"c{i}")
 
 
-@dataclass(frozen=True)
-class BundleChern:
+class BundleChern(Record):
     """First three Chern classes of a named bundle, as ring elements."""
 
-    name: str
-    c1: RingElem
-    c2: RingElem
-    c3: RingElem
+    __slots__ = ("name", "c1", "c2", "c3")
 
 
-@dataclass(frozen=True)
-class SlopeReport:
-    a: Fraction
-    b0: Fraction
-    b1: Fraction
-    slope: Fraction
-    threshold: Fraction
-    violates_slope_conjecture: bool
-    cross_lhs: int
-    cross_rhs: int
-    higher_boundary_note: str
+class SlopeReport(Record):
+    __slots__ = ("a", "b0", "b1", "slope", "threshold", "violates_slope_conjecture",
+                 "cross_lhs", "cross_rhs", "higher_boundary_note")
 
 
 def jet_inverse_chern(g_curve: int, d: int) -> RingElem:
@@ -293,11 +281,8 @@ def d12_coefficients() -> tuple[Fraction, Fraction, Fraction]:
     return a, b0, b1
 
 
-@dataclass(frozen=True)
-class D12ClassInfo:
-    divisor: DivisorClass
-    assumptions: tuple[str, ...]
-    assumed_zero_pairings: tuple[str, ...]
+class D12ClassInfo(Record):
+    __slots__ = ("divisor", "assumptions", "assumed_zero_pairings")
 
 
 def d12_class_info() -> D12ClassInfo:

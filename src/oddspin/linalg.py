@@ -10,11 +10,11 @@ core, in integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import DimensionError, InternalCheckError, PreconditionError
+from .record import Record
 from .scalars import ZERO, as_scalar
 
 
@@ -76,8 +76,7 @@ def series_det(rows: Sequence[Sequence[Sequence[int]]], order: int) -> list[int]
     return [sign * x for x in a[n - 1][n - 1]]
 
 
-@dataclass(frozen=True)
-class LinearSolveReport:
+class LinearSolveReport(Record):
     """Outcome of an exact linear solve.
 
     status is one of "unique", "underdetermined" or "inconsistent".  For a
@@ -86,13 +85,8 @@ class LinearSolveReport:
     an inconsistent solve records the reduced row that has no solution.
     """
 
-    status: str
-    solution: tuple[Fraction, ...] | None
-    rank: int
-    pivot_columns: tuple[int, ...]
-    free_columns: tuple[int, ...]
-    undetermined_columns: tuple[int, ...]
-    witness_row: int | None
+    __slots__ = ("status", "solution", "rank", "pivot_columns", "free_columns",
+                 "undetermined_columns", "witness_row")
 
 
 def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,

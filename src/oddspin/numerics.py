@@ -4,10 +4,8 @@ pairing profiles, the Scorza-curve genus and Mukai-model dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import InternalCheckError, PreconditionError
+from .record import Record
 from .ring import adjunction_genus, preset_surface_product
 from .scalars import as_scalar
 
@@ -17,11 +15,8 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-@dataclass(frozen=True)
-class SpinCounts:
-    g: int
-    n_even: int
-    n_odd: int
+class SpinCounts(Record):
+    __slots__ = ("g", "n_even", "n_odd")
 
     @property
     def total(self) -> int:
@@ -53,10 +48,8 @@ def boundary_degrees(g: int, i: int) -> tuple[int, int]:
     return deg_a, deg_b
 
 
-@dataclass(frozen=True)
-class RamificationCount:
-    value: int
-    feasible: bool
+class RamificationCount(Record):
+    __slots__ = ("value", "feasible")
 
 
 def riemann_hurwitz_ram(g_source: int, g_target: int, degree: int) -> RamificationCount:
@@ -92,18 +85,13 @@ def scorza_genus(g: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ThetaPencilProfile:
+class ThetaPencilProfile(Record):
     """Pairing profile of the covering pencil cut out by theta hyperplanes
-    on a polarized K3 surface, plus its discriminant bookkeeping."""
+    on a polarized K3 surface, plus its discriminant bookkeeping; ``curve``
+    is a ``picard.TestCurve``."""
 
-    g: int
-    curve: "TestCurve"  # forward reference; see picard.TestCurve
-    discriminant_degree: int
-    base_point_contacts: int
-    free_nodal_members: int
-    decomposition_ok: bool
-    canonical_pairing: Fraction
+    __slots__ = ("g", "curve", "discriminant_degree", "base_point_contacts",
+                 "free_nodal_members", "decomposition_ok", "canonical_pairing")
 
 
 def theta_pencil_profile(g: int) -> ThetaPencilProfile:
@@ -138,12 +126,8 @@ def theta_pencil_profile(g: int) -> ThetaPencilProfile:
     return profile
 
 
-@dataclass(frozen=True)
-class MukaiProfile:
-    g: int
-    dim_v: int
-    n_g: int
-    max_delta_dominant: int
+class MukaiProfile(Record):
+    __slots__ = ("g", "dim_v", "n_g", "max_delta_dominant")
 
 
 _MUKAI_DIMENSIONS = {7: 10, 8: 8, 9: 6, 10: 5}

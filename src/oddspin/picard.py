@@ -15,9 +15,9 @@ sign errors in one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import lru_cache
 
 from .errors import (
     BasisMismatchError,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .linalg import solve_linear
 from .numerics import boundary_degrees, theta_counts
+from .record import Record, set_field
 from .ring import _render_terms, preset_universal_curve, pushforward_relative
 from .scalars import ZERO, as_scalar, format_scalar
 
@@ -34,11 +35,12 @@ SPIN = "spin"
 MODULI = "moduli"
 
 
-@dataclass(frozen=True)
-class PicBasis:
-    space: str
-    g: int
-    names: tuple[str, ...]
+class PicBasis(Record):
+    __slots__ = ("space", "g", "names", "_positions")
+
+    def __init__(self, space: str, g: int, names: tuple[str, ...]):
+        super().__init__(space, g, names)
+        set_field(self, "_positions", {name: i for i, name in enumerate(names)})
 
     @property
     def label(self) -> str:
@@ -46,11 +48,13 @@ class PicBasis:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise BasisMismatchError(f"no generator {name!r} in basis {self.label}")
 
 
+# bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once
+@lru_cache(maxsize=64)
 def spin_basis(g: int) -> PicBasis:
     if g < 3:
         raise PreconditionError("spin Picard basis needs g >= 3")
@@ -61,6 +65,7 @@ def spin_basis(g: int) -> PicBasis:
     return PicBasis(SPIN, g, names)
 
 
+@lru_cache(maxsize=64)
 def moduli_basis(g: int) -> PicBasis:
     if g < 3:
         raise PreconditionError("moduli Picard basis needs g >= 3")
@@ -68,10 +73,12 @@ def moduli_basis(g: int) -> PicBasis:
     return PicBasis(MODULI, g, names)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    basis: PicBasis
-    coefficients: tuple[Fraction, ...]
+class DivisorClass(Record):
+    __slots__ = ("basis", "coefficients")
+
+    def __init__(self, basis: PicBasis, coefficients: tuple[Fraction, ...]):
+        set_field(self, "basis", basis)
+        set_field(self, "coefficients", coefficients)
 
     @staticmethod
     def from_mapping(basis: PicBasis, mapping: Mapping[str, object]) -> "DivisorClass":
@@ -140,8 +147,7 @@ class DivisorClass:
         }
 
 
-@dataclass(frozen=True)
-class TestCurve:
+class TestCurve(Record):
     """A one-parameter family paired against every Picard generator.
 
     ``assumed_zero`` lists the generators whose vanishing pairing is a
@@ -149,10 +155,11 @@ class TestCurve:
     propagate these flags.
     """
 
-    name: str
-    basis: PicBasis
-    pairings: tuple[Fraction, ...]
-    assumed_zero: tuple[str, ...] = ()
+    __slots__ = ("name", "basis", "pairings", "assumed_zero")
+
+    def __init__(self, name: str, basis: PicBasis, pairings: tuple[Fraction, ...],
+                 assumed_zero: tuple[str, ...] = ()):
+        super().__init__(name, basis, pairings, assumed_zero)
 
     @staticmethod
     def from_pairings(
@@ -367,17 +374,9 @@ def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
 # Reconstruction of the degenerate-theta class from test-curve data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZgSolveReport:
-    g: int
-    divisor_class: DivisorClass
-    matches_closed_form: bool
-    full_rank: bool
-    degenerate: bool
-    undetermined: tuple[str, ...]
-    fallback_consistent: bool
-    row_labels: tuple[str, ...]
-    assumptions: tuple[str, ...]
+class ZgSolveReport(Record):
+    __slots__ = ("g", "divisor_class", "matches_closed_form", "full_rank", "degenerate",
+                 "undetermined", "fallback_consistent", "row_labels", "assumptions")
 
 
 def _bar_pairing_row(curve: TestCurve) -> dict[int, Fraction]:
@@ -518,19 +517,11 @@ def slope(c: DivisorClass) -> Fraction:
     return c.coefficient("lambda") / b0
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     """Exact decomposition K - mu*lambda = x*Z + y*aux + nonnegative boundary."""
 
-    g: int
-    auxiliary: str
-    weight_zg: Fraction
-    weight_aux: Fraction
-    mu: Fraction
-    slacks: tuple[tuple[str, Fraction], ...]
-    assumed_zero_pairings: tuple[str, ...]
-    assumptions: tuple[str, ...]
-    verdict: str
+    __slots__ = ("g", "auxiliary", "weight_zg", "weight_aux", "mu", "slacks",
+                 "assumed_zero_pairings", "assumptions", "verdict")
 
     def passed(self) -> bool:
         return self.verdict == "pass"

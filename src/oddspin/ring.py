@@ -35,11 +35,11 @@ surface preset integration reads off the pairing table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
+from .record import Record, set_field
 from .scalars import ONE, ZERO, as_scalar, format_scalar
 
 JACOBIAN = "jacobian"
@@ -55,15 +55,14 @@ K = -1
 TAUTOLOGICAL = slice(C1, None)  # c_1..c_{r+1} and k
 
 
-@dataclass(frozen=True)
-class RingPreset:
-    label: str
-    kind: str
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-    top_degree: int | None
-    params: tuple[tuple[str, int], ...] = ()
-    pairings: tuple[tuple[Monomial, Fraction], ...] = ()
+class RingPreset(Record):
+    __slots__ = ("label", "kind", "names", "degrees", "top_degree", "params", "pairings")
+
+    def __init__(self, label: str, kind: str, names: tuple[str, ...],
+                 degrees: tuple[int, ...], top_degree: int | None,
+                 params: tuple[tuple[str, int], ...] = (),
+                 pairings: tuple[tuple[Monomial, Fraction], ...] = ()):
+        super().__init__(label, kind, names, degrees, top_degree, params, pairings)
 
     # -- bookkeeping -------------------------------------------------
     def param(self, name: str) -> int:
@@ -130,12 +129,14 @@ def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, Fraction]]) -> 
     return acc
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Record):
     """Sparse normalized element of a ring preset.  Immutable."""
 
-    preset: RingPreset
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("preset", "terms")
+
+    def __init__(self, preset: RingPreset, terms: tuple[tuple[Monomial, Fraction], ...]):
+        set_field(self, "preset", preset)
+        set_field(self, "terms", terms)
 
     # -- inspection ---------------------------------------------------
     def coefficient(self, mono: Monomial) -> Fraction:

@@ -35,6 +35,11 @@ def digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def too_long_to_print() -> EngineError:
+    """The error for a number past the digit limit, raised in its place."""
+    return EngineError(f"number too long to print: more than {digit_limit()} digits")
+
+
 def format_scalar(value) -> str:
     """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     value = as_scalar(value)
@@ -43,9 +48,7 @@ def format_scalar(value) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        raise EngineError(
-            f"number too long to print: more than {digit_limit()} digits"
-        ) from None
+        raise too_long_to_print() from None
 
 
 def recip_factorial(n: int) -> Fraction:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -46,8 +45,12 @@ def test_d12_class_string_follows_the_computed_coefficients(monkeypatch):
     golden = "13245*lambda - 1926*delta0 - 9867*delta1 - sum_{j>=2} b_j*delta_j"
     assert run_json(["d12", "run", "--format", "json"])["result"]["class"] == golden
     report = genus12.d12_slope_report()
-    monkeypatch.setattr(genus12, "d12_slope_report", lambda: dataclasses.replace(
-        report, a=Fraction(7), b0=Fraction(5, 2), b1=Fraction(3)))
+    patched = genus12.SlopeReport(
+        a=Fraction(7), b0=Fraction(5, 2), b1=Fraction(3), slope=report.slope,
+        threshold=report.threshold, violates_slope_conjecture=report.violates_slope_conjecture,
+        cross_lhs=report.cross_lhs, cross_rhs=report.cross_rhs,
+        higher_boundary_note=report.higher_boundary_note)
+    monkeypatch.setattr(genus12, "d12_slope_report", lambda: patched)
     result = run_json(["d12", "run", "--format", "json"])["result"]
     assert result["class"] == "7*lambda - 5/2*delta0 - 3*delta1 - sum_{j>=2} b_j*delta_j"
 
@@ -425,6 +428,18 @@ def test_printable_constant_power_is_computed(digit_limit_4300):
         result = run_json(["ring", "eval", "--preset", "uc:g=3", expression,
                            "--format", "json"])["result"]
         assert result["normalized"] == f"{coefficient}*omega^2"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_spin_counts_past_the_digit_limit_exit_1(digit_limit_4300, fmt):
+    # the least limit, 640 digits, stands in for 4300: past it from g = 1064 on,
+    # as 4300 digits is from g = 7143 on (the counts are about 2^(2g-1))
+    sys.set_int_max_str_digits(640)
+    outcome = run_command(["numbers", "--g", "1064", "--format", fmt])
+    assert (outcome.exit_code, outcome.stdout) == (1, "")
+    assert outcome.stderr == "error: number too long to print: more than 640 digits"
+    counts = run_json(["numbers", "--g", "1063", "--format", "json"])["result"]["spin_counts"]
+    assert counts["total"] == 2 ** 2126
 
 
 def test_no_digit_limit_means_no_refusal(digit_limit_4300):
