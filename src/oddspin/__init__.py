@@ -50,7 +50,6 @@ from .numerics import (
     riemann_hurwitz_ram,
     scorza_genus,
     theta_counts,
-    theta_pencil_profile,
 )
 from .picard import (
     CertificateReport,
@@ -72,6 +71,7 @@ from .picard import (
     solve_zg,
     spin_basis,
     test_curve,
+    theta_pencil_profile,
     zg_class,
 )
 from .ring import (

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from . import genus12, numerics, picard
+from . import genus12, picard
 from .bn import bn_context, evaluate_taut
 from .errors import (
     BasisMismatchError,
@@ -34,7 +34,6 @@ from .numerics import (
     rho,
     scorza_genus,
     theta_counts,
-    theta_pencil_profile,
 )
 from .picard import (
     MODULI,
@@ -48,6 +47,7 @@ from .picard import (
     solve_zg,
     spin_basis,
     test_curve,
+    theta_pencil_profile,
     zg_class,
 )
 from .record import Record
@@ -221,6 +221,12 @@ def _parse_preset_spec(spec: str):
     raise UsageError(f"unknown preset kind {kind!r}; expected jac, surface or uc")
 
 
+def _d12_class_info(g: int):
+    if g != 12:
+        raise UsageError("the d12 class lives on genus 12")
+    return genus12.d12_class_info()
+
+
 def _named_class(name: str, g: int, space: str | None):
     if name == "zg":
         return zg_class(g)
@@ -228,22 +234,18 @@ def _named_class(name: str, g: int, space: str | None):
         return canonical_class(space or SPIN, g)
     if name == "bn":
         return picard.bn_divisor_class(g)
-    if g != 12:
-        raise UsageError("the d12 class lives on genus 12")
-    return genus12.d12_class()
+    return _d12_class_info(g).divisor
 
 
 def _resolve_curve(spec: str, g: int):
     name, _, index = spec.partition(":")
-    if name == "P":
-        return theta_pencil_profile(g).curve
-    if index:
-        try:
-            i = int(index)
-        except ValueError:
-            raise UsageError(f"curve index {index!r} is not an integer")
-        return test_curve(name, g, i)
-    return test_curve(name, g)
+    if not index:
+        return test_curve(name, g)
+    try:
+        i = int(index)
+    except ValueError:
+        raise UsageError(f"curve index {index!r} is not an integer")
+    return test_curve(name, g, i)
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +298,27 @@ def _run_ring_eval(args):
 
 
 def _run_pic_class(args):
-    cls = _named_class(args.name, args.g, args.space)
+    if args.space is not None and args.name != "k":
+        raise UsageError(f"--space applies to --name k only, not to {args.name!r}")
+    if args.name == "d12":
+        info = _d12_class_info(args.g)
+        cls, assumptions = info.divisor, list(info.assumptions)
+    else:
+        cls, assumptions = _named_class(args.name, args.g, args.space), []
     result = {
         "basis": cls.basis.label,
         "class": cls.render(),
         "coefficients": cls.coefficients_by_name(),
     }
-    assumptions: list[str] = []
-    if args.name == "bn":
+    if args.name in ("bn", "d12"):
         result["slope"] = format_scalar(slope(cls))
-        result["divisor_exists"] = picard.bn_divisor_exists(args.g)
-        if not picard.bn_divisor_exists(args.g):
+    if args.name == "bn":
+        exists = picard.bn_divisor_exists(args.g)
+        result["divisor_exists"] = exists
+        if not exists:
             assumptions.append(
                 "g+1 is prime: the class formula has no effective representative"
             )
-    if args.name == "d12":
-        info = genus12.d12_class_info()
-        assumptions.extend(info.assumptions)
-        result["slope"] = format_scalar(slope(cls))
     inputs = {"g": args.g, "name": args.name}
     if args.space:
         inputs["space"] = args.space
@@ -415,10 +420,10 @@ def _run_d12(args):
 def _run_numbers(args):
     g = args.g
     counts = theta_counts(g)
-    degrees = {
-        str(i): {"A": boundary_degrees(g, i)[0], "B": boundary_degrees(g, i)[1]}
-        for i in range(g // 2 + 1)
-    }
+    # the spin total is the largest number printed: refuse an unprintable
+    # report before building it
+    format_scalar(counts.total)
+    degrees = {str(i): dict(zip("AB", boundary_degrees(g, i))) for i in range(g // 2 + 1)}
     profile = theta_pencil_profile(g)
     result = {
         "g": g,

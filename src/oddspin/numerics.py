@@ -1,13 +1,12 @@
 """Closed-form numeric profiles: spin parity counts, boundary covering
-degrees, Brill-Noether numbers, Riemann-Hurwitz ramification, theta-pencil
-pairing profiles, the Scorza-curve genus and Mukai-model dimensions.
+degrees, Brill-Noether numbers, Riemann-Hurwitz ramification, the
+Scorza-curve genus and Mukai-model dimensions.
 """
 from __future__ import annotations
 
 from .errors import InternalCheckError, PreconditionError
 from .record import Record
 from .ring import adjunction_genus, preset_surface_product
-from .scalars import as_scalar
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -83,47 +82,6 @@ def scorza_genus(g: int) -> int:
             f"adjunction genus {value} disagrees with the closed form {closed_form}"
         )
     return value
-
-
-class ThetaPencilProfile(Record):
-    """Pairing profile of the covering pencil cut out by theta hyperplanes
-    on a polarized K3 surface, plus its discriminant bookkeeping; ``curve``
-    is a ``picard.TestCurve``."""
-
-    __slots__ = ("g", "curve", "discriminant_degree", "base_point_contacts",
-                 "free_nodal_members", "decomposition_ok", "canonical_pairing")
-
-
-def theta_pencil_profile(g: int) -> ThetaPencilProfile:
-    """Pencil pairings (lambda: g+1, alpha_0: 4g+20, beta_0: g-1, rest 0).
-
-    The discriminant of the pencil has degree 6g+18 and splits as twice the
-    g-1 base-point contacts plus 4g+20 free nodal members.
-    """
-    from .picard import TestCurve, canonical_class, pair, spin_basis, SPIN
-
-    if g < 3:
-        raise PreconditionError("theta pencils need g >= 3")
-    basis = spin_basis(g)
-    pairing = {"lambda": as_scalar(g + 1), "alpha0": as_scalar(4 * g + 20),
-               "beta0": as_scalar(g - 1)}
-    assumed = tuple(
-        name for name in basis.names
-        if name not in pairing and name != "lambda"
-    )
-    curve = TestCurve.from_pairings("P", basis, pairing, assumed_zero=assumed)
-    base_contacts = g - 1
-    free_nodal = 4 * g + 20
-    profile = ThetaPencilProfile(
-        g=g,
-        curve=curve,
-        discriminant_degree=6 * g + 18,
-        base_point_contacts=base_contacts,
-        free_nodal_members=free_nodal,
-        decomposition_ok=(2 * base_contacts + free_nodal == 6 * g + 18),
-        canonical_pairing=pair(curve, canonical_class(SPIN, g)),
-    )
-    return profile
 
 
 class MukaiProfile(Record):

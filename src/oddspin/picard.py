@@ -6,11 +6,12 @@ beta_0..beta_{g//2} (alpha/beta distinguish the two spin boundary
 components over each boundary divisor of the curve moduli space); the
 curve moduli space uses lambda, delta_0..delta_{g//2}.
 
-Sign convention.  A DivisorClass stores raw signed coefficients.  The
-classical bookkeeping writes boundary coefficients with a minus sign in
-front (a*lambda - sum b_i * boundary_i); the ``bar`` accessor recovers that
-convention by negating boundary entries, which keeps a pervasive source of
-sign errors in one place.
+Sign convention.  A DivisorClass stores raw signed coefficients, and the
+solvers work in them: a test-curve row is the curve's stored pairings, and
+a target such as the canonical class enters with its own coefficients.  The
+paper writes boundary coefficients with a minus sign in front
+(a*lambda - sum b_i * boundary_i); ``bar`` reads a result in that notation
+by negating boundary entries, and nothing else negates.
 """
 from __future__ import annotations
 
@@ -52,6 +53,13 @@ class PicBasis(Record):
         except KeyError:
             raise BasisMismatchError(f"no generator {name!r} in basis {self.label}")
 
+    def vector(self, mapping: Mapping[str, object]) -> tuple[Fraction, ...]:
+        """Coefficients by generator name as a vector; absent names are 0."""
+        vec = [ZERO] * len(self.names)
+        for name, value in mapping.items():
+            vec[self.index(name)] = as_scalar(value)
+        return tuple(vec)
+
 
 # bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once
 @lru_cache(maxsize=64)
@@ -82,10 +90,7 @@ class DivisorClass(Record):
 
     @staticmethod
     def from_mapping(basis: PicBasis, mapping: Mapping[str, object]) -> "DivisorClass":
-        vec = [ZERO] * len(basis.names)
-        for name, value in mapping.items():
-            vec[basis.index(name)] = as_scalar(value)
-        return DivisorClass(basis, tuple(vec))
+        return DivisorClass(basis, basis.vector(mapping))
 
     def coefficient(self, name: str) -> Fraction:
         return self.coefficients[self.basis.index(name)]
@@ -168,10 +173,7 @@ class TestCurve(Record):
         mapping: Mapping[str, object],
         assumed_zero: Sequence[str] = (),
     ) -> "TestCurve":
-        vec = [ZERO] * len(basis.names)
-        for gen_name, value in mapping.items():
-            vec[basis.index(gen_name)] = as_scalar(value)
-        return TestCurve(name, basis, tuple(vec), tuple(assumed_zero))
+        return TestCurve(name, basis, basis.vector(mapping), tuple(assumed_zero))
 
     def pairing(self, name: str) -> Fraction:
         return self.pairings[self.basis.index(name)]
@@ -322,9 +324,11 @@ def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
     Spin-basis families: F (odd-even pointed gluing sweeping a boundary
     component, index i), G (even-odd variant), F0/G0 (the two spin lifts of
     a plane-cubic pencil), H (the family sweeping the ramification divisor
-    beta_0).  Moduli-basis families: C0 (identifying a moving point with a
-    fixed one), C1 (attaching a fixed elliptic tail at a moving point) and
-    R (the plane-cubic pencil itself).  Pairings not recorded are zero; the
+    beta_0) and P (the covering pencil cut out by theta hyperplanes on a
+    polarized K3 surface, g >= 3).  Moduli-basis families: C0 (identifying
+    a moving point with a fixed one), C1 (attaching a fixed elliptic tail at
+    a moving point) and R (the plane-cubic pencil itself).  Pairings not
+    recorded are zero; the
     assumed_zero flags mark the entries that are zero-filled by convention
     rather than explicitly known.
     """
@@ -353,6 +357,13 @@ def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
         return TestCurve.from_pairings(
             "H0", spin_basis(g), {"beta0": 1 - g, "beta1": 1}, assumed_zero=assumed
         )
+    if name == "P":
+        if g < 3:
+            raise PreconditionError("theta pencils need g >= 3")
+        basis = spin_basis(g)
+        pairings = {"lambda": g + 1, "alpha0": 4 * g + 20, "beta0": g - 1}
+        assumed = tuple(gen for gen in basis.names if gen not in pairings)
+        return TestCurve.from_pairings("P", basis, pairings, assumed_zero=assumed)
     if name == "C0":
         return TestCurve.from_pairings(
             "C0", moduli_basis(g), {"delta0": 2 - 2 * g, "delta1": 1}
@@ -370,6 +381,34 @@ def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
     raise PreconditionError(f"unknown test curve {name!r}")
 
 
+class ThetaPencilProfile(Record):
+    """Pairing profile of the theta pencil ``curve`` (test curve P), plus
+    its discriminant bookkeeping."""
+
+    __slots__ = ("g", "curve", "discriminant_degree", "base_point_contacts",
+                 "free_nodal_members", "decomposition_ok", "canonical_pairing")
+
+
+def theta_pencil_profile(g: int) -> ThetaPencilProfile:
+    """Pencil pairings (lambda: g+1, alpha_0: 4g+20, beta_0: g-1, rest 0).
+
+    The discriminant of the pencil has degree 6g+18 and splits as twice the
+    g-1 base-point contacts plus 4g+20 free nodal members.
+    """
+    curve = test_curve("P", g)
+    base_contacts = g - 1
+    free_nodal = 4 * g + 20
+    return ThetaPencilProfile(
+        g=g,
+        curve=curve,
+        discriminant_degree=6 * g + 18,
+        base_point_contacts=base_contacts,
+        free_nodal_members=free_nodal,
+        decomposition_ok=(2 * base_contacts + free_nodal == 6 * g + 18),
+        canonical_pairing=pair(curve, canonical_class(SPIN, g)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction of the degenerate-theta class from test-curve data
 # ---------------------------------------------------------------------------
@@ -379,22 +418,12 @@ class ZgSolveReport(Record):
                  "undetermined", "fallback_consistent", "row_labels", "assumptions")
 
 
-def _bar_pairing_row(curve: TestCurve) -> dict[int, Fraction]:
-    # pairing with a*lambda - sum b*boundary, expressed in the bar unknowns
-    # and keyed by column; column 0 is lambda
-    return {
-        j: value if j == 0 else -value
-        for j, value in enumerate(curve.pairings)
-        if value
-    }
-
-
 def solve_zg(g: int) -> ZgSolveReport:
     """Reconstruct the degenerate-theta class from its test-curve pairings.
 
     The system stacks: the Hodge coefficient from the degeneracy-locus
     push-forward; the F-family rows (the i = 1 pairing row is identically
-    zero, so the i = 1 entry of the family's closed form 2(g-1) stands in
+    zero, so the family's closed form, raw alpha_1 = -2(g-1), stands in
     for it); the G-family rows for i >= 2; and the three pencil rows F0,
     G0, H0.  The beta_1 coefficient is deliberately left to the pencil
     rows, which is why the system degenerates exactly at g = 5, where the
@@ -404,87 +433,53 @@ def solve_zg(g: int) -> ZgSolveReport:
     basis = spin_basis(g)
     m = g // 2
     names = basis.names
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    labels: list[str] = []
-    assumptions: list[str] = []
-
-    rows.append({basis.index("lambda"): as_scalar(1)})
-    rhs.append(degenerate_theta_lambda_coefficient(g))
-    labels.append("porteous-lambda")
-
-    rows.append({basis.index("alpha1"): as_scalar(1)})
-    rhs.append(as_scalar(2 * (g - 1)))
-    labels.append("family-F1-closed-form")
-    assumptions.append(
+    system = [
+        ({basis.index("lambda"): 1}, degenerate_theta_lambda_coefficient(g), "porteous-lambda"),
+        ({basis.index("alpha1"): 1}, -2 * (g - 1), "family-F1-closed-form"),
+    ]
+    assumptions = [
         "alpha1 row uses the boundary-family closed form 2(g-1);"
         " the F_1 pairing row is identically zero"
-    )
-
-    for i in range(2, m + 1):
-        curve = test_curve("F", g, i)
-        rows.append(_bar_pairing_row(curve))
-        rhs.append(as_scalar(4 * (g - i) * (i - 1)))
-        labels.append(f"family-F{i}")
-    for i in range(2, m + 1):
-        curve = test_curve("G", g, i)
-        rows.append(_bar_pairing_row(curve))
-        rhs.append(as_scalar(4 * i * (i - 1)))
-        labels.append(f"family-G{i}")
-
-    for curve_name, value in (("F0", 0), ("G0", 0), ("H", 2 * (g - 2))):
-        curve = test_curve(curve_name, g)
-        rows.append(_bar_pairing_row(curve))
-        rhs.append(as_scalar(value))
-        labels.append(f"pencil-{curve.name}")
+    ]
+    curves = [(test_curve("F", g, i), 4 * (g - i) * (i - 1), "family-")
+              for i in range(2, m + 1)]
+    curves += [(test_curve("G", g, i), 4 * i * (i - 1), "family-")
+               for i in range(2, m + 1)]
+    curves += [(test_curve(name, g), value, "pencil-")
+               for name, value in (("F0", 0), ("G0", 0), ("H", 2 * (g - 2)))]
+    for curve, value, kind in curves:
+        row = {j: v for j, v in enumerate(curve.pairings) if v}
+        system.append((row, value, kind + curve.name))
         assumptions.extend(curve.assumed_zero_labels())
+    rows, rhs, labels = zip(*system)
 
     report = solve_linear(rows, len(names), rhs)
-    closed = zg_class(g)
-
-    if report.status == "unique":
-        solved = DivisorClass(
-            basis,
-            tuple(
-                v if name == "lambda" else -v
-                for name, v in zip(names, report.solution)
-            ),
-        )
-        return ZgSolveReport(
-            g=g,
-            divisor_class=solved,
-            matches_closed_form=(solved == closed),
-            full_rank=True,
-            degenerate=False,
-            undetermined=(),
-            fallback_consistent=True,
-            row_labels=tuple(labels),
-            assumptions=tuple(assumptions),
-        )
-
     if report.status == "inconsistent":
         raise InternalCheckError(
             f"test-curve system for g={g} is inconsistent at reduced row"
             f" {report.witness_row}"
         )
-
-    fallback_vec = [closed.bar(name) for name in names]
-    consistent = all(
-        sum((v * fallback_vec[j] for j, v in row.items()), start=ZERO) == rhs_value
-        for row, rhs_value in zip(rows, rhs)
-    )
-    undetermined = tuple(names[c] for c in report.undetermined_columns)
+    closed = zg_class(g)
+    full_rank = report.status == "unique"
+    if full_rank:
+        solved, consistent = DivisorClass(basis, report.solution), True
+    else:
+        solved = closed
+        consistent = all(
+            sum((v * closed.coefficients[j] for j, v in row.items()), start=ZERO) == value
+            for row, value in zip(rows, rhs)
+        )
+        assumptions.append("degenerate system: closed-form fallback returned")
     return ZgSolveReport(
         g=g,
-        divisor_class=closed,
-        matches_closed_form=True,
-        full_rank=False,
-        degenerate=True,
-        undetermined=undetermined,
+        divisor_class=solved,
+        matches_closed_form=(solved == closed),
+        full_rank=full_rank,
+        degenerate=not full_rank,
+        undetermined=tuple(names[c] for c in report.undetermined_columns),
         fallback_consistent=consistent,
-        row_labels=tuple(labels),
-        assumptions=tuple(assumptions)
-        + ("degenerate system: closed-form fallback returned",),
+        row_labels=labels,
+        assumptions=tuple(assumptions),
     )
 
 
@@ -582,40 +577,33 @@ def certificate(g: int, auxiliary: str) -> CertificateReport:
         assumptions.extend(info.assumptions)
         assumed_zero.extend(info.assumed_zero_pairings)
 
+    canonical = canonical_class(SPIN, g)
     zg = zg_class(g)
+    matched = ("alpha0", "beta0")
     solved = solve_linear(
-        [
-            {0: zg.bar("alpha0"), 1: aux_spin.bar("alpha0")},
-            {0: zg.bar("beta0"), 1: aux_spin.bar("beta0")},
-        ],
+        [{0: zg.coefficient(name), 1: aux_spin.coefficient(name)} for name in matched],
         2,
-        [as_scalar(2), as_scalar(3)],
+        [canonical.coefficient(name) for name in matched],
     )
     if solved.status != "unique":
         raise InternalCheckError("certificate weight system is degenerate")
     x, y = solved.solution
 
     combo = combine([zg, aux_spin], [x, y])
-    if combo.bar("alpha0") != 2 or combo.bar("beta0") != 3:
+    if any(combo.coefficient(name) != canonical.coefficient(name) for name in matched):
         raise InternalCheckError(
             "certificate combination does not match the canonical boundary"
             " coefficients at alpha_0, beta_0"
         )
 
-    canonical = canonical_class(SPIN, g)
-    mu = canonical.coefficient("lambda") - combo.coefficient("lambda")
     residual = canonical - combo
-    slacks = []
-    ok = mu > 0
-    for name in canonical.basis.names:
-        value = residual.coefficient(name)
-        if name == "lambda":
-            value -= mu
-        slacks.append((name, value))
-        if name == "lambda":
-            ok = ok and value == 0
-        else:
-            ok = ok and value >= 0
+    mu = residual.coefficient("lambda")
+    # mu absorbs the whole lambda residual, so the lambda slack is 0
+    slacks = tuple(
+        (name, ZERO if name == "lambda" else value)
+        for name, value in zip(residual.basis.names, residual.coefficients)
+    )
+    ok = mu > 0 and all(value >= 0 for _, value in slacks)
 
     return CertificateReport(
         g=g,

@@ -33,7 +33,6 @@ from oddspin.numerics import (
     riemann_hurwitz_ram,
     scorza_genus,
     theta_counts,
-    theta_pencil_profile,
 )
 from oddspin.picard import (
     MODULI,
@@ -50,6 +49,7 @@ from oddspin.picard import (
     pushforward,
     solve_zg,
     spin_basis,
+    theta_pencil_profile,
     zg_class,
 )
 from oddspin.picard import test_curve as boundary_curve

@@ -212,6 +212,28 @@ def test_theta_pencil_pairing_via_curve_p():
     assert payload["result"]["value"] == "-4"
 
 
+@pytest.mark.parametrize("argv,exit_code,message", [
+    (["--g", "7", "--curve", "P:1"], 1, "error: curve P takes no index"),
+    (["--g", "7", "--curve", "P:abc"], 2, "error: curve index 'abc' is not an integer"),
+    (["--g", "2", "--curve", "P"], 1, "error: theta pencils need g >= 3"),
+], ids=["index", "non-integer-index", "low-genus"])
+def test_curve_p_refusals(argv, exit_code, message):
+    outcome = run_command(["pic", "pair", *argv, "--class", "zg"])
+    assert (outcome.exit_code, outcome.stdout, outcome.stderr) == (exit_code, "", message)
+
+
+@pytest.mark.parametrize("name,g", [("zg", "5"), ("bn", "13"), ("d12", "12")])
+@pytest.mark.parametrize("space", ["spin", "moduli"])
+def test_pic_class_refuses_space_unless_k(name, g, space):
+    outcome = run_command(["pic", "class", "--g", g, "--name", name, "--space", space])
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert outcome.stderr == f"error: --space applies to --name k only, not to {name!r}"
+    payload = run_json(["pic", "class", "--g", g, "--name", "k", "--space", space,
+                        "--format", "json"])
+    assert payload["inputs"]["space"] == space
+    assert payload["result"]["basis"] == f"{space}(g={g})"
+
+
 def test_pic_push_accepts_positional_expression():
     payload = run_json(
         ["pic", "push", "--g", "3",
@@ -431,11 +453,15 @@ def test_printable_constant_power_is_computed(digit_limit_4300):
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_spin_counts_past_the_digit_limit_exit_1(digit_limit_4300, fmt):
+def test_spin_counts_past_the_digit_limit_exit_1(digit_limit_4300, fmt, monkeypatch):
     # the least limit, 640 digits, stands in for 4300: past it from g = 1064 on,
     # as 4300 digits is from g = 7143 on (the counts are about 2^(2g-1))
     sys.set_int_max_str_digits(640)
+    calls = []
+    counted = cli.boundary_degrees
+    monkeypatch.setattr(cli, "boundary_degrees", lambda g, i: calls.append(i) or counted(g, i))
     outcome = run_command(["numbers", "--g", "1064", "--format", fmt])
+    assert calls == []  # refused before the report is built
     assert (outcome.exit_code, outcome.stdout) == (1, "")
     assert outcome.stderr == "error: number too long to print: more than 640 digits"
     counts = run_json(["numbers", "--g", "1063", "--format", "json"])["result"]["spin_counts"]

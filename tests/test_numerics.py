@@ -8,8 +8,8 @@ from oddspin.numerics import (
     riemann_hurwitz_ram,
     scorza_genus,
     theta_counts,
-    theta_pencil_profile,
 )
+from oddspin.picard import theta_pencil_profile
 
 
 def test_rho_values():

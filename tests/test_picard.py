@@ -10,7 +10,7 @@ from oddspin.errors import (
 )
 from oddspin import picard
 from oddspin.linalg import solve_linear
-from oddspin.numerics import boundary_degrees, theta_counts, theta_pencil_profile
+from oddspin.numerics import boundary_degrees, theta_counts
 from oddspin.picard import (
     MODULI,
     SPIN,
@@ -29,6 +29,7 @@ from oddspin.picard import (
     slope,
     solve_zg,
     spin_basis,
+    theta_pencil_profile,
     zg_class,
 )
 from oddspin.picard import test_curve as boundary_curve
@@ -171,6 +172,30 @@ def test_curve_index_validation():
         boundary_curve("G", 7, 0)
     with pytest.raises(PreconditionError):
         boundary_curve("F0", 7, 1)
+    with pytest.raises(PreconditionError, match="curve P takes no index"):
+        boundary_curve("P", 7, 1)
+    with pytest.raises(PreconditionError, match="theta pencils need g >= 3"):
+        boundary_curve("P", 2)
+
+
+def test_theta_pencil_is_the_test_curve_p():
+    p = boundary_curve("P", 7)
+    assert theta_pencil_profile(7).curve == p
+    assert (p.pairing("lambda"), p.pairing("alpha0"), p.pairing("beta0")) == (8, 48, 6)
+    # every boundary generator but alpha_0 and beta_0 is zero-filled
+    assert p.assumed_zero == ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3")
+
+
+def test_classes_and_curves_share_the_name_to_vector_builder():
+    basis = spin_basis(5)
+    assert basis.vector({"beta1": 2, "lambda": "1/3"}) == (
+        Fraction(1, 3), 0, 0, 0, 0, 2, 0,
+    )
+    mapping = {"lambda": 1, "alpha0": 12, "alpha1": -1}
+    assert (DivisorClass.from_mapping(basis, mapping).coefficients
+            == boundary_curve("F0", 5).pairings == basis.vector(mapping))
+    with pytest.raises(BasisMismatchError):
+        basis.vector({"delta0": 1})
 
 
 def test_pair_requires_common_basis():
@@ -268,6 +293,42 @@ def test_solve_zg_rows_are_sparse_and_the_solution_is_the_closed_form(monkeypatc
     report = solve_zg(5)
     assert report.undetermined == ("beta0", "beta1")
     assert report.fallback_consistent
+
+
+def test_solvers_work_in_raw_coefficients(monkeypatch):
+    # bar reads results in the paper's notation; the solvers never call it
+    def refuse(self, name):
+        raise AssertionError("a solver negated a coefficient through bar")
+
+    monkeypatch.setattr(DivisorClass, "bar", refuse)
+    for g in (4, 5, 7):
+        assert solve_zg(g).divisor_class == zg_class(g)
+    assert certificate(13, "bn").passed()
+    assert certificate(12, "d12").passed()
+
+
+def test_solve_zg_rows_are_the_stored_pairings(monkeypatch):
+    seen = []
+
+    def recording(rows, n_cols, rhs):
+        seen.append((rows, rhs))
+        return solve_linear(rows, n_cols, rhs)
+
+    monkeypatch.setattr(picard, "solve_linear", recording)
+    g = 7
+    report = solve_zg(g)
+    (rows, rhs), = seen
+    by_label = dict(zip(report.row_labels, zip(rows, rhs)))
+    alpha1 = spin_basis(g).index("alpha1")
+    assert by_label["family-F1-closed-form"] == ({alpha1: 1}, -2 * (g - 1))
+    for label, curve in (("family-F2", boundary_curve("F", g, 2)),
+                         ("family-G3", boundary_curve("G", g, 3)),
+                         ("pencil-F0", boundary_curve("F0", g)),
+                         ("pencil-G0", boundary_curve("G0", g)),
+                         ("pencil-H0", boundary_curve("H0", g))):
+        row, value = by_label[label]
+        assert row == {j: v for j, v in enumerate(curve.pairings) if v}
+        assert value == pair(curve, zg_class(g))
 
 
 def test_solve_zg_genus7_hand_elimination_oracle():
