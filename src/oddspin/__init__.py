@@ -10,11 +10,11 @@ and exact bigness certificates for the spin canonical class.
 
 from .bn import (
     BNContext,
-    SIDE_X,
-    SIDE_Y,
     bn_context,
     evaluate_taut,
     evaluate_taut_recursion,
+    jet_bundle_inverse_chern,
+    point_pair_inverse_chern,
     restrict_to_locus,
 )
 from .errors import (
@@ -29,15 +29,14 @@ from .errors import (
     UndefinedSlopeError,
 )
 from .genus12 import (
+    SIDE_X,
+    SIDE_Y,
     BundleChern,
+    Side,
     SlopeReport,
-    bundle_chern,
-    c3_difference,
-    class_locus,
-    d12_class,
     d12_coefficients,
     d12_slope_report,
-    jet_inverse_chern,
+    side,
     sym2_chern,
 )
 from .linalg import LinearSolveReport, solve_linear

@@ -40,7 +40,10 @@ kernel line bundle of the defining bundle morphism of a degeneracy locus.
 ``restrict_to_locus`` is the one place it is consumed: it turns a class on
 the locus into a k-free ambient class, multiplying the k-free part by the
 locus class and pushing k down to the next class of the same Chern series
-(``degeneracy_classes``).
+(``degeneracy_classes``).  A locus is named by its rank-2 source bundle,
+given as that bundle's inverse total Chern series
+(``jet_bundle_inverse_chern`` or ``point_pair_inverse_chern``); this module
+knows nothing of which locus a caller means.
 """
 from __future__ import annotations
 
@@ -64,10 +67,6 @@ from .ring import (
     preset_jacobian_product,
 )
 from .scalars import ZERO, recip_factorial
-
-SIDE_X = "X"
-SIDE_Y = "Y"
-
 
 class BNContext(Record):
     """Fixed (g, r, d) together with the matching ring preset."""
@@ -197,8 +196,13 @@ def total_chern_dual(preset: RingPreset) -> RingElem:
 
 def jet_bundle_inverse_chern(preset: RingPreset, curve_genus: int, line_degree: int) -> RingElem:
     """Inverse total Chern class of the dual first-jet bundle of a degree-d
-    Poincare bundle: the product of the geometric series of d*eta + gamma
-    and (2g-2+d)*eta + gamma."""
+    Poincare bundle on a curve of genus g: the product of the geometric
+    series of d*eta + gamma and (2g-2+d)*eta + gamma.  At (11, 14) this is
+    1 + 48*eta + 2*gamma - 6*eta*theta."""
+    if curve_genus < 1 or line_degree < 0:
+        raise PreconditionError(
+            "jet Chern series needs curve_genus >= 1 and line_degree >= 0"
+        )
     eta = preset.gen("eta")
     gamma = preset.gen("gamma")
     first = geometric_series(line_degree * eta + gamma)
@@ -214,28 +218,25 @@ def point_pair_inverse_chern(preset: RingPreset, line_degree: int) -> RingElem:
     return geometric_series(line_degree * eta + gamma) * (preset.one() - eta)
 
 
-def degeneracy_classes(ctx: BNContext, side: str) -> tuple[RingElem, RingElem]:
-    """(locus class, kernel push-down) of the side's degeneracy locus.
+def degeneracy_classes(ctx: BNContext, source: RingElem) -> tuple[RingElem, RingElem]:
+    """(locus class, kernel push-down) of the degeneracy locus of a morphism
+    from a rank-2 source bundle, given by its inverse total Chern series
+    ``source``, to the rank r+1 tautological bundle.
 
-    Each locus is the first degeneracy locus of a morphism from a rank-2
-    source bundle to the rank r+1 tautological one: the jet bundle on side
-    X, the evaluation bundle at a moving plus a fixed point on side Y.  Its
-    class is c_r(target^dual - source^dual).  Resolving the locus inside the
-    projectivized source bundle and pushing down gives, for any class xi,
+    The locus class is c_r(target^dual - source^dual).  Resolving the locus
+    inside the projectivized source bundle and pushing down gives, for any
+    class xi,
 
         (integral over the locus of) c_1(Ker^dual) . xi
             = c_{r+1}(target^dual - source^dual) . xi   on the ambient space,
 
     so both classes are graded pieces of one Chern series (Harris-Tu,
-    Fulton 14.4), and the push-down already carries the locus factor.
+    Fulton 14.4), and the push-down already carries the locus factor.  An
+    inverse total Chern class starts with 1; any other ``source`` is refused.
     """
-    if side == SIDE_X:
-        series = jet_bundle_inverse_chern(ctx.preset, ctx.g, ctx.d)
-    elif side == SIDE_Y:
-        series = point_pair_inverse_chern(ctx.preset, ctx.d)
-    else:
-        raise PreconditionError(f"unknown side {side!r}; expected 'X' or 'Y'")
-    total = total_chern_dual(ctx.preset) * series
+    if source.homogeneous_part(0) != source.preset.one():
+        raise RingDomainError("a source Chern series must have constant term 1")
+    total = total_chern_dual(ctx.preset) * source
     return total.homogeneous_part(ctx.r), total.homogeneous_part(ctx.r + 1)
 
 
@@ -263,11 +264,12 @@ def split_kernel_class(e: RingElem) -> tuple[RingElem, RingElem]:
     return e.preset.element(free), e.preset.element(linear)
 
 
-def restrict_to_locus(ctx: BNContext, e: RingElem, side: str) -> RingElem:
-    """The k-free ambient class standing for ``e`` restricted to the side's
-    degeneracy locus: (k-free part) . [locus] + (k-linear part) . push-down,
-    with k stripped from the k-linear part (see ``degeneracy_classes``)."""
-    locus, push = degeneracy_classes(ctx, side)
+def restrict_to_locus(ctx: BNContext, e: RingElem, source: RingElem) -> RingElem:
+    """The k-free ambient class standing for ``e`` restricted to the
+    degeneracy locus of ``source``: (k-free part) . [locus] + (k-linear
+    part) . push-down, with k stripped from the k-linear part (see
+    ``degeneracy_classes``)."""
+    locus, push = degeneracy_classes(ctx, source)
     free, linear = split_kernel_class(e)
     return free * locus + push * linear
 
@@ -282,7 +284,7 @@ def _check_integrand(ctx: BNContext, e: RingElem) -> None:
         raise PresetMismatchError("element does not live in the context's preset")
     if any(mono[K] for mono, _ in e.terms):
         raise RingDomainError(
-            "kernel class k present: integrate bn.restrict_to_locus(ctx, e, side)"
+            "kernel class k present: integrate bn.restrict_to_locus(ctx, e, source)"
             " instead"
         )
     if not e.is_zero() and (not e.is_homogeneous() or e.degree() != ctx.dim_total):

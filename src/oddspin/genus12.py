@@ -5,7 +5,11 @@ slope-conjecture threshold 6 + 12/13.
 
 All intersection numbers are computed on the product of a genus-11 curve
 with the 6-dimensional Brill-Noether locus of degree-14 line bundles with
-five sections, i.e. in the context (g, r, d) = (11, 4, 14).  The boundary
+five sections, i.e. in the context (g, r, d) = (11, 4, 14).  Each 3-fold is
+the degeneracy locus of a rank-2 source bundle mapping to the tautological
+bundle.  ``_recorded`` is the one place that tells the two sides apart: it
+holds each side's recorded inputs.  ``side`` derives that side's classes
+from them through ``bn`` and runs the three hard checks.  The boundary
 coefficients of the resulting genus-12 divisor come from the pairing table
 of the moduli test curves C0, C1 and R; this module never hardcodes those
 degrees.
@@ -16,13 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bn import (
-    SIDE_X,
-    SIDE_Y,
     bn_context,
     degeneracy_classes,
     evaluate_taut,
     evaluate_taut_recursion,
     jet_bundle_inverse_chern,
+    point_pair_inverse_chern,
     restrict_to_locus,
     split_kernel_class,
 )
@@ -36,20 +39,13 @@ CURVE_GENUS = 11
 BUNDLE_RANK_INDEX = 4   # rank r+1 = 5 tautological bundle
 LINE_DEGREE = 14
 TARGET_GENUS = 12
+SIDE_X = "X"
+SIDE_Y = "Y"
 
 
 @lru_cache(maxsize=None)
 def context():
     return bn_context(CURVE_GENUS, BUNDLE_RANK_INDEX, LINE_DEGREE)
-
-
-def _gens():
-    preset = context().preset
-    return preset.gen("eta"), preset.gen("gamma"), preset.gen("theta"), preset.gen("k")
-
-
-def _c(i: int) -> RingElem:
-    return context().preset.gen(f"c{i}")
 
 
 class BundleChern(Record):
@@ -63,41 +59,18 @@ class SlopeReport(Record):
                  "cross_lhs", "cross_rhs", "higher_boundary_note")
 
 
-def jet_inverse_chern(g_curve: int, d: int) -> RingElem:
-    """Inverse total Chern class of the dual first-jet bundle of a degree-d
-    line bundle on a genus g_curve curve, as a terminating series in eta
-    and gamma.  At (11, 14) this is 1 + 48*eta + 2*gamma - 6*eta*theta."""
-    if g_curve < 1 or d < 0:
-        raise PreconditionError("jet Chern series needs g_curve >= 1 and d >= 0")
-    return jet_bundle_inverse_chern(context().preset, g_curve, d)
+class Side(Record):
+    """One checked side of the pipeline.
 
-
-def _recorded_locus(side: str) -> RingElem:
-    # recorded degree-4 locus classes, checked against their re-derivation
-    eta, gamma, theta, _ = _gens()
-    if side == SIDE_X:
-        return _c(4) - 6 * eta * theta * _c(2) + (48 * eta + 2 * gamma) * _c(3)
-    return _c(4) - 2 * eta * theta * _c(2) + (13 * eta + gamma) * _c(3)
-
-
-@lru_cache(maxsize=None)
-def class_locus(side: str) -> RingElem:
-    """Degree-4 class of the degeneracy 3-fold on each side.
-
-    Side X is the locus of pencils with a double base-like point at a
-    moving point; side Y replaces the double point by a moving point plus
-    a fixed one.  The recorded form is hard-checked against the locus class
-    that ``bn.degeneracy_classes`` re-derives from the jet-bundle (X) or
-    evaluation-bundle (Y) Chern series.
+    ``source`` is the inverse total Chern series of the rank-2 source
+    bundle, ``bundle`` the multiplication-target bundle (A2 or B2) and
+    ``quotient_c1`` the first Chern class of the quotient line bundle.
+    ``locus`` is the degree-4 class of the degeneracy 3-fold,
+    ``integrand`` the k-linear degree-3 class c_3(F - Sym^2 E) on it, and
+    ``total`` the integral of that class over the 3-fold.
     """
-    derived, _ = degeneracy_classes(context(), side)
-    recorded = _recorded_locus(side)
-    if derived != recorded:
-        raise InternalCheckError(
-            f"re-derived class of the side-{side} locus disagrees with the"
-            " recorded degree-4 form"
-        )
-    return recorded
+
+    __slots__ = ("source", "bundle", "quotient_c1", "locus", "integrand", "total")
 
 
 def sym2_chern(v: BundleChern, r: int) -> BundleChern:
@@ -113,43 +86,36 @@ def sym2_chern(v: BundleChern, r: int) -> BundleChern:
     return BundleChern(f"Sym2({v.name})", s1, s2, s3)
 
 
-@lru_cache(maxsize=None)
-def bundle_chern(name: str) -> BundleChern:
-    """Chern classes of the twisted multiplication-target bundles.
+def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem, RingElem, RingElem]:
+    """(source series, target bundle, quotient class, degree-4 locus class,
+    k-free part of the integrand) recorded for one side.
 
-    A2 has fibers the squares vanishing doubly at the moving point, B2
-    those vanishing at the moving point and at the fixed one.  These six
-    classes are trusted inputs of the pipeline (a routine
+    Side X is the locus of pencils with a double base-like point at a
+    moving point: its source is the dual jet bundle, and A2 has fibers the
+    squares vanishing doubly at the moving point.  Side Y replaces the
+    double point by a moving point plus a fixed one: its source is the
+    evaluation bundle there, and B2 has fibers the squares vanishing at
+    both points.  The six bundle classes are trusted inputs (a routine
     Grothendieck-Riemann-Roch computation); the pipeline's agreement with
-    three independently known intersection numbers validates them.
+    three independently known intersection numbers validates them.  The
+    locus classes and the k-free polynomials, written out term by term,
+    are hard-checked by ``side``.
     """
-    eta, gamma, theta, _ = _gens()
-    if name == "A2":
-        return BundleChern(
-            "A2",
-            -4 * theta - 4 * gamma - 76 * eta,
-            8 * theta ** 2 + 280 * eta * theta + 16 * gamma * theta,
-            -Fraction(32, 3) * theta ** 3 - 512 * eta * theta ** 2
-            - 32 * theta ** 2 * gamma,
-        )
-    if name == "B2":
-        return BundleChern(
-            "B2",
-            -4 * theta - 2 * gamma - 27 * eta,
-            8 * theta ** 2 + 100 * eta * theta + 8 * theta * gamma,
-            -Fraction(32, 3) * theta ** 3 - 184 * eta * theta ** 2
-            - 16 * theta ** 2 * gamma,
-        )
-    raise PreconditionError(f"unknown bundle {name!r}; expected 'A2' or 'B2'")
-
-
-def _kfree_reference(side: str) -> RingElem:
-    # recorded degree-3 (codimension) polynomials, pinned coefficient by
-    # coefficient as an independent cross-check of the assembly
-    eta, gamma, theta, _ = _gens()
-    c1, c2, c3 = _c(1), _c(2), _c(3)
-    if side == SIDE_X:
+    preset = context().preset
+    eta, gamma, theta, k = (preset.gen(n) for n in ("eta", "gamma", "theta", "k"))
+    c1, c2, c3, c4 = (preset.gen(f"c{i}") for i in range(1, 5))
+    if name == SIDE_X:
         return (
+            jet_bundle_inverse_chern(preset, CURVE_GENUS, LINE_DEGREE),
+            BundleChern(
+                "A2",
+                -4 * theta - 4 * gamma - 76 * eta,
+                8 * theta ** 2 + 280 * eta * theta + 16 * gamma * theta,
+                -Fraction(32, 3) * theta ** 3 - 512 * eta * theta ** 2
+                - 32 * theta ** 2 * gamma,
+            ),
+            2 * gamma + 48 * eta - k,
+            c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3,
             28 * c2 * theta
             - 88 * c1 * c1 * theta
             + 440 * eta * c1 * c1
@@ -160,91 +126,79 @@ def _kfree_reference(side: str) -> RingElem:
             + 64 * c1 ** 3
             - 140 * eta * c2
             + 48 * theta ** 2 * c1
-            + 9 * c3
+            + 9 * c3,
         )
-    return (
-        28 * c2 * theta
-        - 88 * c1 * c1 * theta
-        - 22 * eta * c1 * c1
-        - 53 * c1 * c2
-        - Fraction(32, 3) * theta ** 3
-        - 8 * eta * theta ** 2
-        + 24 * eta * theta * c1
-        + 64 * c1 ** 3
-        + 7 * eta * c2
-        + 48 * theta ** 2 * c1
-        + 9 * c3
-    )
+    if name == SIDE_Y:
+        return (
+            point_pair_inverse_chern(preset, LINE_DEGREE),
+            BundleChern(
+                "B2",
+                -4 * theta - 2 * gamma - 27 * eta,
+                8 * theta ** 2 + 100 * eta * theta + 8 * theta * gamma,
+                -Fraction(32, 3) * theta ** 3 - 184 * eta * theta ** 2
+                - 16 * theta ** 2 * gamma,
+            ),
+            13 * eta + gamma - k,
+            c4 - 2 * eta * theta * c2 + (13 * eta + gamma) * c3,
+            28 * c2 * theta
+            - 88 * c1 * c1 * theta
+            - 22 * eta * c1 * c1
+            - 53 * c1 * c2
+            - Fraction(32, 3) * theta ** 3
+            - 8 * eta * theta ** 2
+            + 24 * eta * theta * c1
+            + 64 * c1 ** 3
+            + 7 * eta * c2
+            + 48 * theta ** 2 * c1
+            + 9 * c3,
+        )
+    raise PreconditionError(f"unknown side {name!r}; expected 'X' or 'Y'")
 
 
-@lru_cache(maxsize=None)
-def c3_difference(side: str) -> RingElem:
-    """Degree-3 integrand c_3(F - Sym^2 E) restricted to one locus.
+@lru_cache(maxsize=2)
+def side(name: str) -> Side:
+    """One side of the pipeline, once its three hard checks have passed.
 
-    F is the multiplication-target bundle (A2 or B2 extended by the square
-    of the quotient line bundle, whose first Chern class is
-    2*gamma + 48*eta - k on side X and 13*eta + gamma - k on side Y);
-    E is the restricted tautological bundle, so Sym^2 E has the classes of
-    ``sym2_chern`` with c_i(E) = (-1)^i c_i.  The k-free part is
-    hard-checked against the recorded polynomial for each side.
+    1. The recorded locus class equals the one ``bn.degeneracy_classes``
+       re-derives from the source series.
+    2. The k-free part of the integrand c_3(F - Sym^2 E) equals the
+       recorded polynomial.  F is the target bundle extended by the square
+       of the quotient line bundle; E is the restricted tautological
+       bundle, so Sym^2 E has the classes of ``sym2_chern`` with
+       c_i(E) = (-1)^i c_i.
+    3. The two evaluators agree on the degree-7 ambient class that
+       ``bn.restrict_to_locus`` makes of the integrand.
     """
-    eta, gamma, theta, k = _gens()
-    if side == SIDE_X:
-        bundle = bundle_chern("A2")
-        quotient_c1 = 2 * gamma + 48 * eta - k
-    elif side == SIDE_Y:
-        bundle = bundle_chern("B2")
-        quotient_c1 = 13 * eta + gamma - k
-    else:
-        raise PreconditionError(f"unknown side {side!r}; expected 'X' or 'Y'")
+    ctx = context()
+    source, bundle, quotient_c1, locus, kfree = _recorded(name)
+    if degeneracy_classes(ctx, source)[0] != locus:
+        raise InternalCheckError(
+            f"re-derived class of the side-{name} locus disagrees with the"
+            " recorded degree-4 form"
+        )
 
     f1 = bundle.c1 + 2 * quotient_c1
     f2 = bundle.c2 + 2 * bundle.c1 * quotient_c1
     f3 = bundle.c3 + 2 * bundle.c2 * quotient_c1
-
-    taut = BundleChern("E", -_c(1), _c(2), -_c(3))
-    sym = sym2_chern(taut, BUNDLE_RANK_INDEX)
+    c1, c2, c3 = (ctx.preset.gen(f"c{i}") for i in range(1, 4))
+    sym = sym2_chern(BundleChern("E", -c1, c2, -c3), BUNDLE_RANK_INDEX)
     s1, s2, s3 = sym.c1, sym.c2, sym.c3
-
-    diff = (
-        f3
-        - s3
-        - f1 * s2
-        + 2 * s1 * s2
-        - s1 * f2
-        + s1 * s1 * f1
-        - s1 ** 3
-    )
-    kfree, _ = split_kernel_class(diff)
-    if kfree != _kfree_reference(side):
+    integrand = f3 - s3 - f1 * s2 + 2 * s1 * s2 - s1 * f2 + s1 * s1 * f1 - s1 ** 3
+    if split_kernel_class(integrand)[0] != kfree:
         raise InternalCheckError(
-            f"k-free part of the side-{side} integrand disagrees with the"
+            f"k-free part of the side-{name} integrand disagrees with the"
             " recorded polynomial"
         )
-    return diff
 
-
-@lru_cache(maxsize=None)
-def ambient_integrand(side: str) -> RingElem:
-    """Degree-7 ambient integrand of one side: the restricted degree-3 class
-    pushed to the ambient product by ``bn.restrict_to_locus``, once the
-    recorded locus class has passed its check."""
-    class_locus(side)
-    return restrict_to_locus(context(), c3_difference(side), side)
-
-
-@lru_cache(maxsize=None)
-def _side_total(side: str) -> Fraction:
-    ctx = context()
-    integrand = ambient_integrand(side)
-    value = evaluate_taut(ctx, integrand)
-    check = evaluate_taut_recursion(ctx, integrand)
-    if value != check:
+    ambient = restrict_to_locus(ctx, integrand, source)
+    total = evaluate_taut(ctx, ambient)
+    check = evaluate_taut_recursion(ctx, ambient)
+    if total != check:
         raise InternalCheckError(
-            f"the two evaluators disagree on the side-{side} integrand:"
-            f" {format_scalar(value)} vs {format_scalar(check)}"
+            f"the two evaluators disagree on the side-{name} integrand:"
+            f" {format_scalar(total)} vs {format_scalar(check)}"
         )
-    return value
+    return Side(source, bundle, quotient_c1, locus, integrand, total)
 
 
 @lru_cache(maxsize=None)
@@ -259,10 +213,10 @@ def d12_coefficients() -> tuple[Fraction, Fraction, Fraction]:
     c0_curve = test_curve("C0", TARGET_GENUS)
     r_curve = test_curve("R", TARGET_GENUS)
 
-    total_x = _side_total(SIDE_X)
+    total_x = side(SIDE_X).total
     b1 = total_x / (-c1_curve.pairing("delta1"))
 
-    total_y = _side_total(SIDE_Y)
+    total_y = side(SIDE_Y).total
     b0 = (total_y + b1 * c0_curve.pairing("delta1")) / (-c0_curve.pairing("delta0"))
 
     # R pairs to zero: a*R.lambda - b0*R.delta0 - b1*R.delta1 = 0
@@ -310,10 +264,6 @@ def d12_class_info() -> D12ClassInfo:
     )
 
 
-def d12_class() -> DivisorClass:
-    return d12_class_info().divisor
-
-
 def d12_slope_report() -> SlopeReport:
     """Slope a / b0 against the threshold 6 + 12/(g+1), decided exactly."""
     a, b0, b1 = d12_coefficients()
@@ -338,16 +288,17 @@ def d12_slope_report() -> SlopeReport:
 
 def intermediates() -> dict[str, str]:
     """Rendered intermediate classes of the pipeline, for reports."""
-    kfree_x, kcoeff_x = split_kernel_class(c3_difference(SIDE_X))
-    kfree_y, kcoeff_y = split_kernel_class(c3_difference(SIDE_Y))
+    x, y = side(SIDE_X), side(SIDE_Y)
+    kfree_x, kcoeff_x = split_kernel_class(x.integrand)
+    kfree_y, kcoeff_y = split_kernel_class(y.integrand)
     return {
-        "jet_inverse": jet_inverse_chern(CURVE_GENUS, LINE_DEGREE).render(),
-        "class_x": class_locus(SIDE_X).render(),
-        "class_y": class_locus(SIDE_Y).render(),
+        "jet_inverse": x.source.render(),
+        "class_x": x.locus.render(),
+        "class_y": y.locus.render(),
         "c3diff_x_kfree": kfree_x.render(),
         "c3diff_y_kfree": kfree_y.render(),
         "kcoeff_x": kcoeff_x.render(),
         "kcoeff_y": kcoeff_y.render(),
-        "total_x": format_scalar(_side_total(SIDE_X)),
-        "total_y": format_scalar(_side_total(SIDE_Y)),
+        "total_x": format_scalar(x.total),
+        "total_y": format_scalar(y.total),
     }

@@ -36,8 +36,11 @@ def boundary_degrees(g: int, i: int) -> tuple[int, int]:
     For i >= 1 these count pairs of opposite-parity theta-characteristics on
     the two sides of the node; over delta_0 the first component collects the
     square roots of the twisted canonical bundle and the second the odd
-    theta-characteristics of the normalized genus g-1 curve.
+    theta-characteristics of the normalized genus g-1 curve.  Below genus 2
+    the closed forms are not integers, so g < 2 is refused.
     """
+    if g < 2:
+        raise PreconditionError("boundary covering degrees need g >= 2")
     if not 0 <= i <= g // 2:
         raise PreconditionError(f"boundary index {i} out of range 0..{g // 2}")
     if i == 0:

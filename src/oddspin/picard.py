@@ -518,9 +518,6 @@ class CertificateReport(Record):
     __slots__ = ("g", "auxiliary", "weight_zg", "weight_aux", "mu", "slacks",
                  "assumed_zero_pairings", "assumptions", "verdict")
 
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_json_dict(self) -> dict:
         return {
             "g": self.g,

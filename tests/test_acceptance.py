@@ -11,22 +11,22 @@ from fractions import Fraction
 import pytest
 
 from oddspin.bn import (
-    SIDE_X,
-    SIDE_Y,
     bn_context,
     evaluate_taut,
     evaluate_taut_recursion,
+    jet_bundle_inverse_chern,
+    restrict_to_locus,
 )
 from oddspin.cli import run_command
 from oddspin.errors import PreconditionError
 from oddspin.exprparse import expr_to_ring, parse_expression
 from oddspin.genus12 import (
-    ambient_integrand,
-    class_locus,
+    SIDE_X,
+    SIDE_Y,
     context,
     d12_coefficients,
     d12_slope_report,
-    jet_inverse_chern,
+    side,
 )
 from oddspin.numerics import (
     boundary_degrees,
@@ -62,6 +62,11 @@ def report(n, message):
     print(f"ACCEPTANCE {n:>2}: PASS - {message}")
 
 
+def ambient_integrand(name):
+    record = side(name)
+    return restrict_to_locus(context(), record.integrand, record.source)
+
+
 def test_criterion_01_genus12_pipeline():
     ctx = context()
     total_x = evaluate_taut(ctx, ambient_integrand(SIDE_X))
@@ -89,10 +94,11 @@ def test_criterion_03_intermediate_golden_checks():
     preset = context().preset
     eta, gamma, theta = preset.gen("eta"), preset.gen("gamma"), preset.gen("theta")
     c1, c2, c3, c4 = (preset.gen(f"c{i}") for i in range(1, 5))
-    assert jet_inverse_chern(11, 14) == 1 + 48 * eta + 2 * gamma - 6 * eta * theta
-    # class_locus(X) internally re-derives through the jet series and
+    jet = jet_bundle_inverse_chern(preset, 11, 14)
+    assert jet == 1 + 48 * eta + 2 * gamma - 6 * eta * theta
+    # side(X) internally re-derives the locus through the jet series and
     # hard-asserts; compare against the recorded degree-4 form here as well
-    assert class_locus(SIDE_X) == c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3
+    assert side(SIDE_X).locus == c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3
     payload = json.loads(
         run_command(["d12", "run", "--dump-intermediates", "--format", "json"]).stdout
     )
@@ -133,8 +139,8 @@ def test_criterion_04_dual_evaluator_equivalence():
         assert evaluate_taut(ctx, elem) == evaluate_taut_recursion(ctx, elem)
         checked += 1
     assert checked == 29
-    for side in (SIDE_X, SIDE_Y):
-        integrand = ambient_integrand(side)
+    for name in (SIDE_X, SIDE_Y):
+        integrand = ambient_integrand(name)
         assert evaluate_taut(ctx, integrand) == evaluate_taut_recursion(ctx, integrand)
     report(4, f"evaluators agree on {checked} monomials and both full integrands")
 
@@ -218,7 +224,7 @@ def test_criterion_10_certificates():
         rep = certificate(g, "bn")
         assert rep.mu == Fraction(2 * g - 24, g + 1)
         assert rep.mu > 0
-        assert rep.passed()
+        assert rep.verdict == "pass"
         assert all(v >= 0 for name, v in rep.slacks if name != "lambda")
     d12 = certificate(12, "d12")
     # weights pinned by the independent 2x2 elimination oracle:
@@ -227,7 +233,7 @@ def test_criterion_10_certificates():
     y = (2 - Fraction(14, 4) * x) / 1926
     assert (d12.weight_zg, d12.weight_aux) == (x, y) == (Fraction(1, 5), Fraction(13, 19260))
     assert d12.mu == Fraction(77, 1284)
-    assert d12.mu > 0 and d12.passed()
+    assert d12.mu > 0 and d12.verdict == "pass"
     with pytest.raises(PreconditionError):
         certificate(12, "bn")
     report(10, "BN certificates for g in 13..30, d12 certificate, g=12 BN refused")

@@ -11,12 +11,14 @@ from oddspin.bn import (
     degeneracy_classes,
     evaluate_taut,
     evaluate_taut_recursion,
+    jet_bundle_inverse_chern,
+    point_pair_inverse_chern,
     restrict_to_locus,
     split_kernel_class,
 )
-from oddspin.errors import PreconditionError, RingDomainError
+from oddspin.errors import PreconditionError, PresetMismatchError, RingDomainError
 
-from oddspin.genus12 import c3_difference
+from oddspin.genus12 import SIDE_X, side
 
 from oracles import (
     expand_c_monomial,
@@ -36,6 +38,11 @@ LADDER = ((11, 4, 14), (12, 5, 16), (16, 3, 17), (20, 4, 21),
 @pytest.fixture(scope="module")
 def ctx():
     return bn_context(11, 4, 14)
+
+
+@pytest.fixture(scope="module")
+def jet(ctx):
+    return jet_bundle_inverse_chern(ctx.preset, ctx.g, ctx.d)
 
 
 def balanced_c_monomials(classes=5, weight=6):
@@ -166,46 +173,51 @@ def test_symmetric_sums_invariant_under_slot_reversal(ctx):
 
 # -- kernel class -----------------------------------------------------------
 
-def test_ker_substitute_linear_monomial_term_by_term(ctx):
+def test_ker_substitute_linear_monomial_term_by_term(ctx, jet):
     # oracle: substitute, then normalize term by term; eta^2 = eta*gamma = 0
     # kill everything except the c5 part of the kernel push-down.
     preset = ctx.preset
     eta, theta, k = preset.gen("eta"), preset.gen("theta"), preset.gen("k")
     c5 = preset.gen("c5")
-    assert restrict_to_locus(ctx, k * eta * theta, "X") == c5 * eta * theta
+    assert restrict_to_locus(ctx, k * eta * theta, jet) == c5 * eta * theta
 
 
-def test_restrict_to_locus_multiplies_k_free_input_by_the_locus_class(ctx):
+def test_restrict_to_locus_multiplies_k_free_input_by_the_locus_class(ctx, jet):
     preset = ctx.preset
     elem = 3 * preset.gen("eta") * preset.gen("c2")
-    locus, _ = degeneracy_classes(ctx, "X")
-    assert restrict_to_locus(ctx, elem, "X") == elem * locus
+    locus, _ = degeneracy_classes(ctx, jet)
+    assert restrict_to_locus(ctx, elem, jet) == elem * locus
     # eta kills every eta- and gamma-term of the locus class but c4
-    assert restrict_to_locus(ctx, elem, "X") == elem * preset.gen("c4")
+    assert restrict_to_locus(ctx, elem, jet) == elem * preset.gen("c4")
 
 
-def test_ker_substitute_rejects_k_squared(ctx):
+def test_ker_substitute_rejects_k_squared(ctx, jet):
     k = ctx.preset.gen("k")
     with pytest.raises(RingDomainError):
-        restrict_to_locus(ctx, k * k, "X")
+        restrict_to_locus(ctx, k * k, jet)
 
 
-def test_ker_substitution_class_forms(ctx):
+def test_ker_substitution_class_forms(ctx, jet):
     # degeneracy_classes gives the locus class (degree r = 4) and the kernel
     # push-down (degree r+1 = 5) as two graded parts of one Chern series
     preset = ctx.preset
     eta, gamma, theta = preset.gen("eta"), preset.gen("gamma"), preset.gen("theta")
     c2, c3, c4, c5 = (preset.gen(f"c{i}") for i in range(2, 6))
-    assert degeneracy_classes(ctx, "X") == (
+    assert degeneracy_classes(ctx, jet) == (
         c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3,
         c5 - 6 * eta * theta * c3 + (48 * eta + 2 * gamma) * c4,
     )
-    assert degeneracy_classes(ctx, "Y") == (
+    assert degeneracy_classes(ctx, point_pair_inverse_chern(preset, ctx.d)) == (
         c4 - 2 * eta * theta * c2 + (13 * eta + gamma) * c3,
         c5 + (13 * eta + gamma) * c4 - 2 * eta * theta * c3,
     )
-    with pytest.raises(PreconditionError):
-        degeneracy_classes(ctx, "Z")
+    # an inverse total Chern series starts with 1
+    for source in (2 * jet, jet - 1, preset.zero()):
+        with pytest.raises(RingDomainError, match="constant term 1"):
+            degeneracy_classes(ctx, source)
+    other = bn_context(12, 5, 16).preset
+    with pytest.raises(PresetMismatchError):
+        degeneracy_classes(ctx, jet_bundle_inverse_chern(other, 12, 16))
 
 
 def test_split_kernel_class(ctx):
@@ -313,33 +325,33 @@ def test_generating_function_core_matches_root_expansion_on_small_contexts(case)
 
 
 @pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])
-def test_evaluators_refuse_mixed_kernel_input(ctx, evaluate):
+def test_evaluators_refuse_mixed_kernel_input(ctx, jet, evaluate):
     # the k-free part of a restricted class needs the locus factor, which a
     # bare kernel substitution dropped: -59400 in place of the pipeline's
     # 197340.  Any class containing k is now refused.
-    integrand = c3_difference("X")
+    integrand = side(SIDE_X).integrand
     with pytest.raises(RingDomainError, match="restrict_to_locus"):
         evaluate(ctx, integrand)
-    assert evaluate(ctx, restrict_to_locus(ctx, integrand, "X")) == 197340
+    assert evaluate(ctx, restrict_to_locus(ctx, integrand, jet)) == 197340
     preset = ctx.preset
     with pytest.raises(RingDomainError):
         evaluate(ctx, preset.gen("eta") * preset.gen("theta") ** 6 + preset.gen("k"))
 
 
 @pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])
-def test_evaluators_refuse_off_degree_input(ctx, evaluate):
+def test_evaluators_refuse_off_degree_input(ctx, jet, evaluate):
     preset = ctx.preset
     eta, theta, k = preset.gen("eta"), preset.gen("theta"), preset.gen("k")
     for elem in (eta * theta ** 5, eta * theta ** 6 + eta * theta ** 5, preset.one()):
         with pytest.raises(RingDomainError):
             evaluate(ctx, elem)
     with pytest.raises(RingDomainError):
-        evaluate(ctx, restrict_to_locus(ctx, k * eta * theta ** 5, "X"))  # degree 11
+        evaluate(ctx, restrict_to_locus(ctx, k * eta * theta ** 5, jet))  # degree 11
     assert evaluate(ctx, preset.zero()) == 0
     linear = k * eta * theta  # degree 7 once k is pushed down to c5
     with pytest.raises(RingDomainError, match="restrict_to_locus"):
         evaluate(ctx, linear)
-    assert evaluate(ctx, restrict_to_locus(ctx, linear, "X")) == evaluate(
+    assert evaluate(ctx, restrict_to_locus(ctx, linear, jet)) == evaluate(
         ctx, eta * theta * preset.gen("c5")
     )
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddspin.genus12 import bundle_chern, context
+from oddspin.genus12 import SIDE_X, SIDE_Y, context, side
 
 G = 11
 D = 14
@@ -196,7 +196,8 @@ def test_multiplication_bundle_chern_classes_by_riemann_roch(name, twist):
     c1_upstairs = _add(_scale(2, POINCARE), twist)
     rank, c1, c2, c3 = _pushed_chern(c1_upstairs)
     assert rank == 16
-    recorded = bundle_chern(name)
+    recorded = side({"A2": SIDE_X, "B2": SIDE_Y}[name]).bundle
+    assert recorded.name == name
     assert c1 == _downstairs(recorded.c1)
     assert c2 == _downstairs(recorded.c2)
     assert c3 == _downstairs(recorded.c3)

@@ -83,6 +83,15 @@ def test_d12_dump_intermediates_golden():
         " - 32/3*theta^3 + 48*theta^2*c1 - 88*theta*c1^2 + 28*theta*c2"
         " + 64*c1^3 - 53*c1*c2 + 9*c3"
     )
+    # the k-linear parts, with k stripped
+    assert inter["kcoeff_x"] == (
+        "-560*eta*theta + 912*eta*c1 - 32*gamma*theta + 48*gamma*c1"
+        " - 16*theta^2 + 48*theta*c1 - 44*c1^2 + 14*c2"
+    )
+    assert inter["kcoeff_y"] == (
+        "-200*eta*theta + 324*eta*c1 - 16*gamma*theta + 24*gamma*c1"
+        " - 16*theta^2 + 48*theta*c1 - 44*c1^2 + 14*c2"
+    )
 
 
 def test_pic_push_text():
@@ -202,6 +211,11 @@ def test_numbers_profile():
     assert result["mukai"] == {"dim_v": 8, "n_g": 14, "max_delta_dominant": 7}
     assert result["theta_pencil"]["canonical_pairing"] == "-8"
     assert result["theta_pencil"]["decomposition_ok"] is True
+
+
+@pytest.mark.parametrize("g", ["1", "2"])
+def test_numbers_refuses_low_genus(g):
+    assert run_command(["numbers", "--g", g]).exit_code == 1
 
 
 def test_theta_pencil_pairing_via_curve_p():

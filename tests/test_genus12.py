@@ -3,20 +3,24 @@ from fractions import Fraction
 import pytest
 
 from oddspin import genus12
-from oddspin.bn import SIDE_X, SIDE_Y, evaluate_taut, evaluate_taut_recursion, split_kernel_class
+from oddspin.bn import (
+    evaluate_taut,
+    evaluate_taut_recursion,
+    jet_bundle_inverse_chern,
+    restrict_to_locus,
+    split_kernel_class,
+)
 from oddspin.cli import run_command
-from oddspin.errors import InternalCheckError
+from oddspin.errors import InternalCheckError, PreconditionError
 from oddspin.genus12 import (
+    SIDE_X,
+    SIDE_Y,
     BundleChern,
-    ambient_integrand,
-    bundle_chern,
-    c3_difference,
-    class_locus,
     context,
-    d12_class,
+    d12_class_info,
     d12_coefficients,
     d12_slope_report,
-    jet_inverse_chern,
+    side,
     sym2_chern,
 )
 from oddspin.picard import pair, slope
@@ -33,11 +37,21 @@ def g3(preset):
     return preset.gen("eta"), preset.gen("gamma"), preset.gen("theta")
 
 
+def jet_inverse_chern(g_curve, d):
+    return jet_bundle_inverse_chern(context().preset, g_curve, d)
+
+
+def ambient_integrand(name):
+    record = side(name)
+    return restrict_to_locus(context(), record.integrand, record.source)
+
+
 # -- jet series -------------------------------------------------------------
 
 def test_jet_inverse_chern_at_pipeline_parameters(preset):
     eta, gamma, theta = g3(preset)
     assert jet_inverse_chern(11, 14) == 1 + 48 * eta + 2 * gamma - 6 * eta * theta
+    assert side(SIDE_X).source == jet_inverse_chern(11, 14)
 
 
 def test_jet_inverse_chern_degenerate_twists_series_oracle(preset):
@@ -58,6 +72,9 @@ def test_jet_inverse_degree_one_eta_coefficient(preset):
         mono = [0] * len(preset.names)
         mono[eta_index] = 1
         assert part.coefficient(tuple(mono)) == d + (2 * g_curve - 2 + d)
+    for g_curve, d in ((0, 5), (11, -1)):
+        with pytest.raises(PreconditionError):
+            jet_inverse_chern(g_curve, d)
 
 
 # -- locus classes ----------------------------------------------------------
@@ -65,13 +82,15 @@ def test_jet_inverse_degree_one_eta_coefficient(preset):
 def test_class_locus_displays(preset):
     eta, gamma, theta = g3(preset)
     c2, c3, c4 = preset.gen("c2"), preset.gen("c3"), preset.gen("c4")
-    assert class_locus(SIDE_X) == c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3
-    assert class_locus(SIDE_Y) == c4 - 2 * eta * theta * c2 + (13 * eta + gamma) * c3
+    assert side(SIDE_X).locus == c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3
+    assert side(SIDE_Y).locus == c4 - 2 * eta * theta * c2 + (13 * eta + gamma) * c3
+    with pytest.raises(PreconditionError, match="unknown side"):
+        side("Z")
 
 
 def test_class_locus_killed_by_eta_squared(preset):
     eta = preset.gen("eta")
-    assert (class_locus(SIDE_X) * eta * eta).is_zero()
+    assert (side(SIDE_X).locus * eta * eta).is_zero()
 
 
 # -- symmetric square -------------------------------------------------------
@@ -103,10 +122,12 @@ def test_sym2_chern_zero_bundle(preset):
 
 def test_bundle_chern_recorded_classes(preset):
     eta, gamma, theta = g3(preset)
-    a2 = bundle_chern("A2")
+    a2 = side(SIDE_X).bundle
+    assert a2.name == "A2"
     assert a2.c1 == -4 * theta - 4 * gamma - 76 * eta
     assert a2.c2 == 8 * theta ** 2 + 280 * eta * theta + 16 * gamma * theta
-    b2 = bundle_chern("B2")
+    b2 = side(SIDE_Y).bundle
+    assert b2.name == "B2"
     assert b2.c2 == 8 * theta ** 2 + 100 * eta * theta + 8 * theta * gamma
     assert (
         a2.c3 + Fraction(32, 3) * theta ** 3 + 512 * eta * theta ** 2
@@ -139,8 +160,8 @@ def y_side_reference(preset):
 
 
 def test_c3_difference_k_free_parts_match_recorded_polynomials(preset):
-    kfree_x, _ = split_kernel_class(c3_difference(SIDE_X))
-    kfree_y, _ = split_kernel_class(c3_difference(SIDE_Y))
+    kfree_x, _ = split_kernel_class(side(SIDE_X).integrand)
+    kfree_y, _ = split_kernel_class(side(SIDE_Y).integrand)
     assert kfree_x == x_side_reference(preset)
     assert kfree_y == y_side_reference(preset)
 
@@ -149,14 +170,14 @@ def test_c3_difference_kernel_coefficients(preset):
     # recorded closed form for the Y side, general formula for X
     r = 4
     c1, c2 = preset.gen("c1"), preset.gen("c2")
-    _, kcoeff_y = split_kernel_class(c3_difference(SIDE_Y))
-    b2 = bundle_chern("B2")
+    _, kcoeff_y = split_kernel_class(side(SIDE_Y).integrand)
+    b2 = side(SIDE_Y).bundle
     assert kcoeff_y == (
         -2 * b2.c2 - 2 * (r + 2) ** 2 * c1 * c1 - 2 * (r + 2) * b2.c1 * c1
         + r * (r + 3) * c1 * c1 + 2 * (r + 3) * c2
     )
-    _, kcoeff_x = split_kernel_class(c3_difference(SIDE_X))
-    a2 = bundle_chern("A2")
+    _, kcoeff_x = split_kernel_class(side(SIDE_X).integrand)
+    a2 = side(SIDE_X).bundle
     assert kcoeff_x == (
         -2 * a2.c2 - 2 * (r + 2) ** 2 * c1 * c1 - 2 * (r + 2) * a2.c1 * c1
         + r * (r + 3) * c1 * c1 + 2 * (r + 3) * c2
@@ -165,8 +186,8 @@ def test_c3_difference_kernel_coefficients(preset):
 
 def test_dual_evaluators_agree_on_full_integrands():
     ctx = context()
-    for side in (SIDE_X, SIDE_Y):
-        integrand = ambient_integrand(side)
+    for name in (SIDE_X, SIDE_Y):
+        integrand = ambient_integrand(name)
         assert evaluate_taut(ctx, integrand) == evaluate_taut_recursion(ctx, integrand)
 
 
@@ -184,7 +205,8 @@ def test_side_totals_through_test_curve_pairings():
     total_y = evaluate_taut(ctx, ambient_integrand(SIDE_Y))
     assert total_x == 20 * b1 == 197340
     assert total_y == 22 * b0 - b1 == 32505
-    divisor = d12_class()
+    assert (side(SIDE_X).total, side(SIDE_Y).total) == (total_x, total_y)
+    divisor = d12_class_info().divisor
     assert pair(boundary_curve("C1", 12), divisor) == total_x
     assert pair(boundary_curve("C0", 12), divisor) == total_y
     assert pair(boundary_curve("R", 12), divisor) == 0
@@ -201,7 +223,7 @@ def test_d12_slope_report():
 
 
 def test_d12_class_slope():
-    assert slope(d12_class()) == Fraction(4415, 642)
+    assert slope(d12_class_info().divisor) == Fraction(4415, 642)
 
 
 def test_elliptic_pencil_relation():
@@ -216,8 +238,7 @@ def test_elliptic_pencil_relation():
 def fresh_pipeline():
     """Empty every pipeline cache before and after the test, so a perturbed
     check runs now and the good values are recomputed afterwards."""
-    caches = (class_locus, c3_difference, ambient_integrand, genus12._side_total,
-              d12_coefficients)
+    caches = (side, d12_coefficients)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -226,15 +247,23 @@ def fresh_pipeline():
 
 
 def _perturbed_recorded_locus(monkeypatch):
-    recorded = genus12._recorded_locus
-    monkeypatch.setattr(genus12, "_recorded_locus",
-                        lambda side: recorded(side) + genus12._c(4))
+    recorded = genus12._recorded
+
+    def perturbed(name):
+        source, bundle, quotient_c1, locus, kfree = recorded(name)
+        return source, bundle, quotient_c1, locus + context().preset.gen("c4"), kfree
+
+    monkeypatch.setattr(genus12, "_recorded", perturbed)
 
 
 def _perturbed_kfree_reference(monkeypatch):
-    reference = genus12._kfree_reference
-    monkeypatch.setattr(genus12, "_kfree_reference",
-                        lambda side: reference(side) + genus12._c(3))
+    recorded = genus12._recorded
+
+    def perturbed(name):
+        source, bundle, quotient_c1, locus, kfree = recorded(name)
+        return source, bundle, quotient_c1, locus, kfree + context().preset.gen("c3")
+
+    monkeypatch.setattr(genus12, "_recorded", perturbed)
 
 
 def _perturbed_evaluator_agreement(monkeypatch):

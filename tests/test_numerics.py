@@ -45,6 +45,10 @@ def test_boundary_degree_fiber_identities():
                 assert deg_a + deg_b == n
     with pytest.raises(PreconditionError):
         boundary_degrees(6, 4)
+    # below genus 2 the closed forms are not integers: (1, 0.0) at (1, 0)
+    for g in (1, 0):
+        with pytest.raises(PreconditionError):
+            boundary_degrees(g, 0)
 
 
 def test_riemann_hurwitz_scorza_configuration():

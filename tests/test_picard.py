@@ -303,8 +303,8 @@ def test_solvers_work_in_raw_coefficients(monkeypatch):
     monkeypatch.setattr(DivisorClass, "bar", refuse)
     for g in (4, 5, 7):
         assert solve_zg(g).divisor_class == zg_class(g)
-    assert certificate(13, "bn").passed()
-    assert certificate(12, "d12").passed()
+    assert certificate(13, "bn").verdict == "pass"
+    assert certificate(12, "d12").verdict == "pass"
 
 
 def test_solve_zg_rows_are_the_stored_pairings(monkeypatch):
@@ -404,7 +404,7 @@ def test_slope_zero_numerator():
 def test_certificate_bn_examples_and_closed_form():
     report = certificate(13, "bn")
     assert report.mu == Fraction(1, 7)
-    assert report.passed()
+    assert report.verdict == "pass"
     combo_lambda = 13 - report.mu
     assert combo_lambda == Fraction(90, 7) == Fraction(11 * 13 + 37, 13 + 1)
     for g in range(13, 31):
@@ -412,7 +412,7 @@ def test_certificate_bn_examples_and_closed_form():
         # oracle: mu = 13 - (11g+37)/(g+1) simplified
         assert rep.mu == Fraction(2 * g - 24, g + 1)
         assert rep.mu > 0
-        assert rep.passed()
+        assert rep.verdict == "pass"
         slacks = dict(rep.slacks)
         assert slacks["lambda"] == 0
         assert slacks["alpha0"] == 0 and slacks["beta0"] == 0
@@ -435,7 +435,7 @@ def test_certificate_d12():
     x, y = Fraction(1, 5), Fraction(13, 19260)
     assert 13 - (20 * x + 13245 * y) == Fraction(77, 1284)
     assert report.mu == Fraction(77, 1284)
-    assert report.passed()
+    assert report.verdict == "pass"
 
 
 def test_certificate_bn_refused_in_genus_12():
