@@ -213,6 +213,8 @@ def jet_bundle_inverse_chern(preset: RingPreset, curve_genus: int, line_degree: 
 def point_pair_inverse_chern(preset: RingPreset, line_degree: int) -> RingElem:
     """Inverse total Chern class of the dual rank-2 evaluation bundle at a
     moving point plus a fixed point."""
+    if line_degree < 0:
+        raise PreconditionError("point-pair Chern series needs line_degree >= 0")
     eta = preset.gen("eta")
     gamma = preset.gen("gamma")
     return geometric_series(line_degree * eta + gamma) * (preset.one() - eta)

@@ -219,19 +219,12 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
         _refuse_oversized_power(base.coefficient(constant), exponent, pos)
         return base ** exponent
 
-    def total(signed) -> RingElem:
-        acc: dict = {}
-        for sign, elem in signed:
-            for mono, coeff in elem.terms:
-                acc[mono] = acc.get(mono, ZERO) + (coeff if sign > 0 else -coeff)
-        return preset.element(acc)
-
     return _run(
         expr,
         lambda kind, value: value * one if kind == "num" else preset.gen(value),
         power,
         lambda left, right, pos: left * right,
-        total,
+        preset.signed_sum,
     )
 
 

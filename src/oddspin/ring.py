@@ -24,8 +24,16 @@ small ring presets:
   dualizing class omega and the pulled-back Hodge class lambda; it has no
   relations and is consumed by ``pushforward_relative``.
 
-Monomials are exponent vectors over the preset's fixed generator order;
-elements are sparse maps from normalized monomials to nonzero rationals.
+Monomials are exponent vectors over the preset's fixed generator order.
+An element holds integer numerators over one positive integer denominator:
+``(monomial, int)`` pairs whose sum, divided by the denominator, is its
+value (gcd-reduced rational arithmetic, Knuth, TAOCP vol. 2, 4.5.1).  The
+form is canonical, so equal elements are equal records with equal hashes:
+the monomials are normalized and sorted in decreasing order, no numerator
+is 0, and gcd(denominator, *numerators) is 1; zero has no terms over 1.
+Arithmetic inside the ring works on integers only.  A ``Fraction`` is built
+where a value leaves it: ``coefficient``, the ``terms`` view, rendering,
+``integrate`` and ``pushforward_relative``.
 
 Integration conventions, fixed once for the whole package: on the
 Jacobian-product preset the only monomial with nonzero integral is
@@ -37,10 +45,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import add
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .record import Record, set_field
-from .scalars import ONE, ZERO, as_scalar, format_scalar
+from .scalars import ZERO, as_scalar, format_scalar
 
 JACOBIAN = "jacobian"
 SURFACE = "surface"
@@ -61,7 +70,7 @@ class RingPreset(Record):
     def __init__(self, label: str, kind: str, names: tuple[str, ...],
                  degrees: tuple[int, ...], top_degree: int | None,
                  params: tuple[tuple[str, int], ...] = (),
-                 pairings: tuple[tuple[Monomial, Fraction], ...] = ()):
+                 pairings: tuple[tuple[Monomial, int], ...] = ()):
         super().__init__(label, kind, names, degrees, top_degree, params, pairings)
 
     # -- bookkeeping -------------------------------------------------
@@ -91,7 +100,7 @@ class RingPreset(Record):
 
     # -- element construction ----------------------------------------
     def zero(self) -> "RingElem":
-        return RingElem(self, ())
+        return RingElem(self, (), 1)
 
     def one(self) -> "RingElem":
         return self.element({(0,) * len(self.names): 1})
@@ -102,13 +111,47 @@ class RingPreset(Record):
         return self.element({tuple(mono): 1})
 
     def element(self, terms: Mapping[Monomial, object]) -> "RingElem":
-        acc = _normalize(self, ((m, as_scalar(c)) for m, c in terms.items()))
-        return RingElem(self, tuple(sorted(acc.items(), reverse=True)))
+        """The element with the given int, Fraction or "p/q" coefficients."""
+        pairs = [(m, _ratio(c)) for m, c in terms.items()]
+        den = math.lcm(*(q for _, (_, q) in pairs))
+        return _reduced(self, _normalize(self, ((m, p * (den // q)) for m, (p, q) in pairs)), den)
+
+    def signed_sum(self, signed: Iterable[tuple[int, "RingElem"]]) -> "RingElem":
+        """The sum of ``sign * elem`` over (sign, elem) pairs with signs +1 or
+        -1, accumulated in one dict of integers over the common denominator."""
+        signed = list(signed)
+        den = math.lcm(*(elem.denominator for _, elem in signed))
+        acc: dict[Monomial, int] = {}
+        for sign, elem in signed:
+            _require_preset(self, elem)
+            scale = sign * (den // elem.denominator)
+            for mono, num in elem.numerators:
+                total = acc.get(mono, 0) + scale * num
+                if total:
+                    acc[mono] = total
+                else:
+                    del acc[mono]
+        return _reduced(self, acc, den)
 
 
-def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, Fraction]]) -> dict:
+def _require_preset(preset: RingPreset, elem: "RingElem") -> None:
+    if elem.preset != preset:
+        raise PresetMismatchError(
+            f"operands live in different presets: {preset.label} vs {elem.preset.label}"
+        )
+
+
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an int, Fraction or "p/q"."""
+    if isinstance(value, int):
+        return value, 1
+    value = as_scalar(value)
+    return value.numerator, value.denominator
+
+
+def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, int]]) -> dict:
     """Sum ``raw`` into normal form: the Jacobian closed form, then truncation."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int] = {}
     jacobian, top = preset.kind == JACOBIAN, preset.top_degree
     for mono, coeff in raw:
         if jacobian:
@@ -121,76 +164,88 @@ def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, Fraction]]) -> 
                 continue
         elif top is not None and preset.monomial_degree(mono) > top:
             continue
-        total = acc.get(mono, ZERO) + coeff
-        if total == 0:
-            acc.pop(mono, None)
-        else:
+        total = acc.get(mono, 0) + coeff
+        if total:
             acc[mono] = total
+        else:
+            acc.pop(mono, None)
     return acc
 
 
+def _reduced(preset: RingPreset, acc: dict, den: int) -> "RingElem":
+    """The canonical element ``sum(acc) / den``, for ``acc`` a map from
+    monomials to nonzero ints and ``den`` positive: the content is divided
+    out and the terms are sorted."""
+    if not acc:
+        return RingElem(preset, (), 1)
+    if den != 1:
+        content = math.gcd(den, *acc.values())
+        if content != 1:
+            den //= content
+            acc = {m: n // content for m, n in acc.items()}
+    return RingElem(preset, tuple(sorted(acc.items(), reverse=True)), den)
+
+
 class RingElem(Record):
-    """Sparse normalized element of a ring preset.  Immutable."""
+    """Sparse normalized element of a ring preset.  Immutable.
 
-    __slots__ = ("preset", "terms")
+    ``numerators`` holds (monomial, int) pairs over the positive int
+    ``denominator``, in the canonical form of the module docstring.
+    """
 
-    def __init__(self, preset: RingPreset, terms: tuple[tuple[Monomial, Fraction], ...]):
+    __slots__ = ("preset", "numerators", "denominator")
+
+    def __init__(self, preset: RingPreset, numerators: tuple[tuple[Monomial, int], ...],
+                 denominator: int):
         set_field(self, "preset", preset)
-        set_field(self, "terms", terms)
+        set_field(self, "numerators", numerators)
+        set_field(self, "denominator", denominator)
 
     # -- inspection ---------------------------------------------------
+    @property
+    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        """The (monomial, Fraction coefficient) pairs, in decreasing monomial order."""
+        den = self.denominator
+        return tuple((m, Fraction(n, den)) for m, n in self.numerators)
+
     def coefficient(self, mono: Monomial) -> Fraction:
-        for m, c in self.terms:
+        for m, n in self.numerators:
             if m == mono:
-                return c
+                return Fraction(n, self.denominator)
         return ZERO
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def degree(self) -> int | None:
-        if not self.terms:
+        if not self.numerators:
             return None
-        return max(self.preset.monomial_degree(m) for m, _ in self.terms)
+        return max(self.preset.monomial_degree(m) for m, _ in self.numerators)
 
     def is_homogeneous(self) -> bool:
-        degrees = {self.preset.monomial_degree(m) for m, _ in self.terms}
+        degrees = {self.preset.monomial_degree(m) for m, _ in self.numerators}
         return len(degrees) <= 1
 
     def homogeneous_part(self, degree: int) -> "RingElem":
-        kept = {m: c for m, c in self.terms if self.preset.monomial_degree(m) == degree}
-        return self.preset.element(kept)
+        kept = {m: n for m, n in self.numerators if self.preset.monomial_degree(m) == degree}
+        return _reduced(self.preset, kept, self.denominator)
 
     # -- arithmetic ---------------------------------------------------
-    def _require_same_preset(self, other: "RingElem") -> None:
-        if self.preset != other.preset:
-            raise PresetMismatchError(
-                f"operands live in different presets: {self.preset.label} vs {other.preset.label}"
-            )
-
     def __add__(self, other):
         if isinstance(other, RingElem):
-            self._require_same_preset(other)
-            acc = dict(self.terms)
-            for m, c in other.terms:
-                total = acc.get(m, ZERO) + c
-                if total == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = total
-            return RingElem(self.preset, tuple(sorted(acc.items(), reverse=True)))
+            return self.preset.signed_sum(((1, self), (1, other)))
         if isinstance(other, (int, Fraction)):
-            return self + as_scalar(other) * self.preset.one()
+            return self + self.preset.one() * other
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.preset, tuple((m, -c) for m, c in self.terms))
+        return RingElem(self.preset, tuple((m, -n) for m, n in self.numerators), self.denominator)
 
     def __sub__(self, other):
         if isinstance(other, (RingElem, int, Fraction)):
-            return self + (-other if isinstance(other, RingElem) else -as_scalar(other))
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -198,18 +253,17 @@ class RingElem(Record):
 
     def __mul__(self, other):
         if isinstance(other, RingElem):
-            self._require_same_preset(other)
-            raw = []
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
-                    raw.append((tuple(a + b for a, b in zip(m1, m2)), c1 * c2))
-            acc = _normalize(self.preset, raw)
-            return RingElem(self.preset, tuple(sorted(acc.items(), reverse=True)))
+            _require_preset(self.preset, other)
+            raw = ((tuple(map(add, m1, m2)), n1 * n2)
+                   for m1, n1 in self.numerators for m2, n2 in other.numerators)
+            return _reduced(self.preset, _normalize(self.preset, raw),
+                            self.denominator * other.denominator)
         if isinstance(other, (int, Fraction)):
-            scale = as_scalar(other)
-            if scale == 0:
+            num, den = _ratio(other)
+            if num == 0:
                 return self.preset.zero()
-            return RingElem(self.preset, tuple((m, c * scale) for m, c in self.terms))
+            return _reduced(self.preset, {m: n * num for m, n in self.numerators},
+                            self.denominator * den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -217,13 +271,17 @@ class RingElem(Record):
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise RingDomainError("ring exponents are nonnegative integers")
-        if len(self.terms) == 1:
+        if len(self.numerators) == 1:
             # the normal form is a ring homomorphism, so a monomial's power is
             # its exponent vector times n, normalised once; a truncated power
             # is dropped before its coefficient is raised
-            ((mono, coeff),) = self.terms
-            acc = _normalize(self.preset, [(tuple(n * e for e in mono), ONE)])
-            return RingElem(self.preset, tuple((m, c * coeff**n) for m, c in acc.items()))
+            ((mono, num),) = self.numerators
+            acc = _normalize(self.preset, [(tuple(n * e for e in mono), 1)])
+            if not acc:
+                return self.preset.zero()
+            scale = num ** n
+            return _reduced(self.preset, {m: c * scale for m, c in acc.items()},
+                            self.denominator ** n)
         # square and multiply; a zero square or partial product ends it early
         result, square = self.preset.one(), self
         while n and not result.is_zero():
@@ -300,12 +358,12 @@ def preset_surface_product(g: int) -> RingPreset:
     if g < 2:
         raise PreconditionError(f"surface preset needs g >= 2 (got g={g})")
     pairings = (
-        ((2, 0, 0), ZERO),
-        ((1, 1, 0), as_scalar(1)),
-        ((1, 0, 1), as_scalar(1)),
-        ((0, 2, 0), ZERO),
-        ((0, 1, 1), as_scalar(1)),
-        ((0, 0, 2), as_scalar(2 - 2 * g)),
+        ((2, 0, 0), 0),
+        ((1, 1, 0), 1),
+        ((1, 0, 1), 1),
+        ((0, 2, 0), 0),
+        ((0, 1, 1), 1),
+        ((0, 0, 2), 2 - 2 * g),
     )
     return RingPreset(
         label=f"surface(g={g})",
@@ -354,7 +412,7 @@ def integrate(e: RingElem) -> Fraction:
     """
     p = e.preset
     if p.kind == JACOBIAN:
-        if any(any(m[TAUTOLOGICAL]) for m, _ in e.terms):
+        if any(any(m[TAUTOLOGICAL]) for m, _ in e.numerators):
             raise RingDomainError(
                 "element contains tautological Chern classes or the kernel class;"
                 " use the Brill-Noether evaluator (bn.evaluate_taut)"
@@ -366,11 +424,8 @@ def integrate(e: RingElem) -> Fraction:
         return e.coefficient(tuple(target)) * math.factorial(g)
     if p.kind == SURFACE:
         table = dict(p.pairings)
-        total = ZERO
-        for m, c in e.terms:
-            if p.monomial_degree(m) == 2:
-                total += c * table[m]
-        return total
+        total = sum(n * table[m] for m, n in e.numerators if p.monomial_degree(m) == 2)
+        return Fraction(total, e.denominator)
     raise RingDomainError(
         "no integration rule on this preset; use pushforward_relative"
     )
@@ -401,19 +456,19 @@ def pushforward_relative(e: RingElem, g: int) -> Fraction:
     p = e.preset
     if p.kind != UNIVERSAL_CURVE:
         raise RingDomainError("relative push-forward acts on the universal-curve preset")
-    total = ZERO
-    for (omega_exp, lambda_exp), coeff in e.terms:
+    total = 0
+    for (omega_exp, lambda_exp), num in e.numerators:
         if omega_exp + lambda_exp != 2:
             raise RingDomainError(
                 "relative push-forward needs fiber-degree 2; got a monomial of"
                 f" degree {omega_exp + lambda_exp}"
             )
         if omega_exp == 2:
-            total += 12 * coeff
+            total += 12 * num
         elif omega_exp == 1:
-            total += (2 * g - 2) * coeff
+            total += (2 * g - 2) * num
         # lambda^2 pushes to zero
-    return total
+    return Fraction(total, e.denominator)
 
 
 def geometric_series(x: RingElem) -> RingElem:

@@ -1,9 +1,10 @@
 """Exact rational scalars.
 
-Every number in the engine is a ``fractions.Fraction``; no floating-point
-value is ever constructed.  The standard library keeps fractions in lowest
-terms with a positive denominator, which is exactly the invariant the rest
-of the package relies on.
+Every number in the engine is exact; no floating-point value is ever
+constructed.  Outside the ring, a rational is a ``fractions.Fraction``, which
+the standard library keeps in lowest terms with a positive denominator.
+Inside ``ring``, an element's coefficients are ints over one shared positive
+denominator, and they become ``Fraction``s only where they leave it.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .errors import EngineError
 Scalar = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_scalar(value) -> Fraction:

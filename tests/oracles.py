@@ -8,7 +8,10 @@ reciprocal factorials and shares nothing with the evaluators'
 generating-function core.  ``dense_solve`` is dense Gauss-Jordan
 elimination, the reference for the sparse ``solve_linear``.
 ``jacobian_normal_form`` applies the three Jacobian relations by repeated
-rewriting, as a reference for the ring's closed-form normalization.
+rewriting, as a reference for the ring's closed-form normalization.  The
+``model_*`` functions are the ring arithmetic with one ``Fraction`` per
+coefficient, the reference for the ring's integer numerators over one
+denominator.
 """
 import math
 from fractions import Fraction
@@ -222,3 +225,86 @@ def jacobian_normal_form(preset, mono, coeff):
                 key = tuple(exps[name] for name in names)
                 out[key] = out.get(key, 0) + c
     return {m: c for m, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# The ring with one Fraction per coefficient
+# ---------------------------------------------------------------------------
+# A model element is a dict {monomial: nonzero Fraction} over a preset.
+
+def model_normalize(preset, raw):
+    """Sum (monomial, coefficient) pairs into a model element: Jacobian
+    monomials through ``jacobian_normal_form``, other presets truncated
+    above their top degree."""
+    out = {}
+    for mono, coeff in raw:
+        if preset.kind == "jacobian":
+            pieces = jacobian_normal_form(preset, mono, coeff).items()
+        elif preset.top_degree is None or preset.monomial_degree(mono) <= preset.top_degree:
+            pieces = [(mono, Fraction(coeff))]
+        else:
+            pieces = []
+        for m, c in pieces:
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def model_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def model_scale(a, scalar):
+    return {m: scalar * c for m, c in a.items() if scalar}
+
+
+def model_mul(preset, a, b):
+    return model_normalize(preset, [
+        (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+        for m1, c1 in a.items() for m2, c2 in b.items()
+    ])
+
+
+def model_pow(preset, a, n):
+    """``a`` to the ``n``-th power by n - 1 plain products."""
+    out = model_normalize(preset, [((0,) * len(preset.names), 1)])
+    for _ in range(n):
+        out = model_mul(preset, out, a)
+    return out
+
+
+def model_homogeneous_part(preset, a, degree):
+    return {m: c for m, c in a.items() if preset.monomial_degree(m) == degree}
+
+
+def model_terms(a):
+    """The (monomial, Fraction) pairs in decreasing monomial order."""
+    return tuple(sorted(a.items(), reverse=True))
+
+
+def _monomial_text(preset, mono):
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(preset.names, mono) if e)
+
+
+def _magnitude_text(value, body):
+    text = str(value)
+    if not body:
+        return text
+    return body if value == 1 else f"{text}*{body}"
+
+
+def model_render(preset, a):
+    """The CLI rendering: terms in decreasing monomial order, the first with
+    its sign, each later one after " + " or " - "."""
+    terms = model_terms(a)
+    if not terms:
+        return "0"
+    (mono, coeff), rest = terms[0], terms[1:]
+    body = _monomial_text(preset, mono)
+    out = "-1*" + body if coeff == -1 and body else _magnitude_text(coeff, body)
+    for mono, coeff in rest:
+        out += (" + " if coeff > 0 else " - ") + _magnitude_text(abs(coeff), _monomial_text(preset, mono))
+    return out

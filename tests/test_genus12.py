@@ -7,6 +7,7 @@ from oddspin.bn import (
     evaluate_taut,
     evaluate_taut_recursion,
     jet_bundle_inverse_chern,
+    point_pair_inverse_chern,
     restrict_to_locus,
     split_kernel_class,
 )
@@ -75,6 +76,9 @@ def test_jet_inverse_degree_one_eta_coefficient(preset):
     for g_curve, d in ((0, 5), (11, -1)):
         with pytest.raises(PreconditionError):
             jet_inverse_chern(g_curve, d)
+    # the point-pair series refuses a negative degree as the jet series does
+    with pytest.raises(PreconditionError, match="line_degree >= 0"):
+        point_pair_inverse_chern(preset, -3)
 
 
 # -- locus classes ----------------------------------------------------------

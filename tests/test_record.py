@@ -29,7 +29,8 @@ def test_equal_records_are_equal_and_hash_equal():
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert first != preset_jacobian_product(3, 2, 1)
-    elem = RingElem(first, first.gen("theta").terms)
+    theta = first.gen("theta")
+    elem = RingElem(first, theta.numerators, theta.denominator)
     assert elem == first.gen("theta") and hash(elem) == hash(second.gen("theta"))
     assert {first: 1}[second] == 1
 

@@ -17,7 +17,17 @@ from oddspin.ring import (
     pushforward_relative,
 )
 
-from oracles import jacobian_normal_form
+from oracles import (
+    jacobian_normal_form,
+    model_add,
+    model_homogeneous_part,
+    model_mul,
+    model_normalize,
+    model_pow,
+    model_render,
+    model_scale,
+    model_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -223,21 +233,120 @@ def test_a_one_term_power_takes_no_product(monkeypatch, preset, name):
     (preset_jacobian_product(3, 2, 0), "theta"),
     (preset_surface_product(3), "F1"),
 ])
-def test_a_truncated_monomial_power_never_raises_its_coefficient(monkeypatch, preset, name):
-    base = 2 * preset.gen(name)
+def test_a_truncated_monomial_power_never_raises_its_coefficient(preset, name):
     raised = []
-    power = Fraction.__pow__
 
-    def recorded(a, b, *rest):
-        raised.append(b)
-        return power(a, b, *rest)
+    class Recorded(int):
+        # a numerator that records every power it is raised to
+        def __pow__(self, exponent, modulo=None):
+            raised.append(exponent)
+            return int(self) ** exponent
 
-    monkeypatch.setattr(Fraction, "__pow__", recorded)
+    ((mono, _),) = preset.gen(name).numerators
+    base = RingElem(preset, ((mono, Recorded(2)),), 1)
+    assert base == 2 * preset.gen(name)
     assert (base ** 10 ** 8).is_zero()
     assert raised == []
     gen = preset.gen(name)
     assert base ** 2 == 4 * gen * gen and not (gen * gen).is_zero()
     assert raised == [2]
+
+
+# -- integer numerators over one denominator ---------------------------------
+
+ORACLE_PRESETS = (
+    preset_jacobian_product(1, 1, 0),
+    preset_jacobian_product(2, 3, 1),
+    preset_jacobian_product(3, 4, 0),
+    preset_surface_product(2),
+    preset_surface_product(4),
+    preset_universal_curve(3),
+)
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9)))
+
+
+@st.composite
+def oracle_cases(draw):
+    preset = draw(st.sampled_from(ORACLE_PRESETS))
+    if preset.kind == "jacobian":
+        g = preset.param("g")
+        exponents = [st.integers(0, 2), st.integers(0, 3), st.integers(0, g + 1)]
+        exponents += [st.integers(0, 1)] * (len(preset.names) - 3)
+    else:
+        exponents = [st.integers(0, 2)] * len(preset.names)
+    coefficients = rationals | st.integers(-5, 5)
+
+    def raw(max_size):
+        return draw(st.dictionaries(st.tuples(*exponents), coefficients, max_size=max_size))
+
+    return (preset, raw(4), raw(4), raw(1) or {(0,) * len(preset.names): 3},
+            draw(rationals), draw(st.integers(0, 5)), draw(st.integers(0, 3)))
+
+
+def _canonical(elem):
+    """Assert the canonical form and return ``elem``."""
+    den, nums = elem.denominator, elem.numerators
+    assert den > 0 and math.gcd(den, *(n for _, n in nums)) == 1
+    assert all(n != 0 for _, n in nums)
+    monos = [m for m, _ in nums]
+    assert monos == sorted(set(monos), reverse=True)
+    rebuilt = elem.preset.element(dict(elem.terms))
+    assert rebuilt == elem and hash(rebuilt) == hash(elem)
+    return elem
+
+
+def _agrees(elem, model):
+    _canonical(elem)
+    assert elem.terms == model_terms(model)
+    assert elem.render() == model_render(elem.preset, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_arithmetic_matches_the_fraction_model(case):
+    preset, raw_a, raw_b, raw_t, scalar, n, degree = case
+    a, b, t = (preset.element(raw) for raw in (raw_a, raw_b, raw_t))
+    ma, mb, mt = (model_normalize(preset, raw.items()) for raw in (raw_a, raw_b, raw_t))
+    _agrees(a, ma)
+    _agrees(b, mb)
+    _agrees(a + b, model_add(ma, mb))
+    _agrees(a - b, model_add(ma, mb, -1))
+    _agrees(-a, model_scale(ma, -1))
+    _agrees(scalar * a, model_scale(ma, scalar))
+    _agrees(a * scalar, model_scale(ma, scalar))
+    _agrees(a * b, model_mul(preset, ma, mb))
+    _agrees(a ** n, model_pow(preset, ma, n))
+    _agrees(t ** n, model_pow(preset, mt, n))
+    _agrees(a.homogeneous_part(degree), model_homogeneous_part(preset, ma, degree))
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+
+
+def test_ring_arithmetic_builds_no_fraction(monkeypatch):
+    uc = preset_universal_curve(3)
+    omega, lam = gens(uc, "omega", "lambda")
+    a = Fraction(3, 4) * omega * omega - Fraction(2, 9) * omega * lam + Fraction(5, 6)
+    b = Fraction(-1, 4) * omega * lam + Fraction(7, 3) * lam + 2 * omega
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # Python 3.12 builds the results of Fraction arithmetic here, not in __new__
+        from_coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, *args: built.append(args) or from_coprime(cls, *args)))
+    product, total = a * b, a + b
+    assert built == []
+    monkeypatch.undo()
+    ma, mb = dict(a.terms), dict(b.terms)
+    assert product.terms == model_terms(model_mul(uc, ma, mb))
+    assert total.terms == model_terms(model_add(ma, mb))
 
 
 def test_preset_mismatch_is_an_error(jac11):
