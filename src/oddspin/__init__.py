@@ -46,7 +46,6 @@ from .numerics import (
     boundary_degrees,
     mukai_profile,
     rho,
-    riemann_hurwitz_ram,
     scorza_genus,
     theta_counts,
 )
@@ -81,8 +80,7 @@ from .ring import (
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
-    pushforward_relative,
 )
-from .scalars import Scalar, format_scalar, recip_factorial
+from .scalars import format_scalar, recip_factorial
 
 __version__ = "0.1.0"

@@ -56,11 +56,7 @@ from .linalg import series_det
 from .numerics import rho
 from .record import Record
 from .ring import (
-    C1,
-    ETA,
-    GAMMA,
     JACOBIAN,
-    K,
     RingElem,
     RingPreset,
     geometric_series,
@@ -251,13 +247,14 @@ def split_kernel_class(e: RingElem) -> tuple[RingElem, RingElem]:
     """
     if e.preset.kind != JACOBIAN:
         raise RingDomainError("the kernel class lives on the jacobian preset")
+    k = e.preset.index("k")
     free: dict = {}
     linear: dict = {}
     for mono, coeff in e.terms:
-        if mono[K] == 0:
+        if mono[k] == 0:
             free[mono] = coeff
-        elif mono[K] == 1:
-            linear[mono[:K] + (0,)] = coeff
+        elif mono[k] == 1:
+            linear[mono[:k] + (0,) + mono[k + 1:]] = coeff
         else:
             raise RingDomainError(
                 "kernel class appears with exponent >= 2; excess intersection"
@@ -284,7 +281,7 @@ def _check_integrand(ctx: BNContext, e: RingElem) -> None:
     """
     if e.preset != ctx.preset:
         raise PresetMismatchError("element does not live in the context's preset")
-    if any(mono[K] for mono, _ in e.terms):
+    if "k" in e.generators():
         raise RingDomainError(
             "kernel class k present: integrate bn.restrict_to_locus(ctx, e, source)"
             " instead"
@@ -309,12 +306,15 @@ def evaluate_taut(ctx: BNContext, e: RingElem) -> Fraction:
     (see the module docstring).
     """
     _check_integrand(ctx, e)
+    index = ctx.preset.index
+    eta, gamma, c1, k = index("eta"), index("gamma"), index("c1"), index("k")
     weights: dict[tuple[int, Shape], Fraction] = {}
     for mono, coeff in e.terms:
-        if mono[GAMMA] or mono[ETA] != 1:
+        if mono[gamma] or mono[eta] != 1:
             continue
-        for shape, count in _schur_expansion(ctx.r + 1, mono[C1 + 1:K]):
-            key = (mono[C1], shape)
+        # c_2..c_{r+1} lie between c_1 and k
+        for shape, count in _schur_expansion(ctx.r + 1, mono[c1 + 1:k]):
+            key = (mono[c1], shape)
             weights[key] = weights.get(key, ZERO) + coeff * count
     return _integrate_shapes(ctx, weights)
 
@@ -347,11 +347,13 @@ def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
     _check_integrand(ctx, e)
     preset = ctx.preset
     images = _recursion_images(preset)
+    c1, k = preset.index("c1"), preset.index("k")
     rewritten = preset.zero()
     for mono, coeff in e.terms:
-        # keep eta, gamma, theta and c_1; c_2..c_{r+1} go through their images
-        term = preset.element({mono[:C1 + 1] + (0,) * (ctx.r + 1): coeff})
-        for image, power in zip(images, mono[C1 + 1:K]):
+        # keep eta, gamma, theta and c_1; c_2..c_{r+1}, between c_1 and k,
+        # go through their images, and k is absent
+        term = preset.element({mono[:c1 + 1] + (0,) * (len(mono) - c1 - 1): coeff})
+        for image, power in zip(images, mono[c1 + 1:k]):
             if power:
                 term = term * image ** power
         rewritten = rewritten + term

@@ -53,15 +53,11 @@ from .picard import (
 from .record import Record
 from .ring import (
     JACOBIAN,
-    K,
     SURFACE,
-    TAUTOLOGICAL,
-    UNIVERSAL_CURVE,
     integrate,
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
-    pushforward_relative,
 )
 from .scalars import format_scalar, too_long_to_print
 
@@ -197,6 +193,14 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+# preset kind -> (builder, its parameters in argument order)
+_PRESET_KINDS = {
+    "jac": (preset_jacobian_product, ("g", "d", "r")),
+    "surface": (preset_surface_product, ("g",)),
+    "uc": (preset_universal_curve, ("g",)),
+}
+
+
 def _parse_preset_spec(spec: str):
     kind, _, args = spec.partition(":")
     params = {}
@@ -205,20 +209,22 @@ def _parse_preset_spec(spec: str):
             key, _, value = piece.partition("=")
             if not value or not key:
                 raise UsageError(f"malformed preset parameter {piece!r}")
+            if key in params:
+                raise UsageError(f"preset {spec!r} repeats parameter {key!r}")
             try:
                 params[key] = int(value)
             except ValueError:
                 raise UsageError(f"preset parameter {piece!r} is not an integer")
-    try:
-        if kind == "jac":
-            return preset_jacobian_product(params["g"], params["d"], params["r"])
-        if kind == "surface":
-            return preset_surface_product(params["g"])
-        if kind == "uc":
-            return preset_universal_curve(params["g"])
-    except KeyError as missing:
-        raise UsageError(f"preset {spec!r} is missing parameter {missing}")
-    raise UsageError(f"unknown preset kind {kind!r}; expected jac, surface or uc")
+    if kind not in _PRESET_KINDS:
+        raise UsageError(f"unknown preset kind {kind!r}; expected jac, surface or uc")
+    build, names = _PRESET_KINDS[kind]
+    for name in names:
+        if name not in params:
+            raise UsageError(f"preset {spec!r} is missing parameter {name!r}")
+    for key in params:
+        if key not in names:
+            raise UsageError(f"preset {spec!r} has unknown parameter {key!r}")
+    return build(*(params[name] for name in names))
 
 
 def _d12_class_info(g: int):
@@ -269,8 +275,8 @@ def _run_ring_eval(args):
     degree = elem.degree()
     if preset.kind == JACOBIAN:
         g, d, r = preset.param("g"), preset.param("d"), preset.param("r")
-        pure = not any(any(m[TAUTOLOGICAL]) for m, _ in elem.terms)
-        if any(m[K] for m, _ in elem.terms):
+        generators = elem.generators()
+        if "k" in generators:
             assumptions.append(
                 "kernel class present: no side-specific substitution applied"
             )
@@ -284,16 +290,13 @@ def _run_ring_eval(args):
             else:
                 result["value"] = format_scalar(evaluate_taut(ctx, elem))
                 result["value_method"] = "tautological-evaluation"
-        elif pure and degree == g + 1:
+        elif degree == g + 1 and generators <= {"eta", "gamma", "theta"}:
             result["value"] = format_scalar(integrate(elem))
             result["value_method"] = "integrate"
-    elif preset.kind == SURFACE and degree == 2:
+    elif degree == 2:
         result["value"] = format_scalar(integrate(elem))
-        result["value_method"] = "integrate"
-    elif preset.kind == UNIVERSAL_CURVE and degree == 2:
-        coeff = pushforward_relative(elem, preset.param("g"))
-        result["value"] = format_scalar(coeff)
-        result["value_method"] = "relative-pushforward (lambda coefficient)"
+        result["value_method"] = ("integrate" if preset.kind == SURFACE
+                                  else "relative-pushforward (lambda coefficient)")
     return {"preset": args.preset, "expression": args.expression}, result, assumptions
 
 

@@ -1,6 +1,6 @@
 """Closed-form numeric profiles: spin parity counts, boundary covering
-degrees, Brill-Noether numbers, Riemann-Hurwitz ramification, the
-Scorza-curve genus and Mukai-model dimensions.
+degrees, Brill-Noether numbers, the Scorza-curve genus and Mukai-model
+dimensions.
 """
 from __future__ import annotations
 
@@ -48,22 +48,6 @@ def boundary_degrees(g: int, i: int) -> tuple[int, int]:
     deg_a = 2 ** (g - 2) * (2 ** i - 1) * (2 ** (g - i) + 1)
     deg_b = 2 ** (g - 2) * (2 ** i + 1) * (2 ** (g - i) - 1)
     return deg_a, deg_b
-
-
-class RamificationCount(Record):
-    __slots__ = ("value", "feasible")
-
-
-def riemann_hurwitz_ram(g_source: int, g_target: int, degree: int) -> RamificationCount:
-    """Ramification degree 2gs - 2 - degree(2gt - 2) of a covering.
-
-    A negative value is reported as an infeasible covering rather than
-    raised, since callers probe parameter ranges.
-    """
-    if g_source < 0 or g_target < 0 or degree < 1:
-        raise PreconditionError("need nonnegative genera and degree >= 1")
-    value = 2 * g_source - 2 - degree * (2 * g_target - 2)
-    return RamificationCount(value, value >= 0)
 
 
 def scorza_genus(g: int) -> int:

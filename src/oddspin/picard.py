@@ -29,7 +29,7 @@ from .errors import (
 from .linalg import solve_linear
 from .numerics import boundary_degrees, theta_counts
 from .record import Record, set_field
-from .ring import _render_terms, preset_universal_curve, pushforward_relative
+from .ring import _render_terms, integrate, preset_universal_curve
 from .scalars import ZERO, as_scalar, format_scalar
 
 SPIN = "spin"
@@ -269,13 +269,14 @@ def degenerate_theta_lambda_coefficient(g: int) -> Fraction:
     Computed by the degeneracy-locus (Porteous) recipe on the universal
     spin curve: push down (3/4) omega^2 - 2 omega . c1(spin push-forward),
     where the determinant identity of the spin bundle gives
-    c1 = -lambda/4.  Closed form: g + 8.
+    c1 = -lambda/4; ``integrate`` on the universal-curve preset is that
+    push-down.  Closed form: g + 8.
     """
     preset = preset_universal_curve(g)
     omega = preset.gen("omega")
     lam = preset.gen("lambda")
     integrand = Fraction(3, 4) * omega * omega - 2 * omega * (Fraction(-1, 4) * lam)
-    return pushforward_relative(integrand, g)
+    return integrate(integrand)
 
 
 def zg_class(g: int) -> DivisorClass:

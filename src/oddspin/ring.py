@@ -17,12 +17,11 @@ small ring presets:
   and is dropped; the relations keep that degree, so the dropped
   monomials form an ideal and products do not depend on bracketing.
 * ``surface``: the self-product of a curve, generated by the two fiber
-  classes F1, F2 and the diagonal Delta, with the top-degree pairing
-  table F1.F2 = Delta.F1 = Delta.F2 = 1, F1^2 = F2^2 = 0 and
-  Delta^2 = 2 - 2g.  Monomials above degree 2 are dropped.
+  classes F1, F2 and the diagonal Delta.  Monomials above degree 2 are
+  dropped.
 * ``universal-curve``: the universal spin curve, generated by the relative
   dualizing class omega and the pulled-back Hodge class lambda; it has no
-  relations and is consumed by ``pushforward_relative``.
+  relations.
 
 Monomials are exponent vectors over the preset's fixed generator order.
 An element holds integer numerators over one positive integer denominator:
@@ -32,13 +31,21 @@ form is canonical, so equal elements are equal records with equal hashes:
 the monomials are normalized and sorted in decreasing order, no numerator
 is 0, and gcd(denominator, *numerators) is 1; zero has no terms over 1.
 Arithmetic inside the ring works on integers only.  A ``Fraction`` is built
-where a value leaves it: ``coefficient``, the ``terms`` view, rendering,
-``integrate`` and ``pushforward_relative``.
+where a value leaves it: ``coefficient``, the ``terms`` view, rendering
+and ``integrate``.
 
-Integration conventions, fixed once for the whole package: on the
-Jacobian-product preset the only monomial with nonzero integral is
-eta*theta^g, with value g! (the classical Poincare normalization); on the
-surface preset integration reads off the pairing table.
+Integration, fixed once for the whole package, is one rule: a preset's
+``pairings`` table maps each normalized top-degree monomial to its value,
+``integrate`` sums every term times its entry, and a term with no entry
+(another degree, a Chern class or k) is refused.  The tables:
+
+* ``jacobian``: eta*theta^g -> g! (the classical Poincare normalization),
+  gamma*theta^g -> 0 and theta^(g+1) -> 0;
+* ``surface``: F1.F2 = Delta.F1 = Delta.F2 = 1, F1^2 = F2^2 = 0 and
+  Delta^2 = 2 - 2g;
+* ``universal-curve``: the relative push-forward to the lambda coefficient,
+  omega^2 -> 12, omega*lambda -> 2g - 2 and lambda^2 -> 0 (a pulled-back
+  square has no fiber degree).
 """
 from __future__ import annotations
 
@@ -57,23 +64,27 @@ UNIVERSAL_CURVE = "universal-curve"
 
 Monomial = tuple[int, ...]
 
-# Generator layout of the jacobian preset: eta, gamma, theta on the curve x
-# Jacobian factor, then the Chern classes c_1..c_{r+1}, then the kernel class k.
-ETA, GAMMA, THETA, C1 = 0, 1, 2, 3
-K = -1
-TAUTOLOGICAL = slice(C1, None)  # c_1..c_{r+1} and k
+# Generator layout of the jacobian preset, known only inside this module:
+# eta, gamma, theta on the curve x Jacobian factor, then the Chern classes
+# c_1..c_{r+1} from _C1 on, then the kernel class k.  Other modules address
+# generators by name (``RingPreset.index``).
+_ETA, _GAMMA, _THETA, _C1 = 0, 1, 2, 3
 
 
 class RingPreset(Record):
-    __slots__ = ("label", "kind", "names", "degrees", "top_degree", "params", "pairings")
+    """A ring preset: generator names and degrees, the truncation degree
+    and the defining parameters; ``pairings`` derives its top-degree table."""
 
-    def __init__(self, label: str, kind: str, names: tuple[str, ...],
-                 degrees: tuple[int, ...], top_degree: int | None,
-                 params: tuple[tuple[str, int], ...] = (),
-                 pairings: tuple[tuple[Monomial, int], ...] = ()):
-        super().__init__(label, kind, names, degrees, top_degree, params, pairings)
+    __slots__ = ("label", "kind", "names", "degrees", "top_degree", "params")
 
     # -- bookkeeping -------------------------------------------------
+    @property
+    def pairings(self) -> dict[Monomial, int]:
+        """The top-degree table that ``integrate`` reads, monomial -> value.
+        It is built on each read, not with the preset: the Jacobian entry g!
+        is costly for a large g that is never integrated."""
+        return _PAIRINGS[self.kind](self)
+
     def param(self, name: str) -> int:
         for key, value in self.params:
             if key == name:
@@ -155,12 +166,12 @@ def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, int]]) -> dict:
     jacobian, top = preset.kind == JACOBIAN, preset.top_degree
     for mono, coeff in raw:
         if jacobian:
-            if mono[ETA] + mono[GAMMA] >= 2:
-                if mono[ETA] or mono[GAMMA] != 2:
+            if mono[_ETA] + mono[_GAMMA] >= 2:
+                if mono[_ETA] or mono[_GAMMA] != 2:
                     continue
-                mono = (1, 0, mono[THETA] + 1) + mono[C1:]
+                mono = (1, 0, mono[_THETA] + 1) + mono[_C1:]
                 coeff = -2 * coeff
-            if mono[ETA] + mono[GAMMA] + mono[THETA] > top:
+            if mono[_ETA] + mono[_GAMMA] + mono[_THETA] > top:
                 continue
         elif top is not None and preset.monomial_degree(mono) > top:
             continue
@@ -216,6 +227,11 @@ class RingElem(Record):
 
     def is_zero(self) -> bool:
         return not self.numerators
+
+    def generators(self) -> set[str]:
+        """The names of the generators that occur in some term."""
+        columns = zip(*(m for m, _ in self.numerators))
+        return {name for name, column in zip(self.preset.names, columns) if any(column)}
 
     def degree(self) -> int | None:
         if not self.numerators:
@@ -341,7 +357,7 @@ def preset_jacobian_product(g: int, d: int, r: int) -> RingPreset:
         raise PreconditionError(
             f"jacobian preset needs g >= 1, d >= 0, r >= 0 (got g={g}, d={d}, r={r})"
         )
-    # in the order ETA, GAMMA, THETA, C1.. and K of the layout constants
+    # in the order of the layout constants: eta, gamma, theta, c1..c_{r+1}, k
     names = ("eta", "gamma", "theta") + tuple(f"c{i}" for i in range(1, r + 2)) + ("k",)
     return RingPreset(
         label=f"jacobian(g={g},d={d},r={r})",
@@ -357,14 +373,6 @@ def preset_surface_product(g: int) -> RingPreset:
     """Cohomology preset for the self-product of a genus-g curve."""
     if g < 2:
         raise PreconditionError(f"surface preset needs g >= 2 (got g={g})")
-    pairings = (
-        ((2, 0, 0), 0),
-        ((1, 1, 0), 1),
-        ((1, 0, 1), 1),
-        ((0, 2, 0), 0),
-        ((0, 1, 1), 1),
-        ((0, 0, 2), 2 - 2 * g),
-    )
     return RingPreset(
         label=f"surface(g={g})",
         kind=SURFACE,
@@ -372,7 +380,6 @@ def preset_surface_product(g: int) -> RingPreset:
         degrees=(1, 1, 1),
         top_degree=2,
         params=(("g", g),),
-        pairings=pairings,
     )
 
 
@@ -390,6 +397,25 @@ def preset_universal_curve(g: int) -> RingPreset:
     )
 
 
+# The top-degree pairing tables of the module docstring, by preset kind.
+def _jacobian_pairings(p: RingPreset) -> dict[Monomial, int]:
+    g, rest = p.param("g"), (0,) * (len(p.names) - 3)
+    return {(1, 0, g) + rest: math.factorial(g), (0, 1, g) + rest: 0, (0, 0, g + 1) + rest: 0}
+
+
+def _surface_pairings(p: RingPreset) -> dict[Monomial, int]:
+    return {(2, 0, 0): 0, (1, 1, 0): 1, (1, 0, 1): 1,
+            (0, 2, 0): 0, (0, 1, 1): 1, (0, 0, 2): 2 - 2 * p.param("g")}
+
+
+def _universal_curve_pairings(p: RingPreset) -> dict[Monomial, int]:
+    return {(2, 0): 12, (1, 1): 2 * p.param("g") - 2, (0, 2): 0}
+
+
+_PAIRINGS = {JACOBIAN: _jacobian_pairings, SURFACE: _surface_pairings,
+             UNIVERSAL_CURVE: _universal_curve_pairings}
+
+
 def surface_canonical_class(preset: RingPreset) -> RingElem:
     """Canonical class (2g-2)(F1 + F2) of the self-product surface."""
     if preset.kind != SURFACE:
@@ -403,32 +429,23 @@ def surface_canonical_class(preset: RingPreset) -> RingElem:
 # ---------------------------------------------------------------------------
 
 def integrate(e: RingElem) -> Fraction:
-    """Evaluate the top-degree part of ``e`` against the preset's pairing.
+    """Sum each term of ``e`` times its entry in the preset's top-degree
+    pairing table (see the module docstring).
 
-    Jacobian preset: only the coefficient of eta*theta^g survives, scaled by
-    the normalization g!.  Elements containing c_i or k are refused (they
-    take the Brill-Noether evaluator).  Surface preset: degree-2 monomials
-    evaluate through the pairing table.
+    A term with no entry is refused: it has another degree, or it contains
+    a Chern class or k, which take the Brill-Noether evaluator
+    (``bn.evaluate_taut``).
     """
     p = e.preset
-    if p.kind == JACOBIAN:
-        if any(any(m[TAUTOLOGICAL]) for m, _ in e.numerators):
+    table = p.pairings
+    total = 0
+    for mono, num in e.numerators:
+        if mono not in table:
             raise RingDomainError(
-                "element contains tautological Chern classes or the kernel class;"
-                " use the Brill-Noether evaluator (bn.evaluate_taut)"
+                f"no top-degree pairing for {p.monomial_text(mono) or '1'} on {p.label}"
             )
-        g = p.param("g")
-        target = [0] * len(p.names)
-        target[ETA] = 1
-        target[THETA] = g
-        return e.coefficient(tuple(target)) * math.factorial(g)
-    if p.kind == SURFACE:
-        table = dict(p.pairings)
-        total = sum(n * table[m] for m, n in e.numerators if p.monomial_degree(m) == 2)
-        return Fraction(total, e.denominator)
-    raise RingDomainError(
-        "no integration rule on this preset; use pushforward_relative"
-    )
+        total += num * table[mono]
+    return Fraction(total, e.denominator)
 
 
 def adjunction_genus(t: RingElem) -> int:
@@ -444,31 +461,6 @@ def adjunction_genus(t: RingElem) -> int:
             f"non-integral adjunction genus {format_scalar(value)}: invalid curve class"
         )
     return int(value)
-
-
-def pushforward_relative(e: RingElem, g: int) -> Fraction:
-    """Push a fiber-degree-2 class down the universal curve.
-
-    Rules: omega^2 -> 12*lambda, omega*lambda -> (2g-2)*lambda, and
-    lambda^2 -> 0 (a pulled-back square has no fiber degree).  The returned
-    rational is the lambda-coefficient of the push-forward.
-    """
-    p = e.preset
-    if p.kind != UNIVERSAL_CURVE:
-        raise RingDomainError("relative push-forward acts on the universal-curve preset")
-    total = 0
-    for (omega_exp, lambda_exp), num in e.numerators:
-        if omega_exp + lambda_exp != 2:
-            raise RingDomainError(
-                "relative push-forward needs fiber-degree 2; got a monomial of"
-                f" degree {omega_exp + lambda_exp}"
-            )
-        if omega_exp == 2:
-            total += 12 * num
-        elif omega_exp == 1:
-            total += (2 * g - 2) * num
-        # lambda^2 pushes to zero
-    return Fraction(total, e.denominator)
 
 
 def geometric_series(x: RingElem) -> RingElem:

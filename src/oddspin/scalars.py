@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import EngineError
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 
 

@@ -1,0 +1,107 @@
+"""Regenerate ``reports.jsonl``, the golden report corpus.
+
+Each line records one command line of ``grid()`` run in process through
+``oddspin.cli.run_command``: its argv, its exit code, the sha256 of its
+stdout (without the text-mode ``elapsed:`` line, the one part of a report
+that changes between runs) and its stderr verbatim.  ``tests/test_golden.py``
+re-runs every line and names the first argv whose record differs.
+
+The file is rewritten only by running this script by hand, from the root
+of a source checkout:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+A changed line is a behaviour change; say which and why wherever the
+change is recorded.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+CORPUS = Path(__file__).with_name("reports.jsonl")
+FORMATS = ("json", "text")
+
+# ring eval, per preset: top degree, off degree, mixed, k present, c present
+# and refused Brill-Noether contexts, then malformed expressions.
+RING_EVALS = {
+    "jac:g=3,d=2,r=0": (
+        "eta*theta^3", "gamma*theta^3", "theta^4", "gamma^2*theta^2",
+        "(eta + gamma + theta)^4", "3/4*eta*theta^3 - gamma*theta^3",
+        "theta", "theta^2", "eta*theta^5", "eta*theta^3 + theta", "eta + theta^2",
+        "k*eta*theta^2", "k*theta", "eta*c1^2", "eta*c1*theta", "c1*theta^3",
+        "(eta + c1)^3", "eta*+theta", "theta^", "Delta", "",
+    ),
+    "jac:g=11,d=14,r=4": (
+        "eta*theta^11", "gamma^2*theta^10", "theta^12", "eta*theta^6",
+        "eta*c1^6", "eta*c2*c1^4", "eta*c5*theta", "eta*theta^11 + theta",
+        "k*eta*theta^5", "c1*theta^11", "(eta + gamma)^2*theta^9",
+    ),
+    # g - d + r < 0: the Brill-Noether context is refused
+    "jac:g=5,d=7,r=1": ("eta*c1^7", "eta*theta^7", "eta*theta^5", "theta^6"),
+    # rho < 0: the context is refused
+    "jac:g=3,d=3,r=2": ("eta*theta^3", "eta*c1", "c3*theta"),
+    "surface:g=3": (
+        "Delta^2", "F1*F2", "F1^2", "F2^2", "(F1 + F2)*Delta",
+        "(2*F1 + 2*F2 + Delta)^2", "F1", "2*(F1 + F2) + Delta", "Delta^2 + F1",
+        "F1^3", "1", "eta", "k", "c1*Delta", "F1*(F2",
+    ),
+    "surface:g=20": ("Delta^2", "(19*F1 + 19*F2 + Delta)^2", "Delta", "Delta^2 - Delta"),
+    "uc:g=3": (
+        "omega^2", "omega*lambda", "lambda^2", "(omega + lambda)^2",
+        "3/4*omega^2 - 2*omega*(-1/4*lambda)", "omega", "omega^2 + omega",
+        "omega^3", "1", "k", "c1", "Delta*omega",
+    ),
+    "uc:g=5": ("3/4*omega^2 - 2*omega*(-1/4*lambda)", "lambda^2 - omega*lambda", "lambda"),
+}
+
+# malformed, unknown, missing, repeated and out-of-range preset specs, each
+# with an expression its kind would accept
+PRESET_SPECS = (
+    ("jac:g=5,d=4", "theta"), ("jac:g", "theta"), ("jac:g=x,d=1,r=0", "theta"),
+    ("jac", "theta"), ("jac:g=0,d=1,r=0", "theta"), ("jac:g=3,d=2,r=0,x=1", "theta"),
+    ("jac:g=3,d=2,r=0,r=0", "theta"), ("jac:g=3,g=4,d=2,r=0", "eta*theta^3"),
+    ("torus:g=3", "theta"), ("surface:g=x", "Delta^2"), ("surface:g=1", "Delta^2"),
+    ("surface:g=3,r=9", "Delta^2"), ("surface:g=3,g=3", "Delta^2"),
+    ("uc:h=3", "omega^2"), ("uc:g=3,g=5", "omega^2"), ("uc:g=3,h=1", "omega^2"),
+    ("uc:", "omega^2"), (":g=3", "theta"),
+)
+
+
+def grid() -> list[list[str]]:
+    """Every command line of the corpus, in file order, each in both formats."""
+    argvs = [["ring", "eval", "--preset", preset, expr]
+             for preset, exprs in RING_EVALS.items() for expr in exprs]
+    argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
+    argvs += [["pic", "solve-zg", "--g", str(g)] for g in range(2, 41)]
+    argvs += [["d12", "run"], ["d12", "run", "--dump-intermediates"]]
+    argvs += [["cert", "--g", "12", "--aux", "d12"]]
+    argvs += [["cert", "--g", str(g), "--aux", "bn"] for g in range(13, 17)]
+    argvs += [["numbers", "--g", str(g)] for g in range(0, 31)]
+    return [argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
+
+
+def record(argv: list[str]) -> dict:
+    """The corpus line of one run of ``argv``."""
+    from oddspin.cli import run_command
+
+    outcome = run_command(argv)
+    stdout = "\n".join(line for line in outcome.stdout.split("\n")
+                       if not line.startswith("elapsed: "))
+    return {
+        "argv": argv,
+        "exit_code": outcome.exit_code,
+        "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stderr": outcome.stderr,
+    }
+
+
+def main() -> None:
+    lines = [json.dumps(record(argv), sort_keys=True) for argv in grid()]
+    CORPUS.write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} runs to {CORPUS}")
+
+
+if __name__ == "__main__":
+    main()

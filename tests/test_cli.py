@@ -191,6 +191,18 @@ def test_ring_eval_surface_and_uc():
     assert uc["result"]["value"] == "13"
 
 
+@pytest.mark.parametrize("spec,expression,refusal", [
+    ("surface:g=3,r=9", "Delta^2", "unknown parameter 'r'"),
+    ("uc:g=3,h=1", "omega^2", "unknown parameter 'h'"),
+    ("uc:g=3,g=5", "omega^2", "repeats parameter 'g'"),
+    ("jac:g=3,d=2,r=0,r=0", "theta", "repeats parameter 'r'"),
+])
+def test_preset_spec_refuses_unknown_and_repeated_parameters(spec, expression, refusal):
+    outcome = run_command(["ring", "eval", "--preset", spec, expression])
+    assert outcome.exit_code == 2
+    assert refusal in outcome.stderr
+
+
 def test_parse_error_exit_code():
     outcome = run_command(["ring", "eval", "--preset", "jac:g=11,d=14,r=4", "1/0"])
     assert outcome.exit_code == 2

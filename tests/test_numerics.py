@@ -5,7 +5,6 @@ from oddspin.numerics import (
     boundary_degrees,
     mukai_profile,
     rho,
-    riemann_hurwitz_ram,
     scorza_genus,
     theta_counts,
 )
@@ -49,21 +48,6 @@ def test_boundary_degree_fiber_identities():
     for g in (1, 0):
         with pytest.raises(PreconditionError):
             boundary_degrees(g, 0)
-
-
-def test_riemann_hurwitz_scorza_configuration():
-    for i in range(1, 16):
-        result = riemann_hurwitz_ram(1 + 3 * i * (i - 1), i, i)
-        assert result.value == 4 * i * (i - 1)
-        assert result.feasible
-    assert riemann_hurwitz_ram(1, 1, 1).value == 0
-    assert riemann_hurwitz_ram(5, 5, 1).value == 0
-
-
-def test_riemann_hurwitz_infeasible_is_reported_not_raised():
-    result = riemann_hurwitz_ram(2, 5, 3)
-    assert not result.feasible
-    assert result.value < 0
 
 
 def test_scorza_genus_closed_form():

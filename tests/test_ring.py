@@ -14,7 +14,6 @@ from oddspin.ring import (
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
-    pushforward_relative,
 )
 
 from oracles import (
@@ -423,13 +422,43 @@ def test_integrate_refuses_chern_classes(jac11):
 def test_integrate_linearity(jac11):
     rng = random.Random(55)
     eta, gamma, theta = gens(jac11, "eta", "gamma", "theta")
+    # every candidate is top-degree: integrate refuses any other degree
     candidates = [eta * theta ** 11, gamma * theta ** 11, theta ** 12,
-                  gamma * gamma * theta ** 10, eta * theta ** 5]
+                  gamma * gamma * theta ** 10]
     for _ in range(30):
         a, b = rng.choice(candidates), rng.choice(candidates)
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
         assert integrate(s * a + t * b) == s * integrate(a) + t * integrate(b)
+
+
+def test_integrate_refuses_off_degree_and_mixed_input(jac11):
+    f1, delta = gens(preset_surface_product(3), "F1", "Delta")
+    eta, theta = gens(preset_jacobian_product(3, 2, 0), "eta", "theta")
+    theta11 = jac11.gen("theta")
+    omega = preset_universal_curve(5).gen("omega")
+    for elem in (f1, delta * delta + f1, eta * theta ** 2, theta11 ** 12 + theta11, omega):
+        with pytest.raises(RingDomainError, match="no top-degree pairing"):
+            integrate(elem)
+
+
+def test_a_preset_never_integrated_never_computes_g_factorial(monkeypatch):
+    # g! is costly for a large g, so the Jacobian table is not built with
+    # the preset
+    calls = []
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or 6)
+    preset = preset_jacobian_product(3, 2, 0)
+    eta, theta = gens(preset, "eta", "theta")
+    assert (eta * theta ** 2).render() == "eta*theta^2" and calls == []
+    assert integrate(2 * eta * theta ** 3) == 12 and calls == [3]
+
+
+def test_generators_names_what_occurs(jac11):
+    eta, theta, c2, k = gens(jac11, "eta", "theta", "c2", "k")
+    assert (eta * theta + 3 * c2 * k).generators() == {"eta", "theta", "c2", "k"}
+    assert (eta * theta ** 11).generators() == {"eta", "theta"}
+    assert jac11.one().generators() == set()
+    assert jac11.zero().generators() == set()
 
 
 # -- surface preset ---------------------------------------------------------
@@ -480,16 +509,19 @@ def test_pushforward_relative_closed_form():
         uc = preset_universal_curve(g)
         omega, lam = gens(uc, "omega", "lambda")
         integrand = Fraction(3, 4) * omega * omega - 2 * omega * (Fraction(-1, 4) * lam)
-        assert pushforward_relative(integrand, g) == g + 8
+        assert integrate(integrand) == g + 8
 
 
 def test_pushforward_relative_rules():
+    # integrate on the universal curve is the relative push-forward to the
+    # lambda coefficient
     uc = preset_universal_curve(5)
     omega, lam = gens(uc, "omega", "lambda")
-    assert pushforward_relative(lam * lam, 5) == 0
-    assert pushforward_relative(omega * omega, 5) == 12
+    assert integrate(lam * lam) == 0
+    assert integrate(omega * omega) == 12
+    assert integrate(omega * lam) == 8
     with pytest.raises(RingDomainError):
-        pushforward_relative(omega, 5)
+        integrate(omega)
 
 
 # -- rendering --------------------------------------------------------------
