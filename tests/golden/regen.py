@@ -66,7 +66,41 @@ PRESET_SPECS = (
     ("surface:g=3,r=9", "Delta^2"), ("surface:g=3,g=3", "Delta^2"),
     ("uc:h=3", "omega^2"), ("uc:g=3,g=5", "omega^2"), ("uc:g=3,h=1", "omega^2"),
     ("uc:", "omega^2"), (":g=3", "theta"),
+    # only ASCII digits with an optional minus sign make a parameter value;
+    # a negative one reaches the builder's own range check
+    ("surface:g=1_0", "Delta^2"), ("surface:g= 3", "Delta^2"), ("surface:g=+3", "Delta^2"),
+    ("surface:g=\u0663", "Delta^2"), ("surface:g=3 ", "Delta^2"), ("surface:g=-3", "Delta^2"),
+    ("jac:g=-1,d=1,r=0", "theta"), ("uc:g=-0", "omega^2"),
 )
+
+# the Picard commands run over these genera, every named class and one
+# expression in each basis
+PIC_GENERA = (3, 4, 5, 10, 11, 12, 13)
+PIC_EXPRESSIONS = {"spin": "13*lambda - 2*alpha0 + 1/3*beta0 - 3/2*alpha1",
+                   "moduli": "13*lambda - 7/6*delta0 + 3*delta1"}
+
+
+def pic_curves(g: int) -> list[str]:
+    """Every test-curve spec of genus g: each family index, one past the
+    end, and the pencil with an index it refuses."""
+    indexed = [f"{name}:{i}" for name in ("F", "G") for i in range(1, g // 2 + 2)]
+    return indexed + ["F", "H0", "H", "F0", "G0", "C0", "C1", "R", "P", "P:1"]
+
+
+def pic_argvs(g: int) -> list[list[str]]:
+    """pic class, pair, push and pull in genus g."""
+    classes = ("zg", "k", "bn", "d12")
+    head = ["--g", str(g)]
+    argvs = [["pic", "class", *head, "--name", name] for name in classes]
+    argvs += [["pic", "class", *head, "--name", "k", "--space", space]
+              for space in ("spin", "moduli")]
+    argvs += [["pic", "pair", *head, "--curve", curve, "--class", cls]
+              for curve in pic_curves(g)
+              for cls in (*classes, *PIC_EXPRESSIONS.values())]
+    for direction, source in (("push", "spin"), ("pull", "moduli")):
+        argvs += [["pic", direction, *head, "--class", name] for name in classes]
+        argvs += [["pic", direction, *head, expr] for expr in PIC_EXPRESSIONS.values()]
+    return argvs
 
 
 def grid() -> list[list[str]]:
@@ -76,9 +110,10 @@ def grid() -> list[list[str]]:
     argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
     argvs += [["pic", "solve-zg", "--g", str(g)] for g in range(2, 41)]
     argvs += [["d12", "run"], ["d12", "run", "--dump-intermediates"]]
-    argvs += [["cert", "--g", "12", "--aux", "d12"]]
-    argvs += [["cert", "--g", str(g), "--aux", "bn"] for g in range(13, 17)]
+    argvs += [["cert", "--g", str(g), "--aux", aux]
+              for g in range(10, 31) for aux in ("bn", "d12")]
     argvs += [["numbers", "--g", str(g)] for g in range(0, 31)]
+    argvs += [argv for g in PIC_GENERA for argv in pic_argvs(g)]
     return [argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
 
 
