@@ -211,10 +211,12 @@ def _parse_preset_spec(spec: str):
                 raise UsageError(f"malformed preset parameter {piece!r}")
             if key in params:
                 raise UsageError(f"preset {spec!r} repeats parameter {key!r}")
-            try:
-                params[key] = int(value)
-            except ValueError:
+            # plain ASCII digits after an optional minus: int() would also
+            # take "1_0", " 3", "+3" and other scripts' digits
+            digits = value[1:] if value[0] == "-" else value
+            if not (digits.isascii() and digits.isdigit()):
                 raise UsageError(f"preset parameter {piece!r} is not an integer")
+            params[key] = int(value)
     if kind not in _PRESET_KINDS:
         raise UsageError(f"unknown preset kind {kind!r}; expected jac, surface or uc")
     build, names = _PRESET_KINDS[kind]

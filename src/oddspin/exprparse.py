@@ -25,6 +25,7 @@ terms at once.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
@@ -230,7 +231,7 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
 
 def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
     """Evaluate a parsed expression to a divisor class (linear in generators)."""
-    zero = DivisorClass(basis, (ZERO,) * len(basis.names))
+    zero = DivisorClass(basis, (0,) * len(basis.names), 1)
 
     # operands are (constant part, class part) pairs
     def leaf(kind: str, value) -> tuple[Fraction, DivisorClass]:
@@ -256,13 +257,17 @@ def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
         return lconst * rconst, rconst * lcls + lconst * rcls
 
     def total(signed):
-        const, coefficients = ZERO, [ZERO] * len(basis.names)
+        # class parts in one list of ints over their common denominator
+        signed = list(signed)
+        den = math.lcm(*(cls.denominator for _, (_, cls) in signed))
+        const, numerators = ZERO, [0] * len(basis.names)
         for sign, (c, cls) in signed:
             const += c if sign > 0 else -c
-            for j, x in enumerate(cls.coefficients):
+            scale = sign * (den // cls.denominator)
+            for j, x in enumerate(cls.numerators):
                 if x:
-                    coefficients[j] += x if sign > 0 else -x
-        return const, DivisorClass(basis, tuple(coefficients))
+                    numerators[j] += scale * x
+        return const, DivisorClass.reduced(basis, numerators, den)
 
     const, cls = _run(expr, leaf, power, product, total)
     if const != 0:

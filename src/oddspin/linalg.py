@@ -1,21 +1,24 @@
 """Exact linear algebra over the rationals.
 
 The linear systems of this package are small and sparse (a few dozen rows
-of at most four entries), so ``solve_linear`` runs Gauss-Jordan elimination
-on sparse rows of ``Fraction`` entries.  It never guesses: it returns a
-report that is either a unique solution, an explicit list of undetermined
-columns, or an inconsistency witness.  ``series_det`` takes determinants of
-matrices of truncated integer power series, the Brill-Noether evaluator's
-core, in integer arithmetic.
+of at most four entries), so ``solve_linear`` runs fraction-free
+Gauss-Jordan elimination on sparse rows of integers: each row, with its
+right-hand side, is scaled to integers once, and a rational is built only
+for the solution.  It never guesses: it returns a report that is either a
+unique solution, an explicit list of undetermined columns, or an
+inconsistency witness.  ``series_det`` takes determinants of matrices of
+truncated integer power series, the Brill-Noether evaluator's core, in
+integer arithmetic.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import DimensionError, InternalCheckError, PreconditionError
 from .record import Record
-from .scalars import ZERO, as_scalar
+from .scalars import ZERO, ratio
 
 
 def _bareiss_entry(head, entry, lead, pivot_row_entry, previous) -> list[int]:
@@ -89,32 +92,49 @@ class LinearSolveReport(Record):
                  "undetermined_columns", "witness_row")
 
 
+def _integer_row(row: Mapping[int, object], value, n_cols: int) -> dict[int, int]:
+    """``row`` with the right-hand side ``value`` as column n_cols, scaled
+    to coprime integers: a nonzero rational multiple of the row."""
+    pairs = []
+    for col, v in row.items():
+        if not (isinstance(col, int) and 0 <= col < n_cols):
+            raise DimensionError(f"column {col!r} is outside 0..{n_cols - 1}")
+        pairs.append((col, ratio(v)))
+    pairs.append((n_cols, ratio(value)))
+    den = math.lcm(*(q for _, (_, q) in pairs))
+    return _primitive({col: p * (den // q) for col, (p, q) in pairs if p})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by the gcd of its entries."""
+    content = math.gcd(*row.values())
+    if content > 1:
+        return {c: v // content for c, v in row.items()}
+    return row
+
+
 def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
                  rhs: Sequence) -> LinearSolveReport:
     """Solve rows x = rhs exactly (Gauss-Jordan), reporting degeneracy.
 
-    Each row maps column indices in 0..n_cols-1 to its nonzero entries.
-    Elimination works on those sparse rows, with the right-hand side kept
-    as column n_cols: it touches only nonzero entries and drops an entry
-    that cancels.  Columns are taken in order, each pivoting on the first
-    remaining row with an entry there, so the reduced rows, and with them
-    the report, are those of dense Gauss-Jordan.
+    Each row maps column indices in 0..n_cols-1 to its nonzero entries
+    (ints, Fractions or "p/q" strings).  Elimination works on those sparse
+    rows, with the right-hand side kept as column n_cols, in integers: each
+    row is first scaled to coprime integers, and pivoting on an entry pv
+    replaces another row with entry f in that column by
+    (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), divided by its content.
+    Every row stays a nonzero multiple of the row rational Gauss-Jordan
+    would hold, so it has the same nonzero entries.  Columns are taken in
+    order, each pivoting on the first remaining row with an entry there,
+    so the pivots, and with them the report, are those of dense
+    Gauss-Jordan.  A unique solution is read off as one Fraction per
+    unknown, right-hand side over pivot.
     """
     if len(rows) != len(rhs):
         raise DimensionError("right-hand side length does not match row count")
     if n_cols < 1:
         raise DimensionError("a linear system needs at least one column")
-    a: list[dict[int, Fraction]] = []
-    for row, value in zip(rows, rhs):
-        entries = {}
-        for col, v in row.items():
-            if not (isinstance(col, int) and 0 <= col < n_cols):
-                raise DimensionError(f"column {col!r} is outside 0..{n_cols - 1}")
-            if v := as_scalar(v):
-                entries[col] = v
-        if value := as_scalar(value):
-            entries[n_cols] = value
-        a.append(entries)
+    a = [_integer_row(row, value, n_cols) for row, value in zip(rows, rhs)]
     n_rows = len(a)
 
     pivot_cols: list[int] = []
@@ -126,17 +146,23 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        pivot_row = a[row] = {c: v / pv for c, v in a[row].items()}
+        pivot_row = a[row]
+        pv = pivot_row[col]
         for r, other in enumerate(a):
-            factor = other.get(col)
-            if r == row or factor is None:
+            f = other.get(col)
+            if r == row or f is None:
                 continue
+            g = math.gcd(pv, f)
+            keep, take = pv // g, f // g
+            if keep != 1:
+                for c in other:
+                    other[c] *= keep
             for c, v in pivot_row.items():
-                if total := other.get(c, ZERO) - factor * v:
+                if total := other.get(c, 0) - take * v:
                     other[c] = total
                 else:
                     del other[c]
+            a[r] = _primitive(other)
         pivot_cols.append(col)
         row += 1
 
@@ -157,7 +183,8 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     if not free_cols:
         solution = [ZERO] * n_cols
         for r, col in enumerate(pivot_cols):
-            solution[col] = a[r].get(n_cols, ZERO)
+            if value := a[r].get(n_cols):
+                solution[col] = Fraction(value, a[r][col])
         return LinearSolveReport(
             status="unique",
             solution=tuple(solution),

@@ -12,6 +12,12 @@ a target such as the canonical class enters with its own coefficients.  The
 paper writes boundary coefficients with a minus sign in front
 (a*lambda - sum b_i * boundary_i); ``bar`` reads a result in that notation
 by negating boundary entries, and nothing else negates.
+
+Representation.  A class holds integer numerators over one positive
+denominator, and a test curve's pairings are integers, so class
+arithmetic, pullback, pushforward and rendering work on ints; a
+``Fraction`` is built only where a value leaves a class (``coefficient``,
+``coefficients``) and for the value ``pair`` returns.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from .linalg import solve_linear
 from .numerics import boundary_degrees, theta_counts
 from .record import Record, set_field
 from .ring import _render_terms, integrate, preset_universal_curve
-from .scalars import ZERO, as_scalar, format_scalar
+from .scalars import ZERO, format_ratio, format_scalar, ratio
 
 SPIN = "spin"
 MODULI = "moduli"
@@ -53,12 +59,18 @@ class PicBasis(Record):
         except KeyError:
             raise BasisMismatchError(f"no generator {name!r} in basis {self.label}")
 
-    def vector(self, mapping: Mapping[str, object]) -> tuple[Fraction, ...]:
-        """Coefficients by generator name as a vector; absent names are 0."""
-        vec = [ZERO] * len(self.names)
-        for name, value in mapping.items():
-            vec[self.index(name)] = as_scalar(value)
-        return tuple(vec)
+    def vector(self, mapping: Mapping[str, object]) -> tuple[tuple[int, ...], int]:
+        """Int, Fraction or "p/q" coefficients by generator name as integer
+        numerators over their least common denominator; absent names are 0.
+
+        Over the lcm of lowest-terms denominators, the numerators and the
+        denominator are already coprime."""
+        pairs = [(self.index(name), ratio(value)) for name, value in mapping.items()]
+        den = math.lcm(*(q for _, (_, q) in pairs))
+        vec = [0] * len(self.names)
+        for i, (p, q) in pairs:
+            vec[i] = p * (den // q)
+        return tuple(vec), den
 
 
 # bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once
@@ -82,18 +94,45 @@ def moduli_basis(g: int) -> PicBasis:
 
 
 class DivisorClass(Record):
-    __slots__ = ("basis", "coefficients")
+    """A divisor class: ``numerators`` (one int per generator of ``basis``)
+    over the positive int ``denominator``.
 
-    def __init__(self, basis: PicBasis, coefficients: tuple[Fraction, ...]):
+    The form is canonical, so equal classes are equal records with equal
+    hashes: gcd(denominator, *numerators) is 1, and zero is all zeros over
+    1.  ``reduced`` builds that form from any numerators and positive
+    denominator.
+    """
+
+    __slots__ = ("basis", "numerators", "denominator")
+
+    def __init__(self, basis: PicBasis, numerators: tuple[int, ...], denominator: int):
         set_field(self, "basis", basis)
-        set_field(self, "coefficients", coefficients)
+        set_field(self, "numerators", numerators)
+        set_field(self, "denominator", denominator)
+
+    @staticmethod
+    def reduced(basis: PicBasis, numerators, denominator: int) -> "DivisorClass":
+        """The class sum(numerators[j] * generator_j) / denominator, with the
+        content divided out (skipped when the denominator is 1)."""
+        if denominator != 1:
+            content = math.gcd(denominator, *numerators)
+            if content != 1:
+                denominator //= content
+                numerators = [n // content for n in numerators]
+        return DivisorClass(basis, tuple(numerators), denominator)
 
     @staticmethod
     def from_mapping(basis: PicBasis, mapping: Mapping[str, object]) -> "DivisorClass":
-        return DivisorClass(basis, basis.vector(mapping))
+        return DivisorClass(basis, *basis.vector(mapping))
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, in basis order."""
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
 
     def coefficient(self, name: str) -> Fraction:
-        return self.coefficients[self.basis.index(name)]
+        return Fraction(self.numerators[self.basis.index(name)], self.denominator)
 
     def bar(self, name: str) -> Fraction:
         """Coefficient in the a*lambda - sum b*boundary convention."""
@@ -101,7 +140,7 @@ class DivisorClass(Record):
         return raw if name == "lambda" else -raw
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not any(self.numerators)
 
     def _require_same_basis(self, other: "DivisorClass") -> None:
         if self.basis != other.basis:
@@ -109,47 +148,48 @@ class DivisorClass(Record):
                 f"classes live in different bases: {self.basis.label} vs {other.basis.label}"
             )
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def _signed_sum(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        """self + sign * other over the lcm of the two denominators."""
         self._require_same_basis(other)
-        return DivisorClass(
+        den = math.lcm(self.denominator, other.denominator)
+        mine, theirs = den // self.denominator, sign * (den // other.denominator)
+        return DivisorClass.reduced(
             self.basis,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
+            [mine * a + theirs * b for a, b in zip(self.numerators, other.numerators)],
+            den,
         )
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return self._signed_sum(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_basis(other)
-        return DivisorClass(
-            self.basis,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+        return self._signed_sum(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.basis, tuple(-c for c in self.coefficients))
+        return DivisorClass(self.basis, tuple(-n for n in self.numerators), self.denominator)
+
+    def _scaled(self, p: int, q: int) -> "DivisorClass":
+        """self * p/q, for q > 0."""
+        return DivisorClass.reduced(self.basis, [p * n for n in self.numerators],
+                                    q * self.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scale = as_scalar(other)
-            return DivisorClass(self.basis, tuple(scale * c for c in self.coefficients))
+            return self._scaled(*ratio(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def render(self) -> str:
-        pairs = [
-            (name, coeff)
-            for name, coeff in zip(self.basis.names, self.coefficients)
-            if coeff != 0
-        ]
-        return _render_terms(pairs)
+        pairs = [(name, n) for name, n in zip(self.basis.names, self.numerators) if n]
+        return _render_terms(pairs, self.denominator)
 
     def __str__(self) -> str:
         return self.render()
 
     def coefficients_by_name(self) -> dict[str, str]:
-        return {
-            name: format_scalar(coeff)
-            for name, coeff in zip(self.basis.names, self.coefficients)
-        }
+        den = self.denominator
+        return {name: format_ratio(n, den) for name, n in zip(self.basis.names, self.numerators)}
 
 
 class TestCurve(Record):
@@ -162,7 +202,7 @@ class TestCurve(Record):
 
     __slots__ = ("name", "basis", "pairings", "assumed_zero")
 
-    def __init__(self, name: str, basis: PicBasis, pairings: tuple[Fraction, ...],
+    def __init__(self, name: str, basis: PicBasis, pairings: tuple[int, ...],
                  assumed_zero: tuple[str, ...] = ()):
         super().__init__(name, basis, pairings, assumed_zero)
 
@@ -173,9 +213,14 @@ class TestCurve(Record):
         mapping: Mapping[str, object],
         assumed_zero: Sequence[str] = (),
     ) -> "TestCurve":
-        return TestCurve(name, basis, basis.vector(mapping), tuple(assumed_zero))
+        """The curve with the given pairings by generator name; a curve
+        meets every divisor in an integer, so a non-integer is refused."""
+        pairings, den = basis.vector(mapping)
+        if den != 1:
+            raise PreconditionError(f"test curve {name} has a non-integer pairing")
+        return TestCurve(name, basis, pairings, tuple(assumed_zero))
 
-    def pairing(self, name: str) -> Fraction:
+    def pairing(self, name: str) -> int:
         return self.pairings[self.basis.index(name)]
 
     def assumed_zero_labels(self) -> tuple[str, ...]:
@@ -188,7 +233,7 @@ def pair(t: TestCurve, c: DivisorClass) -> Fraction:
         raise BasisMismatchError(
             f"curve on {t.basis.label} cannot pair with class on {c.basis.label}"
         )
-    return sum((p * v for p, v in zip(t.pairings, c.coefficients)), start=ZERO)
+    return Fraction(sum(p * n for p, n in zip(t.pairings, c.numerators)), c.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -204,42 +249,41 @@ def pullback(g: int, c: DivisorClass) -> DivisorClass:
     """lambda -> lambda, delta_0 -> alpha_0 + 2*beta_0, delta_i -> alpha_i + beta_i."""
     if c.basis != moduli_basis(g):
         raise BasisMismatchError("pullback expects a class on the moduli basis")
-    target = spin_basis(g)
-    out = {"lambda": c.coefficient("lambda")}
-    d0 = c.coefficient("delta0")
-    out["alpha0"] = d0
-    out["beta0"] = 2 * d0
-    for i in range(1, g // 2 + 1):
-        di = c.coefficient(f"delta{i}")
-        out[f"alpha{i}"] = di
-        out[f"beta{i}"] = di
-    return DivisorClass.from_mapping(target, out)
+    # numerators in basis order: lambda, delta_0..delta_m -> lambda,
+    # alpha_0..alpha_m, beta_0..beta_m; every old numerator survives, so the
+    # content stays 1
+    lam, *delta = c.numerators
+    beta = [2 * delta[0], *delta[1:]]
+    return DivisorClass(spin_basis(g), (lam, *delta, *beta), c.denominator)
 
 
 def pushforward(g: int, c: DivisorClass) -> DivisorClass:
     """Push a spin class down to the moduli basis using covering degrees."""
     if c.basis != spin_basis(g):
         raise BasisMismatchError("pushforward expects a class on the spin basis")
-    target = moduli_basis(g)
-    out = {"lambda": covering_degree(g) * c.coefficient("lambda")}
-    for i in range(g // 2 + 1):
+    # numerators in basis order: lambda, alpha_0..alpha_m, beta_0..beta_m
+    count = g // 2 + 1
+    lam, alpha, beta = c.numerators[0], c.numerators[1:count + 1], c.numerators[count + 1:]
+    out = [covering_degree(g) * lam]
+    for i in range(count):
         deg_a, deg_b = boundary_degrees(g, i)
-        out[f"delta{i}"] = (
-            deg_a * c.coefficient(f"alpha{i}") + deg_b * c.coefficient(f"beta{i}")
-        )
-    return DivisorClass.from_mapping(target, out)
+        out.append(deg_a * alpha[i] + deg_b * beta[i])
+    return DivisorClass.reduced(moduli_basis(g), out, c.denominator)
 
 
 # ---------------------------------------------------------------------------
 # Named divisor classes
 # ---------------------------------------------------------------------------
 
+# bounded like the bases; a class is immutable, so one build and one check
+# of the identity below serve every caller
+@lru_cache(maxsize=64)
 def canonical_class(space: str, g: int) -> DivisorClass:
     """Canonical class of the chosen moduli space.
 
     The spin canonical class equals the pullback of the moduli one plus
     beta_0 (the covering is simply branched there); this identity is
-    asserted on every call.
+    asserted when the class is built, once per genus.
     """
     if g < 3:
         raise PreconditionError("canonical classes need g >= 3")
@@ -463,11 +507,13 @@ def solve_zg(g: int) -> ZgSolveReport:
     closed = zg_class(g)
     full_rank = report.status == "unique"
     if full_rank:
-        solved, consistent = DivisorClass(basis, report.solution), True
+        solved = DivisorClass.from_mapping(basis, dict(zip(names, report.solution)))
+        consistent = True
     else:
         solved = closed
         consistent = all(
-            sum((v * closed.coefficients[j] for j, v in row.items()), start=ZERO) == value
+            sum(v * closed.numerators[j] for j, v in row.items())
+            == value * closed.denominator
             for row, value in zip(rows, rhs)
         )
         assumptions.append("degenerate system: closed-form fallback returned")
@@ -494,10 +540,9 @@ def combine(classes: Sequence[DivisorClass], weights: Sequence) -> DivisorClass:
         raise PreconditionError("combine needs one weight per class")
     if not classes:
         raise PreconditionError("combine needs at least one class")
-    basis = classes[0].basis
-    total = DivisorClass(basis, (ZERO,) * len(basis.names))
+    total = 0 * classes[0]
     for cls, weight in zip(classes, weights):
-        total = total + as_scalar(weight) * cls
+        total = total + cls._scaled(*ratio(weight))
     return total
 
 

@@ -30,9 +30,9 @@ value (gcd-reduced rational arithmetic, Knuth, TAOCP vol. 2, 4.5.1).  The
 form is canonical, so equal elements are equal records with equal hashes:
 the monomials are normalized and sorted in decreasing order, no numerator
 is 0, and gcd(denominator, *numerators) is 1; zero has no terms over 1.
-Arithmetic inside the ring works on integers only.  A ``Fraction`` is built
-where a value leaves it: ``coefficient``, the ``terms`` view, rendering
-and ``integrate``.
+Arithmetic inside the ring, and rendering, work on integers only.  A
+``Fraction`` is built where a value leaves the ring: ``coefficient``, the
+``terms`` view and ``integrate``.
 
 Integration, fixed once for the whole package, is one rule: a preset's
 ``pairings`` table maps each normalized top-degree monomial to its value,
@@ -56,7 +56,7 @@ from operator import add
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .record import Record, set_field
-from .scalars import ZERO, as_scalar, format_scalar
+from .scalars import ZERO, format_ratio, format_scalar, ratio
 
 JACOBIAN = "jacobian"
 SURFACE = "surface"
@@ -123,7 +123,7 @@ class RingPreset(Record):
 
     def element(self, terms: Mapping[Monomial, object]) -> "RingElem":
         """The element with the given int, Fraction or "p/q" coefficients."""
-        pairs = [(m, _ratio(c)) for m, c in terms.items()]
+        pairs = [(m, ratio(c)) for m, c in terms.items()]
         den = math.lcm(*(q for _, (_, q) in pairs))
         return _reduced(self, _normalize(self, ((m, p * (den // q)) for m, (p, q) in pairs)), den)
 
@@ -150,14 +150,6 @@ def _require_preset(preset: RingPreset, elem: "RingElem") -> None:
         raise PresetMismatchError(
             f"operands live in different presets: {preset.label} vs {elem.preset.label}"
         )
-
-
-def _ratio(value) -> tuple[int, int]:
-    """Numerator and positive denominator of an int, Fraction or "p/q"."""
-    if isinstance(value, int):
-        return value, 1
-    value = as_scalar(value)
-    return value.numerator, value.denominator
 
 
 def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, int]]) -> dict:
@@ -275,7 +267,7 @@ class RingElem(Record):
             return _reduced(self.preset, _normalize(self.preset, raw),
                             self.denominator * other.denominator)
         if isinstance(other, (int, Fraction)):
-            num, den = _ratio(other)
+            num, den = ratio(other)
             if num == 0:
                 return self.preset.zero()
             return _reduced(self.preset, {m: n * num for m, n in self.numerators},
@@ -313,37 +305,39 @@ class RingElem(Record):
     # -- rendering ----------------------------------------------------
     def render(self) -> str:
         return _render_terms(
-            [(self.preset.monomial_text(m), c) for m, c in self.terms]
+            [(self.preset.monomial_text(m), n) for m, n in self.numerators], self.denominator
         )
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _render_terms(pairs: list[tuple[str, Fraction]]) -> str:
-    """Deterministic ASCII rendering that re-parses under the CLI grammar."""
+def _render_terms(pairs: list[tuple[str, int]], den: int) -> str:
+    """Deterministic ASCII rendering of the sum of numerator * body over
+    the positive ``den``, for (body, nonzero numerator) pairs, that
+    re-parses under the CLI grammar."""
     if not pairs:
         return "0"
     out = []
-    for idx, (body, coeff) in enumerate(pairs):
+    for idx, (body, num) in enumerate(pairs):
         if idx == 0:
             if not body:
-                out.append(format_scalar(coeff))
-            elif coeff == 1:
+                out.append(format_ratio(num, den))
+            elif num == den:
                 out.append(body)
-            elif coeff == -1:
+            elif num == -den:
                 out.append(f"-1*{body}")
             else:
-                out.append(f"{format_scalar(coeff)}*{body}")
+                out.append(f"{format_ratio(num, den)}*{body}")
             continue
-        sep = " + " if coeff > 0 else " - "
-        mag = coeff if coeff > 0 else -coeff
+        sep = " + " if num > 0 else " - "
+        mag = abs(num)
         if not body:
-            out.append(sep + format_scalar(mag))
-        elif mag == 1:
+            out.append(sep + format_ratio(mag, den))
+        elif mag == den:
             out.append(sep + body)
         else:
-            out.append(sep + f"{format_scalar(mag)}*{body}")
+            out.append(sep + f"{format_ratio(mag, den)}*{body}")
     return "".join(out)
 
 

@@ -1,10 +1,12 @@
 """Exact rational scalars.
 
 Every number in the engine is exact; no floating-point value is ever
-constructed.  Outside the ring, a rational is a ``fractions.Fraction``, which
-the standard library keeps in lowest terms with a positive denominator.
-Inside ``ring``, an element's coefficients are ints over one shared positive
-denominator, and they become ``Fraction``s only where they leave it.
+constructed.  A ring element, a divisor class and a row of a linear system
+hold integer numerators over one shared positive denominator (``ratio``
+splits an input value into that form), and arithmetic on them works on
+ints.  A rational becomes a ``fractions.Fraction``, which the standard
+library keeps in lowest terms with a positive denominator, where it leaves
+them: a coefficient read by name, a solution, a pairing, a printed report.
 """
 from __future__ import annotations
 
@@ -17,15 +19,16 @@ from .errors import EngineError
 ZERO = Fraction(0)
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
+def ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator, in lowest terms, of an int,
+    Fraction or "p/q" string."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    return value.numerator, value.denominator
 
 
 def digit_limit() -> int:
@@ -38,15 +41,23 @@ def too_long_to_print() -> EngineError:
     return EngineError(f"number too long to print: more than {digit_limit()} digits")
 
 
-def format_scalar(value) -> str:
-    """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    value = as_scalar(value)
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Serialize numerator/denominator, for a positive denominator, in
+    lowest terms as ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    if denominator != 1:
+        common = math.gcd(numerator, denominator)
+        numerator, denominator = numerator // common, denominator // common
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        if denominator == 1:
+            return str(numerator)
+        return f"{numerator}/{denominator}"
     except ValueError:
         raise too_long_to_print() from None
+
+
+def format_scalar(value) -> str:
+    """Serialize an int, Fraction or "p/q" as ``format_ratio`` does."""
+    return format_ratio(*ratio(value))
 
 
 def recip_factorial(n: int) -> Fraction:

@@ -203,6 +203,28 @@ def test_preset_spec_refuses_unknown_and_repeated_parameters(spec, expression, r
     assert refusal in outcome.stderr
 
 
+@pytest.mark.parametrize("spec", [
+    "surface:g=1_0", "surface:g= 3", "surface:g=+3", "surface:g=\u0663", "surface:g=3 ",
+    "surface:g=-", "surface:g=--3", "jac:g=3,d=2\u00b2,r=0",
+])
+def test_preset_parameter_values_are_ascii_decimal_integers(spec):
+    # int() would take each of these: underscores, spaces, a plus sign and
+    # other scripts' digits
+    outcome = run_command(["ring", "eval", "--preset", spec, "Delta^2"])
+    assert outcome.exit_code == 2
+    assert "is not an integer" in outcome.stderr
+
+
+@pytest.mark.parametrize("spec,refusal", [
+    ("surface:g=-3", "surface preset needs g >= 2 (got g=-3)"),
+    ("jac:g=-1,d=1,r=0", "g >= 1"),
+])
+def test_negative_preset_parameters_reach_the_builder_range_check(spec, refusal):
+    outcome = run_command(["ring", "eval", "--preset", spec, "theta"])
+    assert outcome.exit_code == 1
+    assert refusal in outcome.stderr
+
+
 def test_parse_error_exit_code():
     outcome = run_command(["ring", "eval", "--preset", "jac:g=11,d=14,r=4", "1/0"])
     assert outcome.exit_code == 2

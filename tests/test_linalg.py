@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oddspin.errors import DimensionError, PreconditionError
 from oddspin.linalg import series_det, solve_linear
-from oddspin.scalars import as_scalar, format_scalar, recip_factorial
+from oddspin.scalars import format_scalar, ratio, recip_factorial
 
 from oracles import apply, dense_solve, laplace_det, poly_mul
 
@@ -133,17 +133,33 @@ def test_solve_refuses_malformed_systems():
 
 @st.composite
 def sparse_systems(draw):
-    """Dense rows and a right-hand side of a random rational system, 1-8
-    rows and columns, each entry nonzero with probability 0.4."""
-    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    """Dense rows and a right-hand side of a random rational system, 1-12
+    rows and columns, each entry nonzero with a probability of 0.3 to 0.8
+    drawn per system (0.7 on the right-hand side): numerators
+    up to 10^6 in size over denominators up to 60.  Half the systems are
+    square.  Some rows are a rational multiple of an earlier one, with its
+    right-hand side or another, so that rows cancel, common factors appear
+    and systems degenerate."""
+    n_cols = draw(st.integers(1, 12))
+    n_rows = draw(st.one_of(st.just(n_cols), st.integers(1, 12)))
 
     def entry(density):
         if draw(st.integers(0, 9)) >= density:
             return Fraction(0)
-        return Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 4)))
+        numerator = draw(st.one_of(st.integers(-6, 6), st.integers(-10**6, 10**6)))
+        return Fraction(numerator, draw(st.integers(1, 60)))
 
-    rows = [[entry(4) for _ in range(n_cols)] for _ in range(n_rows)]
-    return rows, [entry(7) for _ in range(n_rows)]
+    density = draw(st.integers(3, 8))
+    rows = [[entry(density) for _ in range(n_cols)] for _ in range(n_rows)]
+    rhs = [entry(7) for _ in range(n_rows)]
+    for i in range(1, n_rows):
+        if draw(st.integers(0, 5)) == 0:
+            j = draw(st.integers(0, i - 1))
+            scale = Fraction(draw(st.integers(-60, 60).filter(bool)), draw(st.integers(1, 60)))
+            rows[i] = [scale * v for v in rows[j]]
+            if draw(st.booleans()):
+                rhs[i] = scale * rhs[j]
+    return rows, rhs
 
 
 @settings(max_examples=400, deadline=None)
@@ -162,13 +178,35 @@ def test_sparse_solve_matches_the_dense_oracle(system):
     assert solve_linear(full, len(rows[0]), rhs) == expected
 
 
+def test_integer_rows_build_at_most_one_fraction_per_unknown(fraction_builds):
+    rng = random.Random(20261018)
+    for n in (1, 5, 12):
+        # upper triangular with a nonzero diagonal: a unique solution
+        dense = [[(rng.randint(1, 10**6) * rng.choice((-1, 1)) if j == i else
+                   rng.randint(-10**6, 10**6) if j > i and rng.random() < 0.4 else 0)
+                  for j in range(n)] for i in range(n)]
+        rhs = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        rows = _sparse(dense)
+        with fraction_builds() as built:
+            report = solve_linear(rows, n, rhs)
+        assert report.status == "unique"
+        assert len(built) <= n
+        assert report == dense_solve(dense, rhs)
+    # no solution to read off, no Fraction built
+    for rows, rhs in (([{0: 2, 1: 4}], [6]), ([{0: 1, 1: 1}, {0: 3, 1: 3}], [1, 2])):
+        with fraction_builds() as built:
+            report = solve_linear(rows, 2, rhs)
+        assert report.status != "unique"
+        assert built == []
+
+
 def test_scalar_round_trips():
     rng = random.Random(7)
     for _ in range(50):
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         c = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         assert (a + c) - c == a
-        assert as_scalar(format_scalar(a)) == a
+        assert ratio(format_scalar(a)) == (a.numerator, a.denominator)
     assert format_scalar(Fraction(9867)) == "9867"
     assert format_scalar(Fraction(-32, 3)) == "-32/3"
 

@@ -55,6 +55,56 @@ def test_canonical_class_branch_relation():
         assert spin_k == pullback(g, canonical_class(MODULI, g)) + branch
 
 
+def test_canonical_class_is_built_and_checked_once_per_genus(monkeypatch):
+    from oddspin.cli import run_command
+
+    canonical_class.cache_clear()
+    checked = []
+    unchecked_pullback = picard.pullback
+
+    def recording(g, c):
+        if c == canonical_class(MODULI, g):
+            checked.append(g)
+        return unchecked_pullback(g, c)
+
+    monkeypatch.setattr(picard, "pullback", recording)
+    genera = range(13, 31)
+    for _ in range(2):
+        for g in genera:
+            assert run_command(["cert", "--g", str(g), "--aux", "bn"]).exit_code == 0
+            assert run_command(["numbers", "--g", str(g)]).exit_code == 0
+    assert checked == list(genera)
+
+
+def test_class_arithmetic_and_pullback_build_no_fraction(fraction_builds):
+    g = 9
+    a = DivisorClass.from_mapping(moduli_basis(g), {
+        "lambda": Fraction(13, 6), "delta0": Fraction(-7, 4), "delta3": 5})
+    b = bn_divisor_class(g)
+    z = zg_class(g)
+    with fraction_builds() as built:
+        total, difference, negated = a + b, a - b, -a
+        up, down = pullback(g, a), pushforward(g, z)
+        cancelled = (a - a, up - up)
+        rendered = (total.render(), down.coefficients_by_name())
+    assert built == []
+    # against the same arithmetic on Fraction coefficients
+    assert total.coefficients == tuple(x + y for x, y in zip(a.coefficients, b.coefficients))
+    assert difference.coefficients == tuple(
+        x - y for x, y in zip(a.coefficients, b.coefficients))
+    assert negated.coefficients == tuple(-x for x in a.coefficients)
+    # bn = 12*lambda - 5/3*delta0 - sum i(9-i)*delta_i
+    assert (total.numerators, total.denominator) == (
+        (170, -41, -96, -168, -156, -240), 12)
+    assert up == DivisorClass.from_mapping(spin_basis(g), {
+        "lambda": Fraction(13, 6), "alpha0": Fraction(-7, 4), "beta0": Fraction(-7, 2),
+        "alpha3": 5, "beta3": 5})
+    assert all(c.is_zero() and c.denominator == 1 for c in cancelled)
+    assert rendered[0] == (
+        "85/6*lambda - 41/12*delta0 - 8*delta1 - 14*delta2 - 13*delta3 - 20*delta4")
+    assert rendered[1] == pushforward(g, z).coefficients_by_name()
+
+
 def test_pushforward_of_degenerate_theta_class_genus3():
     down = pushforward(3, zg_class(3))
     assert down == DivisorClass.from_mapping(
@@ -188,14 +238,21 @@ def test_theta_pencil_is_the_test_curve_p():
 
 def test_classes_and_curves_share_the_name_to_vector_builder():
     basis = spin_basis(5)
-    assert basis.vector({"beta1": 2, "lambda": "1/3"}) == (
-        Fraction(1, 3), 0, 0, 0, 0, 2, 0,
+    # integer numerators over the least common denominator
+    assert basis.vector({"beta1": 2, "lambda": "1/3", "alpha0": Fraction(5, 6)}) == (
+        (2, 5, 0, 0, 0, 12, 0), 6,
     )
+    assert basis.vector({}) == ((0,) * 7, 1)
     mapping = {"lambda": 1, "alpha0": 12, "alpha1": -1}
-    assert (DivisorClass.from_mapping(basis, mapping).coefficients
-            == boundary_curve("F0", 5).pairings == basis.vector(mapping))
+    cls = DivisorClass.from_mapping(basis, mapping)
+    assert ((cls.numerators, cls.denominator)
+            == (boundary_curve("F0", 5).pairings, 1) == basis.vector(mapping))
+    assert cls.coefficients == (1, 12, -1, 0, 0, 0, 0)
     with pytest.raises(BasisMismatchError):
         basis.vector({"delta0": 1})
+    # a curve meets every divisor in an integer
+    with pytest.raises(PreconditionError, match="non-integer pairing"):
+        picard.TestCurve.from_pairings("X", basis, {"lambda": Fraction(1, 2)})
 
 
 def test_pair_requires_common_basis():
