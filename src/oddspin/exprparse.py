@@ -25,7 +25,6 @@ terms at once.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
@@ -222,10 +221,10 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
 
     return _run(
         expr,
-        lambda kind, value: value * one if kind == "num" else preset.gen(value),
+        lambda kind, value: one * value if kind == "num" else preset.gen(value),
         power,
         lambda left, right, pos: left * right,
-        preset.signed_sum,
+        preset.weighted_sum,
     )
 
 
@@ -257,17 +256,9 @@ def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
         return lconst * rconst, rconst * lcls + lconst * rcls
 
     def total(signed):
-        # class parts in one list of ints over their common denominator
         signed = list(signed)
-        den = math.lcm(*(cls.denominator for _, (_, cls) in signed))
-        const, numerators = ZERO, [0] * len(basis.names)
-        for sign, (c, cls) in signed:
-            const += c if sign > 0 else -c
-            scale = sign * (den // cls.denominator)
-            for j, x in enumerate(cls.numerators):
-                if x:
-                    numerators[j] += scale * x
-        return const, DivisorClass.reduced(basis, numerators, den)
+        const = sum((sign * c for sign, (c, _) in signed), ZERO)
+        return const, DivisorClass.weighted_sum(basis, ((sign, cls) for sign, (_, cls) in signed))
 
     const, cls = _run(expr, leaf, power, product, total)
     if const != 0:

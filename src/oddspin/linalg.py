@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, InternalCheckError, PreconditionError
 from .record import Record
-from .scalars import ZERO, ratio
+from .scalars import ZERO, over_lcm
 
 
 def _bareiss_entry(head, entry, lead, pivot_row_entry, previous) -> list[int]:
@@ -95,14 +95,11 @@ class LinearSolveReport(Record):
 def _integer_row(row: Mapping[int, object], value, n_cols: int) -> dict[int, int]:
     """``row`` with the right-hand side ``value`` as column n_cols, scaled
     to coprime integers: a nonzero rational multiple of the row."""
-    pairs = []
-    for col, v in row.items():
+    for col in row:
         if not (isinstance(col, int) and 0 <= col < n_cols):
             raise DimensionError(f"column {col!r} is outside 0..{n_cols - 1}")
-        pairs.append((col, ratio(v)))
-    pairs.append((n_cols, ratio(value)))
-    den = math.lcm(*(q for _, (_, q) in pairs))
-    return _primitive({col: p * (den // q) for col, (p, q) in pairs if p})
+    numerators, _ = over_lcm([*row.values(), value])
+    return _primitive({col: p for col, p in zip([*row, n_cols], numerators) if p})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

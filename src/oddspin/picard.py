@@ -13,16 +13,16 @@ paper writes boundary coefficients with a minus sign in front
 (a*lambda - sum b_i * boundary_i); ``bar`` reads a result in that notation
 by negating boundary entries, and nothing else negates.
 
-Representation.  A class holds integer numerators over one positive
-denominator, and a test curve's pairings are integers, so class
-arithmetic, pullback, pushforward and rendering work on ints; a
-``Fraction`` is built only where a value leaves a class (``coefficient``,
-``coefficients``) and for the value ``pair`` returns.
+Representation.  A class holds one integer numerator per generator over
+one denominator, in the form of ``scalars``, and a test curve's pairings
+are integers, so class arithmetic, pullback, pushforward and rendering
+work on ints; a ``Fraction`` is built only where a value leaves a class
+(``coefficient``, ``coefficients``) and for the value ``pair`` returns.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,8 +35,8 @@ from .errors import (
 from .linalg import solve_linear
 from .numerics import boundary_degrees, theta_counts
 from .record import Record, set_field
-from .ring import _render_terms, integrate, preset_universal_curve
-from .scalars import ZERO, format_ratio, format_scalar, ratio
+from .ring import integrate, preset_universal_curve
+from .scalars import ZERO, format_ratio, format_scalar, over_lcm, render_terms
 
 SPIN = "spin"
 MODULI = "moduli"
@@ -60,16 +60,13 @@ class PicBasis(Record):
             raise BasisMismatchError(f"no generator {name!r} in basis {self.label}")
 
     def vector(self, mapping: Mapping[str, object]) -> tuple[tuple[int, ...], int]:
-        """Int, Fraction or "p/q" coefficients by generator name as integer
-        numerators over their least common denominator; absent names are 0.
-
-        Over the lcm of lowest-terms denominators, the numerators and the
-        denominator are already coprime."""
-        pairs = [(self.index(name), ratio(value)) for name, value in mapping.items()]
-        den = math.lcm(*(q for _, (_, q) in pairs))
+        """Int, Fraction or "p/q" coefficients by generator name as
+        numerators in basis order over one denominator (``scalars.over_lcm``);
+        absent names are 0."""
+        numerators, den = over_lcm(mapping.values())
         vec = [0] * len(self.names)
-        for i, (p, q) in pairs:
-            vec[i] = p * (den // q)
+        for name, p in zip(mapping, numerators):
+            vec[self.index(name)] = p
         return tuple(vec), den
 
 
@@ -97,10 +94,10 @@ class DivisorClass(Record):
     """A divisor class: ``numerators`` (one int per generator of ``basis``)
     over the positive int ``denominator``.
 
-    The form is canonical, so equal classes are equal records with equal
-    hashes: gcd(denominator, *numerators) is 1, and zero is all zeros over
-    1.  ``reduced`` builds that form from any numerators and positive
-    denominator.
+    The form is the canonical one of ``scalars``, so equal classes are
+    equal records with equal hashes; ``reduced`` builds it from any
+    numerators and positive denominator, and ``weighted_sum`` is the one
+    accumulation that ``+``, ``-``, scalar ``*`` and ``combine`` call.
     """
 
     __slots__ = ("basis", "numerators", "denominator")
@@ -142,47 +139,47 @@ class DivisorClass(Record):
     def is_zero(self) -> bool:
         return not any(self.numerators)
 
-    def _require_same_basis(self, other: "DivisorClass") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatchError(
-                f"classes live in different bases: {self.basis.label} vs {other.basis.label}"
-            )
-
-    def _signed_sum(self, other: "DivisorClass", sign: int) -> "DivisorClass":
-        """self + sign * other over the lcm of the two denominators."""
-        self._require_same_basis(other)
-        den = math.lcm(self.denominator, other.denominator)
-        mine, theirs = den // self.denominator, sign * (den // other.denominator)
-        return DivisorClass.reduced(
-            self.basis,
-            [mine * a + theirs * b for a, b in zip(self.numerators, other.numerators)],
-            den,
-        )
+    @staticmethod
+    def weighted_sum(basis: PicBasis,
+                     pairs: Iterable[tuple[int | Fraction, "DivisorClass"]]) -> "DivisorClass":
+        """The sum of ``weight * cls`` over one or more (int or Fraction
+        weight, class) pairs on ``basis``, accumulated in one list of
+        integers over the product of the weights' and the classes' common
+        denominators, then reduced."""
+        weights, classes = zip(*pairs)
+        for cls in classes:
+            if cls.basis != basis:
+                raise BasisMismatchError(
+                    f"classes live in different bases: {basis.label} vs {cls.basis.label}"
+                )
+        weights, weight_den = over_lcm(weights)
+        den = math.lcm(*[cls.denominator for cls in classes])
+        acc = [0] * len(basis.names)
+        for weight, cls in zip(weights, classes):
+            if weight:
+                scale = weight * (den // cls.denominator)
+                acc = [a + scale * n for a, n in zip(acc, cls.numerators)]
+        return DivisorClass.reduced(basis, acc, weight_den * den)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._signed_sum(other, 1)
+        return DivisorClass.weighted_sum(self.basis, ((1, self), (1, other)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._signed_sum(other, -1)
+        return DivisorClass.weighted_sum(self.basis, ((1, self), (-1, other)))
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.basis, tuple(-n for n in self.numerators), self.denominator)
 
-    def _scaled(self, p: int, q: int) -> "DivisorClass":
-        """self * p/q, for q > 0."""
-        return DivisorClass.reduced(self.basis, [p * n for n in self.numerators],
-                                    q * self.denominator)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(*ratio(other))
+            return DivisorClass.weighted_sum(self.basis, ((other, self),))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def render(self) -> str:
         pairs = [(name, n) for name, n in zip(self.basis.names, self.numerators) if n]
-        return _render_terms(pairs, self.denominator)
+        return render_terms(pairs, self.denominator)
 
     def __str__(self) -> str:
         return self.render()
@@ -201,10 +198,6 @@ class TestCurve(Record):
     """
 
     __slots__ = ("name", "basis", "pairings", "assumed_zero")
-
-    def __init__(self, name: str, basis: PicBasis, pairings: tuple[int, ...],
-                 assumed_zero: tuple[str, ...] = ()):
-        super().__init__(name, basis, pairings, assumed_zero)
 
     @staticmethod
     def from_pairings(
@@ -540,10 +533,7 @@ def combine(classes: Sequence[DivisorClass], weights: Sequence) -> DivisorClass:
         raise PreconditionError("combine needs one weight per class")
     if not classes:
         raise PreconditionError("combine needs at least one class")
-    total = 0 * classes[0]
-    for cls, weight in zip(classes, weights):
-        total = total + cls._scaled(*ratio(weight))
-    return total
+    return DivisorClass.weighted_sum(classes[0].basis, zip(weights, classes))
 
 
 def slope(c: DivisorClass) -> Fraction:

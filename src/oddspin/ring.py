@@ -24,15 +24,12 @@ small ring presets:
   relations.
 
 Monomials are exponent vectors over the preset's fixed generator order.
-An element holds integer numerators over one positive integer denominator:
-``(monomial, int)`` pairs whose sum, divided by the denominator, is its
-value (gcd-reduced rational arithmetic, Knuth, TAOCP vol. 2, 4.5.1).  The
-form is canonical, so equal elements are equal records with equal hashes:
-the monomials are normalized and sorted in decreasing order, no numerator
-is 0, and gcd(denominator, *numerators) is 1; zero has no terms over 1.
-Arithmetic inside the ring, and rendering, work on integers only.  A
-``Fraction`` is built where a value leaves the ring: ``coefficient``, the
-``terms`` view and ``integrate``.
+Representation.  An element holds ``(monomial, int)`` numerators over one
+denominator in the canonical form of ``scalars``, with the monomials
+normalized, sorted in decreasing order and kept only for a nonzero
+numerator.  Arithmetic inside the ring, and rendering, work on integers
+only; a ``Fraction`` is built where a value leaves the ring:
+``coefficient``, the ``terms`` view and ``integrate``.
 
 Integration, fixed once for the whole package, is one rule: a preset's
 ``pairings`` table maps each normalized top-degree monomial to its value,
@@ -56,7 +53,7 @@ from operator import add
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .record import Record, set_field
-from .scalars import ZERO, format_ratio, format_scalar, ratio
+from .scalars import ZERO, format_scalar, over_lcm, render_terms
 
 JACOBIAN = "jacobian"
 SURFACE = "surface"
@@ -113,40 +110,46 @@ class RingPreset(Record):
     def zero(self) -> "RingElem":
         return RingElem(self, (), 1)
 
+    # 1 and a lone generator are in normal form: no relation rewrites them,
+    # and no truncation drops them (jacobian: eta, gamma, theta degree above
+    # g + 1 >= 2; surface: degree above 2; universal-curve: none)
     def one(self) -> "RingElem":
-        return self.element({(0,) * len(self.names): 1})
+        return RingElem(self, (((0,) * len(self.names), 1),), 1)
 
     def gen(self, name: str) -> "RingElem":
         mono = [0] * len(self.names)
         mono[self.index(name)] = 1
-        return self.element({tuple(mono): 1})
+        return RingElem(self, ((tuple(mono), 1),), 1)
 
     def element(self, terms: Mapping[Monomial, object]) -> "RingElem":
         """The element with the given int, Fraction or "p/q" coefficients."""
-        pairs = [(m, ratio(c)) for m, c in terms.items()]
-        den = math.lcm(*(q for _, (_, q) in pairs))
-        return _reduced(self, _normalize(self, ((m, p * (den // q)) for m, (p, q) in pairs)), den)
+        numerators, den = over_lcm(terms.values())
+        return _reduced(self, _normalize(self, zip(terms, numerators)), den)
 
-    def signed_sum(self, signed: Iterable[tuple[int, "RingElem"]]) -> "RingElem":
-        """The sum of ``sign * elem`` over (sign, elem) pairs with signs +1 or
-        -1, accumulated in one dict of integers over the common denominator."""
-        signed = list(signed)
-        den = math.lcm(*(elem.denominator for _, elem in signed))
-        acc: dict[Monomial, int] = {}
-        for sign, elem in signed:
+    def weighted_sum(self, pairs: Iterable[tuple[int | Fraction, "RingElem"]]) -> "RingElem":
+        """The sum of ``weight * elem`` over one or more (int or Fraction
+        weight, elem) pairs, accumulated in one dict of integers over the
+        product of the weights' and the elements' common denominators, then
+        reduced."""
+        weights, elems = zip(*pairs)
+        for elem in elems:
             _require_preset(self, elem)
-            scale = sign * (den // elem.denominator)
-            for mono, num in elem.numerators:
-                total = acc.get(mono, 0) + scale * num
-                if total:
-                    acc[mono] = total
-                else:
-                    del acc[mono]
-        return _reduced(self, acc, den)
+        weights, weight_den = over_lcm(weights)
+        den = math.lcm(*[elem.denominator for elem in elems])
+        acc: dict[Monomial, int] = {}
+        for weight, elem in zip(weights, elems):
+            if weight:
+                scale = weight * (den // elem.denominator)
+                for mono, num in elem.numerators:
+                    if total := acc.get(mono, 0) + scale * num:
+                        acc[mono] = total
+                    else:
+                        del acc[mono]
+        return _reduced(self, acc, weight_den * den)
 
 
 def _require_preset(preset: RingPreset, elem: "RingElem") -> None:
-    if elem.preset != preset:
+    if elem.preset is not preset and elem.preset != preset:  # `is`: no __eq__ call
         raise PresetMismatchError(
             f"operands live in different presets: {preset.label} vs {elem.preset.label}"
         )
@@ -239,11 +242,12 @@ class RingElem(Record):
         return _reduced(self.preset, kept, self.denominator)
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, for a ring element or an int or Fraction."""
         if isinstance(other, RingElem):
-            return self.preset.signed_sum(((1, self), (1, other)))
+            return self.preset.weighted_sum(((1, self), (sign, other)))
         if isinstance(other, (int, Fraction)):
-            return self + self.preset.one() * other
+            return self.preset.weighted_sum(((1, self), (sign * other, self.preset.one())))
         return NotImplemented
 
     __radd__ = __add__
@@ -252,9 +256,7 @@ class RingElem(Record):
         return RingElem(self.preset, tuple((m, -n) for m, n in self.numerators), self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, (RingElem, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -267,11 +269,7 @@ class RingElem(Record):
             return _reduced(self.preset, _normalize(self.preset, raw),
                             self.denominator * other.denominator)
         if isinstance(other, (int, Fraction)):
-            num, den = ratio(other)
-            if num == 0:
-                return self.preset.zero()
-            return _reduced(self.preset, {m: n * num for m, n in self.numerators},
-                            self.denominator * den)
+            return self.preset.weighted_sum(((other, self),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -304,41 +302,12 @@ class RingElem(Record):
 
     # -- rendering ----------------------------------------------------
     def render(self) -> str:
-        return _render_terms(
+        return render_terms(
             [(self.preset.monomial_text(m), n) for m, n in self.numerators], self.denominator
         )
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _render_terms(pairs: list[tuple[str, int]], den: int) -> str:
-    """Deterministic ASCII rendering of the sum of numerator * body over
-    the positive ``den``, for (body, nonzero numerator) pairs, that
-    re-parses under the CLI grammar."""
-    if not pairs:
-        return "0"
-    out = []
-    for idx, (body, num) in enumerate(pairs):
-        if idx == 0:
-            if not body:
-                out.append(format_ratio(num, den))
-            elif num == den:
-                out.append(body)
-            elif num == -den:
-                out.append(f"-1*{body}")
-            else:
-                out.append(f"{format_ratio(num, den)}*{body}")
-            continue
-        sep = " + " if num > 0 else " - "
-        mag = abs(num)
-        if not body:
-            out.append(sep + format_ratio(mag, den))
-        elif mag == den:
-            out.append(sep + body)
-        else:
-            out.append(sep + f"{format_ratio(mag, den)}*{body}")
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

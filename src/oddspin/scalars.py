@@ -1,12 +1,17 @@
-"""Exact rational scalars.
+"""Exact rational scalars, and the one representation of exact values.
 
 Every number in the engine is exact; no floating-point value is ever
 constructed.  A ring element, a divisor class and a row of a linear system
-hold integer numerators over one shared positive denominator (``ratio``
-splits an input value into that form), and arithmetic on them works on
-ints.  A rational becomes a ``fractions.Fraction``, which the standard
-library keeps in lowest terms with a positive denominator, where it leaves
-them: a coefficient read by name, a solution, a pairing, a printed report.
+hold integer numerators over one shared positive denominator (gcd-reduced
+rational arithmetic, Knuth, TAOCP vol. 2, 4.5.1): ``over_lcm`` turns int,
+Fraction and "p/q" inputs into that form, arithmetic accumulates ints over
+a common denominator and then divides out the content, so the stored form
+is canonical (gcd(denominator, *numerators) is 1, zero is over 1) and
+equal values are equal records with equal hashes.  ``render_terms`` prints
+a sum in that form.  A rational becomes a ``fractions.Fraction``, which the
+standard library keeps in lowest terms with a positive denominator, where
+it leaves the form: a coefficient read by name, a solution, a pairing, a
+printed report.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from fractions import Fraction
 from .errors import EngineError
 
 ZERO = Fraction(0)
+_INT = {int}  # the types over_lcm passes through unchanged
 
 
 def ratio(value) -> tuple[int, int]:
@@ -29,6 +35,22 @@ def ratio(value) -> tuple[int, int]:
     elif not isinstance(value, Fraction):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     return value.numerator, value.denominator
+
+
+def over_lcm(values) -> tuple[list[int], int]:
+    """Int, Fraction or "p/q" values as integer numerators, in order, over
+    the least common multiple of their lowest-terms denominators.
+
+    The numerators and that denominator are coprime: for each prime p of
+    the lcm, some value's denominator q holds p as often as the lcm does,
+    so p divides neither that value's numerator (in lowest terms) nor
+    lcm/q, and so not their product, the value's new numerator."""
+    values = list(values)
+    if _INT.issuperset(map(type, values)):
+        return values, 1
+    pairs = [ratio(value) for value in values]
+    den = math.lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def digit_limit() -> int:
@@ -58,6 +80,35 @@ def format_ratio(numerator: int, denominator: int) -> str:
 def format_scalar(value) -> str:
     """Serialize an int, Fraction or "p/q" as ``format_ratio`` does."""
     return format_ratio(*ratio(value))
+
+
+def render_terms(pairs: list[tuple[str, int]], den: int) -> str:
+    """Deterministic ASCII rendering of the sum of numerator * body over
+    the positive ``den``, for (body, nonzero numerator) pairs, that
+    re-parses under the CLI grammar; an empty body is a constant term."""
+    if not pairs:
+        return "0"
+    out = []
+    for idx, (body, num) in enumerate(pairs):
+        if idx == 0:
+            if not body:
+                out.append(format_ratio(num, den))
+            elif num == den:
+                out.append(body)
+            elif num == -den:
+                out.append(f"-1*{body}")
+            else:
+                out.append(f"{format_ratio(num, den)}*{body}")
+            continue
+        sep = " + " if num > 0 else " - "
+        mag = abs(num)
+        if not body:
+            out.append(sep + format_ratio(mag, den))
+        elif mag == den:
+            out.append(sep + body)
+        else:
+            out.append(sep + f"{format_ratio(mag, den)}*{body}")
+    return "".join(out)
 
 
 def recip_factorial(n: int) -> Fraction:

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oddspin.errors import DimensionError, PreconditionError
 from oddspin.linalg import series_det, solve_linear
-from oddspin.scalars import format_scalar, ratio, recip_factorial
+from oddspin.scalars import format_scalar, over_lcm, ratio, recip_factorial
 
 from oracles import apply, dense_solve, laplace_det, poly_mul
 
@@ -207,6 +208,15 @@ def test_scalar_round_trips():
         c = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         assert (a + c) - c == a
         assert ratio(format_scalar(a)) == (a.numerator, a.denominator)
+        # numerators over the lcm: the same values, coprime to the denominator
+        values = [a, c, rng.randint(-9, 9), format_scalar(a + c)]
+        numerators, den = over_lcm(values)
+        assert all(isinstance(n, int) for n in numerators)
+        assert [Fraction(n, den) for n in numerators] == [Fraction(v) for v in values]
+        assert den == math.lcm(a.denominator, c.denominator, (a + c).denominator)
+        assert math.gcd(den, *numerators) == 1
+    assert over_lcm([]) == ([], 1)
+    assert over_lcm([Fraction(1, 6), Fraction(-3, 4), 5]) == ([2, -9, 60], 12)
     assert format_scalar(Fraction(9867)) == "9867"
     assert format_scalar(Fraction(-32, 3)) == "-32/3"
 

@@ -1,7 +1,11 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddspin.errors import (
     BasisMismatchError,
@@ -9,6 +13,7 @@ from oddspin.errors import (
     UndefinedSlopeError,
 )
 from oddspin import picard
+from oddspin.exprparse import expr_to_class, parse_expression
 from oddspin.linalg import solve_linear
 from oddspin.numerics import boundary_degrees, theta_counts
 from oddspin.picard import (
@@ -33,6 +38,8 @@ from oddspin.picard import (
     zg_class,
 )
 from oddspin.picard import test_curve as boundary_curve
+
+from oracles import model_add, model_scale
 
 
 # -- pullback / pushforward -------------------------------------------------
@@ -82,8 +89,11 @@ def test_class_arithmetic_and_pullback_build_no_fraction(fraction_builds):
         "lambda": Fraction(13, 6), "delta0": Fraction(-7, 4), "delta3": 5})
     b = bn_divisor_class(g)
     z = zg_class(g)
+    weight, combo_weights = Fraction(-2, 7), (Fraction(1, 3), -2)
     with fraction_builds() as built:
         total, difference, negated = a + b, a - b, -a
+        tripled, scaled = 3 * a, weight * a
+        combo = combine([a, b], combo_weights)
         up, down = pullback(g, a), pushforward(g, z)
         cancelled = (a - a, up - up)
         rendered = (total.render(), down.coefficients_by_name())
@@ -93,6 +103,10 @@ def test_class_arithmetic_and_pullback_build_no_fraction(fraction_builds):
     assert difference.coefficients == tuple(
         x - y for x, y in zip(a.coefficients, b.coefficients))
     assert negated.coefficients == tuple(-x for x in a.coefficients)
+    assert tripled.coefficients == tuple(3 * x for x in a.coefficients)
+    assert scaled.coefficients == tuple(weight * x for x in a.coefficients)
+    assert combo.coefficients == tuple(
+        Fraction(1, 3) * x - 2 * y for x, y in zip(a.coefficients, b.coefficients))
     # bn = 12*lambda - 5/3*delta0 - sum i(9-i)*delta_i
     assert (total.numerators, total.denominator) == (
         (170, -41, -96, -168, -156, -240), 12)
@@ -103,6 +117,66 @@ def test_class_arithmetic_and_pullback_build_no_fraction(fraction_builds):
     assert rendered[0] == (
         "85/6*lambda - 41/12*delta0 - 8*delta1 - 14*delta2 - 13*delta3 - 20*delta4")
     assert rendered[1] == pushforward(g, z).coefficients_by_name()
+
+
+# -- class arithmetic against one Fraction per coefficient ------------------
+# A model class is a dict {generator name: nonzero Fraction}.
+
+MODEL_BASES = (spin_basis(3), moduli_basis(3), moduli_basis(8), spin_basis(10))
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9)))
+class_weights = st.sampled_from((0, 1, -1)) | st.integers(-9, 9) | rationals
+
+
+@st.composite
+def class_cases(draw):
+    basis = draw(st.sampled_from(MODEL_BASES))
+    coefficients = rationals | st.integers(-5, 5)
+    mappings = [draw(st.dictionaries(st.sampled_from(basis.names), coefficients))
+                for _ in range(3)]
+    combo_weights = draw(st.lists(class_weights, min_size=3, max_size=3))
+    return basis, mappings, draw(class_weights), combo_weights, draw(st.sampled_from(MODEL_BASES))
+
+
+def _class_agrees(cls, model):
+    """Assert that ``cls`` is canonical and has the model's coefficients."""
+    den, nums = cls.denominator, cls.numerators
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert all(isinstance(n, int) for n in nums)
+    assert cls.coefficients == tuple(model.get(name, 0) for name in cls.basis.names)
+    rebuilt = DivisorClass.from_mapping(cls.basis, model)
+    assert rebuilt == cls and hash(rebuilt) == hash(cls)
+    reparsed = expr_to_class(parse_expression(cls.render(), cls.basis), cls.basis)
+    assert reparsed == cls and hash(reparsed) == hash(cls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_cases())
+def test_class_arithmetic_matches_the_fraction_model(case):
+    basis, mappings, scalar, combo_weights, other_basis = case
+    a, b, c = (DivisorClass.from_mapping(basis, m) for m in mappings)
+    ma, mb, mc = ({name: Fraction(v) for name, v in m.items() if v} for m in mappings)
+    for cls, model in ((a, ma), (b, mb), (c, mc)):
+        _class_agrees(cls, model)
+    _class_agrees(a + b, model_add(ma, mb))
+    _class_agrees(a - b, model_add(ma, mb, -1))
+    _class_agrees(-a, model_scale(ma, -1))
+    for s in (scalar, 0, 3, Fraction(-2, 7)):
+        _class_agrees(s * a, model_scale(ma, s))
+        _class_agrees(a * s, model_scale(ma, s))
+    x, y, z = combo_weights
+    expected = model_add(model_add(model_scale(ma, x), model_scale(mb, y)), model_scale(mc, z))
+    _class_agrees(combine([a, b, c], combo_weights), expected)
+    _class_agrees(DivisorClass.weighted_sum(basis, zip(combo_weights, (a, b, c))), expected)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    if other_basis != basis:
+        stranger = DivisorClass.from_mapping(other_basis, {"lambda": 1})
+        message = f"classes live in different bases: {basis.label} vs {other_basis.label}"
+        for refused in (lambda: a + stranger, lambda: a - stranger,
+                        lambda: combine([a, stranger], [1, 1]),
+                        lambda: DivisorClass.weighted_sum(basis, [(0, a), (2, stranger)])):
+            with pytest.raises(BasisMismatchError, match=re.escape(message)):
+                refused()
 
 
 def test_pushforward_of_degenerate_theta_class_genus3():
