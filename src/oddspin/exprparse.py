@@ -12,7 +12,8 @@ Grammar (letter for letter):
 
 Integers are signed (the minus of a leading literal belongs to the
 literal), exponents and denominators are unsigned, and every error carries
-the byte offset it was detected at.  All spellings are plain ASCII.
+the byte offset it was detected at.  All spellings are plain ASCII: any
+other character, a non-ASCII digit, letter or space too, is refused.
 
 Parsing and evaluation are iterative, so neither the length nor the
 nesting depth of an expression meets Python's recursion limit.  One
@@ -35,29 +36,36 @@ from .scalars import ZERO, digit_limit
 Token = tuple[str, str, int]  # (kind, text, byte offset)
 
 
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
 def tokenize(text: str) -> list[Token]:
+    """Split ``text`` into tokens.  Only ASCII digits and letters make
+    literals and names (``str.isdigit`` would also take '\u00b2' and
+    '\u0663'), so every character before a refusal is one byte."""
     tokens = []
     i, n = 0, len(text)
     limit = digit_limit()
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in " \t\n\r\f\v":
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if limit and j - i > limit:
                 raise ExprSyntaxError(f"integer literal longer than {limit} digits", i)
             tokens.append(("num", text[i:j], i))
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < n and text[j].isalpha():
+            while j < n and text[j] in _LETTERS:
                 j += 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j

@@ -161,11 +161,14 @@ class DivisorClass(Record):
                 acc = [a + scale * n for a, n in zip(acc, cls.numerators)]
         return DivisorClass.reduced(basis, acc, weight_den * den)
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass.weighted_sum(self.basis, ((1, self), (1, other)))
+    def __add__(self, other: "DivisorClass", sign: int = 1) -> "DivisorClass":
+        """self + sign * other, for a class ``other``."""
+        if isinstance(other, DivisorClass):
+            return DivisorClass.weighted_sum(self.basis, ((1, self), (sign, other)))
+        return NotImplemented
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass.weighted_sum(self.basis, ((1, self), (-1, other)))
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.basis, tuple(-n for n in self.numerators), self.denominator)

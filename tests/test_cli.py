@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oddspin import cli, genus12
 from oddspin.cli import run_command
+from test_golden import _regen as golden_regen
 
 # every leaf command, by its report label, with one valid argument list
 LEAVES = {
@@ -398,6 +399,90 @@ def test_parser_tree_is_built_once(monkeypatch):
     assert built == []
 
 
+def test_every_leaf_is_routed(monkeypatch):
+    # routing builds no parser: test_parser_tree_is_built_once runs these argvs
+    cli.build_parser()
+    assert {" ".join(words) for words in cli._LEAVES} == set(LEAVES)
+    for words, leaf in cli._LEAVES.items():
+        assert leaf.prog == f"oddspin {' '.join(words)}"
+    parsed = []
+    parse = cli._ArgumentParser.parse_args
+
+    def spied(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "parse_args", spied)
+    for label, argv in LEAVES.items():
+        parsed.clear()
+        assert run_command(argv).exit_code == 0
+        assert parsed == [f"oddspin {label}"]
+    parsed.clear()
+    run_command(["pic", "bogus"])
+    assert parsed == ["oddspin"]  # no leaf named: the whole tree parses
+
+
+# -- the routed parse against the whole tree --------------------------------
+
+def _parse_outcome(parse, argv):
+    """The namespace of ``parse(argv)``, or the message of its usage error
+    or the text of its help."""
+    try:
+        return parse(list(argv))
+    except cli.UsageError as err:
+        return "usage error", str(err)
+    except cli._HelpRequested as text:
+        return "help", str(text)
+
+
+def assert_routing_agrees(argv):
+    tree = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == tree
+
+
+def test_routed_parse_agrees_on_the_golden_grid():
+    grid = golden_regen().grid()
+    assert len(grid) > 2000
+    for argv in grid:
+        assert_routing_agrees(argv)
+
+
+EDGE_ARGVS = [
+    *([*label.split(), "-h"] for label in LEAVES),
+    *([*label.split(), "--help", "--g", "x"] for label in LEAVES),
+    ["ring", "eval", "--preset", "uc:g=3", "--", "-2*omega^2"],
+    ["ring", "eval", "--preset", "uc:g=3", "-omega"],
+    ["ring", "eval", "--preset", "uc:g=3", "-2*omega^2"],
+    ["ring", "eval", "--", "--preset", "uc:g=3"],
+    ["ring", "eval", "--pre", "uc:g=3", "omega^2", "--form", "json"],
+    ["ring", "eval", "--preset=uc:g=3", "omega^2"],
+    ["pic", "class", "--g", "3", "--na", "zg", "--sp", "spin"],
+    ["pic", "push", "--g", "3", "--cl", "zg"],
+    ["pic", "solve-zg", "--he"],
+    ["pic", "solve-zg", "-hx"],
+    ["pic", "solve-zg", "--g=3"],
+    ["pic", "solve-zg", "--g", "3", "--"],
+    ["pic", "solve-zg", "--g", "3", "--", "--g"],
+    ["pic", "solve-zg", "--g", "3", "extra", "words"],
+    ["d12", "run", "--dump"],
+    ["d12", "run", "--format"],
+    ["cert", "--g", "12", "--aux", "d12", "--format", "xml"],
+    ["cert", "--g", "12"],
+    ["numbers", "--g", "-3"],
+    ["numbers", "--g", "3", "--g", "4"],
+    ["numbers"],
+    # no leaf named: the whole tree parses
+    [], ["-h"], ["--help"], ["pic"], ["pic", "-h"], ["pic", "bogus"], ["bogus"],
+    ["pic", "--format", "json", "class", "--g", "3", "--name", "zg"],
+    ["--", "numbers", "--g", "3"], ["-x", "cert"], ["eval", "ring"], ["run"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_routed_parse_agrees_on_edge_argvs(argv):
+    assert_routing_agrees(argv)
+
+
 # argv fuzz: a leaf's valid argument list with some of its values replaced,
 # then maybe -h, a --format or one more word; the words come from the
 # command table, genera from -2..40, expressions have exponents at most 6
@@ -406,6 +491,7 @@ FUZZ_TOKEN = st.one_of(
     st.sampled_from(sorted({word for argv in LEAVES.values() for word in argv} | {
         "-h", "--format", "json", "--space", "spin", "moduli", "--dump-intermediates",
         "bn", "d12", "k", "P", "C0", "G:2", "H0", "jac:g=3,d=2,r=0", "uc:g=3", "jac:g",
+        "--", "-omega", "--he", "-hx", "--g=3", "--form",
     })),
     GENUS,
     st.builds("{}^{}".format,
@@ -432,9 +518,23 @@ def fuzzed_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(fuzzed_argv())
 def test_random_argv_gives_an_exit_code(argv):
+    assert_routing_agrees(argv)
     outcome = run_command(argv)
     assert outcome.exit_code in {0, 1, 2, 3, 4}
     assert (outcome.exit_code == 0) == (outcome.stderr == "")
+
+
+@pytest.mark.parametrize("argv,offset", [
+    (["ring", "eval", "--preset", "uc:g=3", "\u00b2"], 0),
+    (["ring", "eval", "--preset", "uc:g=3", "2*\u00b2"], 2),
+    (["ring", "eval", "--preset", "uc:g=3", "omega^\u00b2"], 6),
+    (["ring", "eval", "--preset", "uc:g=3", "3/\u00b2"], 2),
+    (["pic", "pair", "--g", "5", "--curve", "C0", "--class", "2*\u00b2"], 2),
+])
+def test_a_non_ascii_digit_is_a_usage_error(argv, offset):
+    outcome = run_command(argv)
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert outcome.stderr == f"error: unexpected character '\u00b2' (at byte offset {offset})"
 
 
 # -- numbers past Python's integer-to-string digit limit --------------------

@@ -185,20 +185,34 @@ EXPONENT = "expected a nonnegative integer exponent"
     (MODULI_5, "lambda + 1", ("constant terms do not belong to a divisor class", 0)),
     (MODULI_5, "(2*lambda)^1", "2*lambda"),
     (MODULI_5, "(1 - 1)^0*delta0 - 2^2*(delta1 - lambda)", "4*lambda + delta0 - 4*delta1"),
+    # only ASCII digits, letters and whitespace: '\u00b2' is a superscript
+    # two, '\u0663' an Arabic-Indic three, '\uff10' a full-width zero
+    (JAC_3, "\u00b2", ("unexpected character '\u00b2'", 0)),
+    (JAC_3, "2*\u00b2", ("unexpected character '\u00b2'", 2)),
+    (JAC_3, "theta^\u00b2", ("unexpected character '\u00b2'", 6)),
+    (JAC_3, "3/\u00b2", ("unexpected character '\u00b2'", 2)),
+    (JAC_3, "\u0663*theta", ("unexpected character '\u0663'", 0)),
+    (JAC_3, "c\u0663", ("unexpected character '\u0663'", 1)),
+    (JAC_3, "\u03b8 + eta", ("unexpected character '\u03b8'", 0)),
+    (JAC_3, "eta\u00a0+ theta", ("unexpected character '\\xa0'", 3)),
+    (JAC_3, "eta\t+\ntheta", "eta + theta"),
+    (MODULI_5, "delta\uff10", ("unexpected character '\uff10'", 5)),
 ])
 def test_every_parser_path_gives_its_value_or_refusal(context, text, expected):
     assert evaluate(text, context) == expected
 
 
 FUZZ_WORDS = ("eta", "theta", "zeta", "2", "3", "0", "1/2", "-", "+", "*", "^",
-              "(", ")", "/", "$", "c1", "k", " ")
+              "(", ")", "/", "$", "c1", "k", " ", "\u00b2", "\u0663", "\u03b8")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(FUZZ_WORDS),
-                          st.integers(1, 10 ** 4).map("(".__mul__)),
+                          st.integers(1, 10 ** 4).map("(".__mul__),
+                          st.text(max_size=3)),
                 max_size=40).map("".join))
 def test_parser_refuses_only_with_an_offset_inside_the_input(text):
+    # any other exception fails the test
     try:
         parse_expression(text, JAC_3)
     except ExprSyntaxError as err:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -38,6 +39,7 @@ from oddspin.picard import (
     zg_class,
 )
 from oddspin.picard import test_curve as boundary_curve
+from oddspin.ring import preset_universal_curve
 
 from oracles import model_add, model_scale
 
@@ -177,6 +179,23 @@ def test_class_arithmetic_matches_the_fraction_model(case):
                         lambda: DivisorClass.weighted_sum(basis, [(0, a), (2, stranger)])):
             with pytest.raises(BasisMismatchError, match=re.escape(message)):
                 refused()
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "a", None],
+                         ids=["int", "Fraction", "float", "str", "None"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_a_non_class_operand_gives_a_type_error(op, other):
+    # a class returns NotImplemented as a ring element does, so Python raises
+    # the TypeError from either side; a class has no constant part, so a
+    # number is refused too where a ring element would take it
+    cls, elem = zg_class(5), preset_universal_curve(3).gen("omega")
+    for left, right in ((cls, other), (other, cls)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    if not isinstance(other, (int, Fraction)):
+        for left, right in ((elem, other), (other, elem)):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 def test_pushforward_of_degenerate_theta_class_genus3():
