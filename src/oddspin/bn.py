@@ -20,16 +20,21 @@ integrates c_1^n prod_{k>=2} c_k^{m_k} in two steps:
   lambda_j - j with positive integer multiplicities.
 
 Rows are scaled to integers and the determinant is fraction-free
-(``linalg.series_det``); only the final value is a rational.
+(``linalg.series_det``); only the final value is a rational.  The
+determinant of a shape at order n is the truncation of the one at any
+higher order, so each (rows, b, shape) takes one determinant, kept at the
+highest order asked in a bounded process memo (``_shape_series``).
 
 ``evaluate_taut_recursion`` first eliminates c_2, c_3, ... through the
 h^1 = 1 relation c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)! and
-hands the resulting polynomial in c_1 and theta to ``evaluate_taut``.  The
-cross-check stays meaningful although both end in the same determinant:
-the rewritten class meets only the p_1 series with unshifted rows, while
-the raw integrand also goes through the Pieri expansion of c_2..c_{r+1}
-and the shifted rows.  Their agreement on every valid-degree monomial is
-the package's main internal safety net.
+hands the resulting polynomial in c_1 and theta to ``evaluate_taut``.  Both
+evaluators read the zero-shape determinant from that memo: it is computed
+once and shared, since recomputing a deterministic function never made the
+cross-check independent.  What the check compares is two paths to the
+value: the rewritten class meets only the p_1 series of the zero shape,
+while the raw integrand also goes through the Pieri expansion of
+c_2..c_{r+1} and the shifted rows of the other shapes.  Their agreement
+on every valid-degree monomial is the package's main internal safety net.
 
 Both evaluators take only a k-free class homogeneous of degree rho+1 on
 curve x W^r_d; anything else raises RingDomainError rather than
@@ -139,6 +144,47 @@ def _schur_expansion(rows: int, exponents: tuple[int, ...]) -> tuple[tuple[Shape
     return tuple(shapes.items())
 
 
+# (rows, b, shape) -> (order, scale S, det series mod t^(order+1)); bounded
+# like ``_schur_expansion``, the oldest entry goes first
+_SERIES_MEMO_SIZE = 1024
+_series_memo: dict[tuple[int, int, Shape], tuple[int, int, tuple[int, ...]]] = {}
+
+
+def _shape_series(rows: int, base: int, shape: Shape,
+                  order: int) -> tuple[int, int, tuple[int, ...]]:
+    """(kept order, S, series) with series = det[ sum_e t^e S/(e! (b + shape_j
+    - j + e + l)!) ] modulo t^(kept order + 1), kept order >= ``order``.
+
+    S = o! (b + r + o + shape_0)! at the kept order o makes every entry an
+    integer.  Truncation commutes with the determinant, so a series kept at
+    order o serves every order up to o; a request above it recomputes and
+    replaces the entry."""
+    key = (rows, base, shape)
+    kept = _series_memo.get(key)
+    if kept is not None and kept[0] >= order:
+        return kept
+    top = base + rows - 1 + order + shape[0]
+    fact = [1]
+    for i in range(1, top + 1):
+        fact.append(fact[-1] * i)
+    scale = fact[order] * fact[top]
+
+    def entry(m: int, e: int) -> int:
+        return scale // (fact[e] * fact[m]) if m >= 0 else 0
+
+    matrix = [
+        [[entry(base + shape[j] - j + l + e, e) for e in range(order + 1)]
+         for l in range(rows)]
+        for j in range(rows)
+    ]
+    kept = (order, scale, tuple(series_det(matrix, order)))
+    _series_memo.pop(key, None)
+    if len(_series_memo) >= _SERIES_MEMO_SIZE:
+        del _series_memo[next(iter(_series_memo))]
+    _series_memo[key] = kept
+    return kept
+
+
 def _integrate_shapes(ctx: BNContext, weights: dict[tuple[int, Shape], Fraction]) -> Fraction:
     """g! * sum of weight * L(p_1^n s_shape) over the keys (n, shape) of
     ``weights``, where L is the Harris-Tu functional
@@ -152,29 +198,23 @@ def _integrate_shapes(ctx: BNContext, weights: dict[tuple[int, Shape], Fraction]
         L(p_1^n x^shape) = n! [t^n] det[ sum_e t^e/e! * 1/(b + shape_j - j + e + l)! ],
 
     one determinant of truncated power series in place of a sum over all
-    exponent vectors.  Every entry is scaled by one integer, so each
-    determinant is a ``series_det`` over int and the scale is divided out
-    once at the end.
+    exponent vectors.  Each shape takes one such determinant, at the highest
+    order n asked (``_shape_series``), with its entries scaled by one
+    integer S, so det(S M) = S^rows det(M) is divided out once per shape.
     """
     rows = ctx.r + 1
     base = ctx.g + ctx.r - ctx.d
-    top_order = max((order for order, _ in weights), default=0)
-    top = base + ctx.r + max((order + shape[0] for order, shape in weights), default=0)
-    fact = [math.factorial(i) for i in range(top + 1)]
-    scale = fact[top_order] * fact[top]
-
-    def entry(m: int, e: int) -> int:
-        return scale // (fact[e] * fact[m]) if m >= 0 else 0
-
-    total = ZERO
+    by_shape: dict[Shape, dict[int, Fraction]] = {}
     for (order, shape), weight in weights.items():
-        matrix = [
-            [[entry(base + shape[j] - j + l + e, e) for e in range(order + 1)]
-             for l in range(rows)]
-            for j in range(rows)
-        ]
-        total += weight * (fact[order] * series_det(matrix, order)[order])
-    return total * math.factorial(ctx.g) / scale ** rows
+        by_shape.setdefault(shape, {})[order] = weight
+    total = ZERO
+    for shape, orders in by_shape.items():
+        _, scale, series = _shape_series(rows, base, shape, max(orders))
+        total += sum((
+            weight * (math.factorial(order) * series[order])
+            for order, weight in orders.items()
+        ), ZERO) / scale ** rows
+    return total * math.factorial(ctx.g)
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,52 @@ class _HelpRequested(Exception):
     """Carries the help text of ``-h`` back to ``run_command``."""
 
 
+def _dash_word(word: str) -> bool:
+    """A word that argparse reads as an unknown option, not as a value: it
+    begins with a single '-' and is not a negative integer."""
+    return word[:1] == "-" and word[1:2] not in ("", "-") and not word[1:].isdigit()
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    # set on the leaves whose expression may begin with '-' (``_add_expression``)
+    takes_expression = False
+
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse, except that a leaf taking an expression says where
+        an expression such as -2*omega^2 goes when argparse took it for an
+        option and left the expression missing or the word unrecognized.
+        The tree and the leaf alone both raise the error here."""
+        if not self.takes_expression:
+            return super().parse_known_args(args, namespace)
+        try:
+            namespace, extras = super().parse_known_args(args, namespace)
+        except UsageError as err:
+            message = str(err)
+            # with the expression missing, no word follows a '--'
+            word = next(filter(_dash_word, sys.argv[1:] if args is None else args), None)
+            if (word is None or "expression" not in message
+                    or not message.startswith("the following arguments are required")):
+                raise
+            self.error(_after_double_dash(message, word))
+        word = next(filter(_dash_word, extras), None)
+        if word is not None:
+            self.error(_after_double_dash(f"unrecognized arguments: {' '.join(extras)}", word))
+        return namespace, extras
+
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help().rstrip("\n"))
+
+
+def _after_double_dash(message: str, word: str) -> str:
+    return f"{message} (an expression that begins with '-' goes after '--', as in: -- {word})"
+
+
+def _add_expression(leaf: _ArgumentParser, **kwargs) -> None:
+    leaf.add_argument("expression", **kwargs)
+    leaf.takes_expression = True
 
 
 class Report(Record):
@@ -169,7 +209,7 @@ def build_parser() -> _ArgumentParser:
     ring_eval = _leaf(ring, "ring eval", _run_ring_eval)
     ring_eval.add_argument("--preset", required=True,
                            help="jac:g=<g>,d=<d>,r=<r> | surface:g=<g> | uc:g=<g>")
-    ring_eval.add_argument("expression")
+    _add_expression(ring_eval)
 
     pic_class = _leaf(pic, "pic class", _run_pic_class)
     pic_class.add_argument("--g", type=int, required=True)
@@ -186,7 +226,7 @@ def build_parser() -> _ArgumentParser:
     for label in ("pic push", "pic pull"):
         cmd = _leaf(pic, label, _run_pic_push_pull)
         cmd.add_argument("--g", type=int, required=True)
-        cmd.add_argument("expression", nargs="?", default=None)
+        _add_expression(cmd, nargs="?", default=None)
         cmd.add_argument("--class", dest="class_spec", default=None, choices=NAMED_CLASSES,
                          help="a named class (alternative to an expression)")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddspin import bn
 from oddspin.bn import (
     bn_context,
     degeneracy_classes,
@@ -322,6 +323,59 @@ def test_generating_function_core_matches_root_expansion_on_small_contexts(case)
     ctx, exps = case
     elem = balanced_element(ctx, exps)
     assert evaluate_taut(ctx, elem) == root_expansion_value(ctx, elem)
+
+
+@st.composite
+def small_context_integrand_sequences(draw):
+    """A small context and integrands of mixed c_1 orders and Schur shapes:
+    each a sum of one to three balanced monomials with small coefficients."""
+    g = draw(st.integers(1, 10))
+    r = draw(st.integers(0, 3))
+    h1 = draw(st.integers(0, g // (r + 1)))
+    ctx = bn_context(g, r, g + r - h1)
+    monomial = st.sampled_from(balanced_c_monomials(r + 1, ctx.rho))
+    coefficient = st.integers(-3, 3).filter(bool)
+    integrands = []
+    for terms in draw(st.lists(st.lists(st.tuples(coefficient, monomial), min_size=1,
+                                        max_size=3), min_size=1, max_size=5)):
+        elem = ctx.preset.zero()
+        for coeff, exps in terms:
+            elem = elem + coeff * balanced_element(ctx, exps)
+        integrands.append(elem)
+    return ctx, integrands
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_context_integrand_sequences())
+def test_values_do_not_depend_on_what_the_determinant_memo_holds(case):
+    # the memo is shared with every earlier example of equal rows and b
+    ctx, integrands = case
+    values = [evaluate_taut(ctx, elem) for elem in integrands]
+    for elem, value in zip(integrands, values):
+        bn._series_memo.clear()
+        assert evaluate_taut(ctx, elem) == value == root_expansion_value(ctx, elem)
+
+
+@pytest.mark.parametrize("first,then,calls", [("c1", "theta", 1), ("theta", "c1", 2)])
+def test_a_determinant_kept_at_a_high_order_serves_the_lower_ones(
+        ctx, series_det_orders, first, then, calls):
+    eta = ctx.preset.gen("eta")
+    for name in (first, then):
+        evaluate_taut(ctx, eta * ctx.preset.gen(name) ** ctx.rho)
+    assert len(series_det_orders) == calls
+    assert series_det_orders[-1] == ctx.rho
+
+
+def test_the_determinant_memo_is_bounded(series_det_orders):
+    keys = [(1, b, (s,)) for b in range(33) for s in range(32)]
+    assert len(keys) > bn._SERIES_MEMO_SIZE
+    for rows, b, shape in keys:
+        bn._shape_series(rows, b, shape, 0)
+    assert len(bn._series_memo) == bn._SERIES_MEMO_SIZE
+    assert len(series_det_orders) == len(keys)
+    # the newest entries are kept, so asking for them again takes no determinant
+    bn._shape_series(*keys[-1], 0)
+    assert len(series_det_orders) == len(keys)
 
 
 @pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])

@@ -283,6 +283,37 @@ def test_pic_class_refuses_space_unless_k(name, g, space):
     assert payload["result"]["basis"] == f"{space}(g={g})"
 
 
+@pytest.mark.parametrize("argv,word", [
+    (["ring", "eval", "--preset", "uc:g=3", "-2*omega^2"], "-2*omega^2"),
+    (["ring", "eval", "--preset", "uc:g=3", "omega^2", "-x"], "-x"),
+    (["pic", "pull", "--g", "5", "-1/2*lambda"], "-1/2*lambda"),
+    (["pic", "push", "--g", "4", "-lambda", "--format", "json"], "-lambda"),
+])
+def test_a_leading_minus_expression_error_says_to_use_double_dash(argv, word):
+    outcome = run_command(argv)
+    assert outcome.exit_code == 2
+    assert outcome.stderr.endswith(
+        f"(an expression that begins with '-' goes after '--', as in: -- {word})"
+    )
+
+
+def test_the_double_dash_hint_is_the_fix():
+    argv = ["ring", "eval", "--preset", "uc:g=3", "--format", "json", "--", "-2*omega^2"]
+    assert run_json(argv)["result"]["normalized"] == "-2*omega^2"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ring", "eval", "--preset", "uc:g=3"], "the following arguments are required: expression"),
+    (["ring", "eval", "--preset", "-3"], "the following arguments are required: expression"),
+    (["ring", "eval", "omega^2", "-x"], "the following arguments are required: --preset"),
+    (["pic", "push", "--g", "4", "lambda", "--bogus"], "unrecognized arguments: --bogus"),
+    (["pic", "solve-zg", "--g", "4", "-x"], "unrecognized arguments: -x"),
+])
+def test_other_usage_errors_carry_no_double_dash_hint(argv, message):
+    outcome = run_command(argv)
+    assert (outcome.exit_code, outcome.stderr) == (2, f"error: {message}")
+
+
 def test_pic_push_accepts_positional_expression():
     payload = run_json(
         ["pic", "push", "--g", "3",
@@ -453,6 +484,11 @@ EDGE_ARGVS = [
     ["ring", "eval", "--preset", "uc:g=3", "--", "-2*omega^2"],
     ["ring", "eval", "--preset", "uc:g=3", "-omega"],
     ["ring", "eval", "--preset", "uc:g=3", "-2*omega^2"],
+    ["ring", "eval", "--preset", "uc:g=3", "omega^2", "-x", "--", "-y"],
+    ["ring", "eval", "-x", "--format", "json"],
+    ["pic", "pull", "--g", "5", "-1/2*lambda"],
+    ["pic", "push", "--g", "5", "--", "-lambda", "-x"],
+    ["pic", "push", "--g", "-5", "lambda"],
     ["ring", "eval", "--", "--preset", "uc:g=3"],
     ["ring", "eval", "--pre", "uc:g=3", "omega^2", "--form", "json"],
     ["ring", "eval", "--preset=uc:g=3", "omega^2"],

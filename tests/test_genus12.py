@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddspin import genus12
+from oddspin import bn, genus12
 from oddspin.bn import (
     evaluate_taut,
     evaluate_taut_recursion,
@@ -238,16 +238,26 @@ def test_elliptic_pencil_relation():
 
 # -- the pipeline's hard checks ---------------------------------------------
 
+def _clear_pipeline_caches():
+    for cached in (side, d12_coefficients):
+        cached.cache_clear()
+    bn._series_memo.clear()
+
+
 @pytest.fixture
 def fresh_pipeline():
-    """Empty every pipeline cache before and after the test, so a perturbed
-    check runs now and the good values are recomputed afterwards."""
-    caches = (side, d12_coefficients)
-    for cached in caches:
-        cached.cache_clear()
+    """Empty every pipeline cache and the Harris-Tu determinant memo before
+    and after the test, so a perturbed check runs now on fresh determinants
+    and the good values are recomputed afterwards."""
+    _clear_pipeline_caches()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    _clear_pipeline_caches()
+
+
+def test_d12_takes_one_determinant_per_schur_shape(fresh_pipeline, series_det_orders):
+    # both sides and both evaluators share one context and its 12 shapes
+    assert d12_coefficients() == (13245, 1926, 9867)
+    assert len(series_det_orders) == 12
 
 
 def _perturbed_recorded_locus(monkeypatch):
