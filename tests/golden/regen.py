@@ -11,14 +11,25 @@ of a source checkout:
 
     PYTHONPATH=src python tests/golden/regen.py
 
+``--check`` compares the corpus with fresh runs without rewriting it, names
+the first argv that differs and exits 1 on a difference; it needs no
+pytest, so any interpreter can run the corpus:
+
+    PYTHONPATH=src python tests/golden/regen.py --check
+
 A changed line is a behaviour change; say which and why wherever the
 change is recorded.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import shlex
+import sys
 from pathlib import Path
+from unittest import mock
 
 CORPUS = Path(__file__).with_name("reports.jsonl")
 FORMATS = ("json", "text")
@@ -80,6 +91,18 @@ PIC_EXPRESSIONS = {"spin": "13*lambda - 2*alpha0 + 1/3*beta0 - 3/2*alpha1",
                    "moduli": "13*lambda - 7/6*delta0 + 3*delta1"}
 
 
+# curve-index spellings that int() reads as plain integers, and unknown
+# curves with and without an index (``X:1`` pins the order of the checks)
+CURVE_SPELLINGS = ("F:+2", "F: 2", "F:0_2", "F:\u0663", "X", "X:1")
+
+# -h at every level of the command tree and at every leaf
+HELP_COMMANDS = (
+    (), ("ring",), ("pic",), ("d12",), ("ring", "eval"), ("pic", "class"),
+    ("pic", "pair"), ("pic", "push"), ("pic", "pull"), ("pic", "solve-zg"),
+    ("cert",), ("d12", "run"), ("numbers",),
+)
+
+
 def pic_curves(g: int) -> list[str]:
     """Every test-curve spec of genus g: each family index, one past the
     end, and the pencil with an index it refuses."""
@@ -104,7 +127,8 @@ def pic_argvs(g: int) -> list[list[str]]:
 
 
 def grid() -> list[list[str]]:
-    """Every command line of the corpus, in file order, each in both formats."""
+    """Every command line of the corpus, in file order: each report in both
+    formats, then each help once."""
     argvs = [["ring", "eval", "--preset", preset, expr]
              for preset, exprs in RING_EVALS.items() for expr in exprs]
     argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
@@ -112,16 +136,24 @@ def grid() -> list[list[str]]:
     argvs += [["d12", "run"], ["d12", "run", "--dump-intermediates"]]
     argvs += [["cert", "--g", str(g), "--aux", aux]
               for g in range(10, 31) for aux in ("bn", "d12")]
-    argvs += [["numbers", "--g", str(g)] for g in range(0, 31)]
+    # 7143: the spin total is too long to print
+    argvs += [["numbers", "--g", str(g)] for g in (*range(0, 31), 7143)]
     argvs += [argv for g in PIC_GENERA for argv in pic_argvs(g)]
-    return [argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
+    argvs += [["pic", "pair", "--g", "7", "--curve", curve, "--class", "zg"]
+              for curve in CURVE_SPELLINGS]
+    return ([argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
+            + [[*words, "-h"] for words in HELP_COMMANDS])
 
 
 def record(argv: list[str]) -> dict:
     """The corpus line of one run of ``argv``."""
     from oddspin.cli import run_command
 
-    outcome = run_command(argv)
+    # argparse wraps help at the terminal's width: record it at a fixed one,
+    # wide enough that no usage line wraps, since Python 3.13 wraps usage
+    # lines at other places than 3.10-3.12 do
+    with mock.patch.dict(os.environ, {"COLUMNS": "120"}):
+        outcome = run_command(argv)
     stdout = "\n".join(line for line in outcome.stdout.split("\n")
                        if not line.startswith("elapsed: "))
     return {
@@ -132,11 +164,32 @@ def record(argv: list[str]) -> dict:
     }
 
 
-def main() -> None:
+def first_difference() -> str | None:
+    """None when every corpus line matches a fresh run of its argv, else
+    what differs first."""
+    lines = CORPUS.read_text().splitlines()
+    if [json.loads(line)["argv"] for line in lines] != grid():
+        return "the corpus and the grid disagree: run tests/golden/regen.py"
+    for line in lines:
+        want = json.loads(line)
+        if record(want["argv"]) != want:
+            return f"first differing run: oddspin {shlex.join(want['argv'])}"
+    return None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the corpus with fresh runs; rewrite nothing")
+    if parser.parse_args().check:
+        difference = first_difference()
+        print(difference or f"every run matches {CORPUS}")
+        return 1 if difference else 0
     lines = [json.dumps(record(argv), sort_keys=True) for argv in grid()]
     CORPUS.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} runs to {CORPUS}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
