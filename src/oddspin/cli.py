@@ -218,8 +218,8 @@ def build_parser() -> _ArgumentParser:
 
     pic_pair = _leaf(pic, "pic pair", _run_pic_pair)
     pic_pair.add_argument("--g", type=int, required=True)
-    pic_pair.add_argument("--curve", required=True,
-                          help="F:<i> | G:<i> | H0 | F0 | G0 | C0 | C1 | R | P")
+    pic_pair.add_argument("--curve", required=True, help=" | ".join(
+        f"{name}:<i>" if name in picard.INDEXED_CURVES else name for name in picard.TEST_CURVES))
     pic_pair.add_argument("--class", dest="class_spec", required=True,
                           help=" | ".join(NAMED_CLASSES) + " | expression in the basis")
 
@@ -479,6 +479,7 @@ def _run_numbers(args):
     format_scalar(counts.total)
     degrees = {str(i): dict(zip("AB", boundary_degrees(g, i))) for i in range(g // 2 + 1)}
     profile = theta_pencil_profile(g)
+    names = profile.curve.basis.names
     result = {
         "g": g,
         "spin_counts": {"even": counts.n_even, "odd": counts.n_odd,
@@ -487,11 +488,7 @@ def _run_numbers(args):
         "boundary_degrees": degrees,
         "scorza_genus": scorza_genus(g),
         "theta_pencil": {
-            "pairings": {
-                name: format_scalar(v)
-                for name, v in zip(profile.curve.basis.names, profile.curve.pairings)
-                if v != 0
-            },
+            "pairings": {names[j]: format_scalar(v) for j, v in profile.curve.pairings},
             "canonical_pairing": format_scalar(profile.canonical_pairing),
             "canonical_negative": profile.canonical_pairing < 0,
             "discriminant_degree": profile.discriminant_degree,

@@ -14,10 +14,11 @@ paper writes boundary coefficients with a minus sign in front
 by negating boundary entries, and nothing else negates.
 
 Representation.  A class holds one integer numerator per generator over
-one denominator, in the form of ``scalars``, and a test curve's pairings
-are integers, so class arithmetic, pullback, pushforward and rendering
-work on ints; a ``Fraction`` is built only where a value leaves a class
-(``coefficient``, ``coefficients``) and for the value ``pair`` returns.
+one denominator, in the form of ``scalars``, so class arithmetic, pullback,
+pushforward and rendering work on ints; a ``Fraction`` is built only where
+a value leaves a class (``coefficient``, ``coefficients``) and for the
+value ``pair`` returns.  A test curve holds only its nonzero pairings, as
+(basis index, int) pairs, and each named curve is one ``TEST_CURVES`` entry.
 """
 from __future__ import annotations
 
@@ -59,15 +60,13 @@ class PicBasis(Record):
         except KeyError:
             raise BasisMismatchError(f"no generator {name!r} in basis {self.label}")
 
-    def vector(self, mapping: Mapping[str, object]) -> tuple[tuple[int, ...], int]:
-        """Int, Fraction or "p/q" coefficients by generator name as
-        numerators in basis order over one denominator (``scalars.over_lcm``);
-        absent names are 0."""
+    def entries(self, mapping: Mapping[str, object]) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Int, Fraction or "p/q" coefficients by generator name as (basis
+        index, numerator) pairs over one denominator (``scalars.over_lcm``):
+        the nonzero numerators only, in basis order."""
         numerators, den = over_lcm(mapping.values())
-        vec = [0] * len(self.names)
-        for name, p in zip(mapping, numerators):
-            vec[self.index(name)] = p
-        return tuple(vec), den
+        pairs = sorted(zip(map(self.index, mapping), numerators))
+        return tuple((j, p) for j, p in pairs if p), den
 
 
 # bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once
@@ -120,7 +119,11 @@ class DivisorClass(Record):
 
     @staticmethod
     def from_mapping(basis: PicBasis, mapping: Mapping[str, object]) -> "DivisorClass":
-        return DivisorClass(basis, *basis.vector(mapping))
+        entries, den = basis.entries(mapping)
+        numerators = [0] * len(basis.names)
+        for j, p in entries:
+            numerators[j] = p
+        return DivisorClass(basis, tuple(numerators), den)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -195,6 +198,8 @@ class DivisorClass(Record):
 class TestCurve(Record):
     """A one-parameter family paired against every Picard generator.
 
+    ``pairings`` holds the nonzero pairings only, as (basis index, int)
+    pairs in basis order; a generator absent from it pairs to 0.
     ``assumed_zero`` lists the generators whose vanishing pairing is a
     zero-fill assumption rather than an explicitly recorded value; reports
     propagate these flags.
@@ -211,13 +216,13 @@ class TestCurve(Record):
     ) -> "TestCurve":
         """The curve with the given pairings by generator name; a curve
         meets every divisor in an integer, so a non-integer is refused."""
-        pairings, den = basis.vector(mapping)
+        pairings, den = basis.entries(mapping)
         if den != 1:
             raise PreconditionError(f"test curve {name} has a non-integer pairing")
         return TestCurve(name, basis, pairings, tuple(assumed_zero))
 
     def pairing(self, name: str) -> int:
-        return self.pairings[self.basis.index(name)]
+        return dict(self.pairings).get(self.basis.index(name), 0)
 
     def assumed_zero_labels(self) -> tuple[str, ...]:
         return tuple(f"{self.name}:{gen}" for gen in self.assumed_zero)
@@ -229,7 +234,7 @@ def pair(t: TestCurve, c: DivisorClass) -> Fraction:
         raise BasisMismatchError(
             f"curve on {t.basis.label} cannot pair with class on {c.basis.label}"
         )
-    return Fraction(sum(p * n for p, n in zip(t.pairings, c.numerators)), c.denominator)
+    return Fraction(sum(p * c.numerators[j] for j, p in t.pairings), c.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -359,67 +364,59 @@ def bn_divisor_class(g: int) -> DivisorClass:
 # Test curves
 # ---------------------------------------------------------------------------
 
+def _higher_boundary(*kinds: str):
+    """The assumed-zero rule: each ``kinds`` generator of index 2..g//2."""
+    return lambda basis, pairings: tuple(
+        f"{kind}{j}" for j in range(2, basis.g // 2 + 1) for kind in kinds)
+
+
+# name -> (basis builder, pairing rule, assumed-zero rule), in the order the
+# CLI lists them.  A pairing rule maps g (and the index i of a family in
+# INDEXED_CURVES) to the recorded pairings by name; an assumed-zero rule maps
+# the basis and those pairings to the generators zero-filled by convention.
+TEST_CURVES = {
+    "F": (spin_basis, lambda g, i: {f"alpha{i}": 2 - 2 * i}, None),
+    "G": (spin_basis, lambda g, i: {f"beta{i}": 2 - 2 * i}, None),
+    "H0": (spin_basis, lambda g: {"beta0": 1 - g, "beta1": 1}, _higher_boundary("alpha", "beta")),
+    "F0": (spin_basis, lambda g: {"lambda": 1, "alpha0": 12, "alpha1": -1}, None),
+    "G0": (spin_basis, lambda g: {"lambda": 3, "alpha0": 12, "beta0": 12, "beta1": -3}, None),
+    "C0": (moduli_basis, lambda g: {"delta0": 2 - 2 * g, "delta1": 1}, None),
+    "C1": (moduli_basis, lambda g: {"delta1": 4 - 2 * g}, None),
+    "R": (moduli_basis, lambda g: {"lambda": 1, "delta0": 12, "delta1": -1},
+          _higher_boundary("delta")),
+    "P": (spin_basis, lambda g: {"lambda": g + 1, "alpha0": 4 * g + 20, "beta0": g - 1},
+          lambda basis, pairings: tuple(n for n in basis.names if n not in pairings)),
+}
+INDEXED_CURVES = ("F", "G")
+
+
 def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
-    """Standard boundary test curves.
+    """Standard boundary test curves, one entry of ``TEST_CURVES`` each.
 
     Spin-basis families: F (odd-even pointed gluing sweeping a boundary
     component, index i), G (even-odd variant), F0/G0 (the two spin lifts of
-    a plane-cubic pencil), H (the family sweeping the ramification divisor
-    beta_0) and P (the covering pencil cut out by theta hyperplanes on a
-    polarized K3 surface, g >= 3).  Moduli-basis families: C0 (identifying
-    a moving point with a fixed one), C1 (attaching a fixed elliptic tail at
-    a moving point) and R (the plane-cubic pencil itself).  Pairings not
-    recorded are zero; the
-    assumed_zero flags mark the entries that are zero-filled by convention
-    rather than explicitly known.
+    a plane-cubic pencil), H0, also spelled H (the family sweeping the
+    ramification divisor beta_0) and P (the covering pencil cut out by
+    theta hyperplanes on a polarized K3 surface, g >= 3).  Moduli-basis
+    families: C0 (identifying a moving point with a fixed one), C1
+    (attaching a fixed elliptic tail at a moving point) and R (the
+    plane-cubic pencil itself).
     """
-    m = g // 2
-    if name in ("F", "G"):
-        if i is None or not 1 <= i <= m:
-            raise PreconditionError(f"index for {name} must lie in 1..{m}")
-        gen = f"alpha{i}" if name == "F" else f"beta{i}"
-        return TestCurve.from_pairings(
-            f"{name}{i}", spin_basis(g), {gen: 2 - 2 * i}
-        )
-    if i is not None:
+    if name in INDEXED_CURVES:
+        if i is None or not 1 <= i <= g // 2:
+            raise PreconditionError(f"index for {name} must lie in 1..{g // 2}")
+    elif i is not None:
         raise PreconditionError(f"curve {name} takes no index")
-    if name == "F0":
-        return TestCurve.from_pairings(
-            "F0", spin_basis(g), {"lambda": 1, "alpha0": 12, "alpha1": -1}
-        )
-    if name == "G0":
-        return TestCurve.from_pairings(
-            "G0", spin_basis(g), {"lambda": 3, "alpha0": 12, "beta0": 12, "beta1": -3}
-        )
-    if name in ("H", "H0"):
-        assumed = tuple(
-            f"{kind}{j}" for j in range(2, m + 1) for kind in ("alpha", "beta")
-        )
-        return TestCurve.from_pairings(
-            "H0", spin_basis(g), {"beta0": 1 - g, "beta1": 1}, assumed_zero=assumed
-        )
-    if name == "P":
-        if g < 3:
-            raise PreconditionError("theta pencils need g >= 3")
-        basis = spin_basis(g)
-        pairings = {"lambda": g + 1, "alpha0": 4 * g + 20, "beta0": g - 1}
-        assumed = tuple(gen for gen in basis.names if gen not in pairings)
-        return TestCurve.from_pairings("P", basis, pairings, assumed_zero=assumed)
-    if name == "C0":
-        return TestCurve.from_pairings(
-            "C0", moduli_basis(g), {"delta0": 2 - 2 * g, "delta1": 1}
-        )
-    if name == "C1":
-        return TestCurve.from_pairings(
-            "C1", moduli_basis(g), {"delta1": 4 - 2 * g}
-        )
-    if name == "R":
-        assumed = tuple(f"delta{j}" for j in range(2, m + 1))
-        return TestCurve.from_pairings(
-            "R", moduli_basis(g), {"lambda": 1, "delta0": 12, "delta1": -1},
-            assumed_zero=assumed,
-        )
-    raise PreconditionError(f"unknown test curve {name!r}")
+    if name == "P" and g < 3:
+        raise PreconditionError("theta pencils need g >= 3")
+    key = "H0" if name == "H" else name
+    if key not in TEST_CURVES:
+        raise PreconditionError(f"unknown test curve {name!r}")
+    build_basis, pairing_rule, assumed_rule = TEST_CURVES[key]
+    basis = build_basis(g)
+    pairings = pairing_rule(g) if i is None else pairing_rule(g, i)
+    assumed = assumed_rule(basis, pairings) if assumed_rule else ()
+    return TestCurve.from_pairings(key if i is None else f"{name}{i}", basis, pairings, assumed)
 
 
 class ThetaPencilProfile(Record):
@@ -434,11 +431,12 @@ def theta_pencil_profile(g: int) -> ThetaPencilProfile:
     """Pencil pairings (lambda: g+1, alpha_0: 4g+20, beta_0: g-1, rest 0).
 
     The discriminant of the pencil has degree 6g+18 and splits as twice the
-    g-1 base-point contacts plus 4g+20 free nodal members.
+    base-point contacts plus the free nodal members, read from P's entry of
+    ``TEST_CURVES`` as its beta_0 and alpha_0 pairings; ``decomposition_ok``
+    checks that entry against 6g+18.
     """
     curve = test_curve("P", g)
-    base_contacts = g - 1
-    free_nodal = 4 * g + 20
+    base_contacts, free_nodal = curve.pairing("beta0"), curve.pairing("alpha0")
     return ThetaPencilProfile(
         g=g,
         curve=curve,
@@ -489,8 +487,7 @@ def solve_zg(g: int) -> ZgSolveReport:
     curves += [(test_curve(name, g), value, "pencil-")
                for name, value in (("F0", 0), ("G0", 0), ("H", 2 * (g - 2)))]
     for curve, value, kind in curves:
-        row = {j: v for j, v in enumerate(curve.pairings) if v}
-        system.append((row, value, kind + curve.name))
+        system.append((dict(curve.pairings), value, kind + curve.name))
         assumptions.extend(curve.assumed_zero_labels())
     rows, rhs, labels = zip(*system)
 

@@ -284,10 +284,14 @@ def test_bn_divisor_existence_on_prime_squares_and_primes():
 
 def test_curve_vectors():
     f0 = boundary_curve("F0", 7)
-    assert dict(zip(f0.basis.names, f0.pairings)) == {
+    # the nonzero pairings are stored; every other generator pairs to 0
+    assert f0.pairings == ((0, 1), (1, 12), (2, -1))
+    assert {name: f0.pairing(name) for name in f0.basis.names} == {
         "lambda": 1, "alpha0": 12, "alpha1": -1, "alpha2": 0, "alpha3": 0,
         "beta0": 0, "beta1": 0, "beta2": 0, "beta3": 0,
     }
+    with pytest.raises(BasisMismatchError):
+        f0.pairing("delta0")
     g0 = boundary_curve("G0", 7)
     assert g0.pairing("lambda") == 3
     assert g0.pairing("alpha0") == 12
@@ -331,21 +335,85 @@ def test_theta_pencil_is_the_test_curve_p():
 
 def test_classes_and_curves_share_the_name_to_vector_builder():
     basis = spin_basis(5)
-    # integer numerators over the least common denominator
-    assert basis.vector({"beta1": 2, "lambda": "1/3", "alpha0": Fraction(5, 6)}) == (
-        (2, 5, 0, 0, 0, 12, 0), 6,
-    )
-    assert basis.vector({}) == ((0,) * 7, 1)
+    # integer numerators over the least common denominator: the nonzero ones
+    # by basis index, in basis order, and a class fills in the zeros
+    mixed = {"beta1": 2, "lambda": "1/3", "alpha0": Fraction(5, 6), "alpha2": 0}
+    assert basis.entries(mixed) == (((0, 2), (1, 5), (5, 12)), 6)
+    cls = DivisorClass.from_mapping(basis, mixed)
+    assert (cls.numerators, cls.denominator) == ((2, 5, 0, 0, 0, 12, 0), 6)
+    assert basis.entries({}) == ((), 1)
+    assert DivisorClass.from_mapping(basis, {}).numerators == (0,) * 7
     mapping = {"lambda": 1, "alpha0": 12, "alpha1": -1}
     cls = DivisorClass.from_mapping(basis, mapping)
-    assert ((cls.numerators, cls.denominator)
-            == (boundary_curve("F0", 5).pairings, 1) == basis.vector(mapping))
+    curve = boundary_curve("F0", 5)
+    assert (curve.pairings, 1) == basis.entries(mapping)
+    # entry by entry: the curve's pairings are the class's numerators
+    assert cls.denominator == 1
+    assert [curve.pairing(name) for name in basis.names] == list(cls.numerators)
+    assert dict(curve.pairings) == {j: n for j, n in enumerate(cls.numerators) if n}
     assert cls.coefficients == (1, 12, -1, 0, 0, 0, 0)
-    with pytest.raises(BasisMismatchError):
-        basis.vector({"delta0": 1})
+    # a name outside the basis is refused, with a zero coefficient too
+    for bad in ({"delta0": 1}, {"delta0": 0}):
+        with pytest.raises(BasisMismatchError):
+            basis.entries(bad)
+        with pytest.raises(BasisMismatchError):
+            DivisorClass.from_mapping(basis, bad)
     # a curve meets every divisor in an integer
     with pytest.raises(PreconditionError, match="non-integer pairing"):
         picard.TestCurve.from_pairings("X", basis, {"lambda": Fraction(1, 2)})
+
+
+def every_test_curve(g):
+    """Every curve ``test_curve`` builds in genus g, each family index included."""
+    for name in picard.TEST_CURVES:
+        if name in picard.INDEXED_CURVES:
+            yield from (boundary_curve(name, g, i) for i in range(1, g // 2 + 1))
+        else:
+            yield boundary_curve(name, g)
+
+
+@pytest.mark.parametrize("g", [3, 7, 40])
+def test_curves_store_only_their_nonzero_pairings(g):
+    curves = list(every_test_curve(g))
+    assert len(curves) == 7 + 2 * (g // 2)
+    for curve in curves:
+        indices = [j for j, _ in curve.pairings]
+        assert indices == sorted(set(indices))
+        assert all(type(v) is int and v != 0 for _, v in curve.pairings)
+        assert len(curve.pairings) <= 4
+        names = curve.basis.names
+        assert {name: curve.pairing(name) for name in names if curve.pairing(name)} == {
+            names[j]: v for j, v in curve.pairings}
+
+
+def test_solve_zg_memory_grows_linearly_in_g():
+    import tracemalloc
+
+    peaks = {}
+    for g in (300, 600):
+        solve_zg(g)  # the bases, the universal-curve preset and the caches warm
+        tracemalloc.start()
+        try:
+            solve_zg(g)
+            peaks[g] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # linear growth doubles the peak; a dense pairing tuple per curve made it 3.4x
+    assert peaks[600] / peaks[300] < 2.5
+
+
+def test_decomposition_ok_checks_the_pencil_table_entry(monkeypatch):
+    assert theta_pencil_profile(7).decomposition_ok
+    build_basis, rule, assumed = picard.TEST_CURVES["P"]
+
+    def one_more_free_member(g):
+        pairings = rule(g)
+        return {**pairings, "alpha0": pairings["alpha0"] + 1}
+
+    monkeypatch.setitem(picard.TEST_CURVES, "P", (build_basis, one_more_free_member, assumed))
+    profile = theta_pencil_profile(7)
+    assert (profile.free_nodal_members, profile.base_point_contacts) == (49, 6)
+    assert not profile.decomposition_ok
 
 
 def test_pair_requires_common_basis():
@@ -477,7 +545,9 @@ def test_solve_zg_rows_are_the_stored_pairings(monkeypatch):
                          ("pencil-G0", boundary_curve("G0", g)),
                          ("pencil-H0", boundary_curve("H0", g))):
         row, value = by_label[label]
-        assert row == {j: v for j, v in enumerate(curve.pairings) if v}
+        assert row == dict(curve.pairings)
+        assert row == {spin_basis(g).index(name): curve.pairing(name)
+                       for name in spin_basis(g).names if curve.pairing(name)}
         assert value == pair(curve, zg_class(g))
 
 
