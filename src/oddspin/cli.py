@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -547,8 +548,12 @@ def run_command(argv) -> CommandOutcome:
 
 def main() -> None:
     outcome = run_command(sys.argv[1:])
-    if outcome.stdout:
-        print(outcome.stdout)
+    try:
+        if outcome.stdout:
+            print(outcome.stdout, flush=True)
+    except BrokenPipeError:  # the reader left: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     if outcome.stderr:
         print(outcome.stderr, file=sys.stderr)
     sys.exit(outcome.exit_code)

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +405,23 @@ def test_main_prints_help_and_exits_zero(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("usage: oddspin pic class") and "--format" in out
     assert err == ""
+
+
+def test_main_exits_1_quietly_when_stdout_is_closed_early():
+    # as in `oddspin pic pull ... | head -2`, but with the reader gone before
+    # the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["pic", "pull", "--g", "5", "--format", "json", "--", "-1/2*lambda"]
+    try:
+        done = subprocess.run([sys.executable, "-m", "oddspin.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
 
 
 def test_parser_reuse_leaves_no_state_behind():
