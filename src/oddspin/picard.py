@@ -66,7 +66,7 @@ class PicBasis(Record):
         the nonzero numerators only, in basis order."""
         numerators, den = over_lcm(mapping.values())
         pairs = sorted(zip(map(self.index, mapping), numerators))
-        return tuple((j, p) for j, p in pairs if p), den
+        return tuple([(j, p) for j, p in pairs if p]), den
 
 
 # bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -387,8 +388,6 @@ def test_curves_store_only_their_nonzero_pairings(g):
 
 
 def test_solve_zg_memory_grows_linearly_in_g():
-    import tracemalloc
-
     peaks = {}
     for g in (300, 600):
         solve_zg(g)  # the bases, the universal-curve preset and the caches warm
