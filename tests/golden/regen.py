@@ -63,6 +63,12 @@ RING_EVALS = {
         "omega^2", "omega*lambda", "lambda^2", "(omega + lambda)^2",
         "3/4*omega^2 - 2*omega*(-1/4*lambda)", "omega", "omega^2 + omega",
         "omega^3", "1", "k", "c1", "Delta*omega",
+        # signed, zero and unreduced literals, constant powers, a zero
+        # denominator; argparse takes a leading '-' for an option, and a
+        # leading space gets the same expression past it
+        "4/6*omega^2", "0/5*omega^2 + lambda^2", "omega^2 + -0*omega",
+        "-12/8*omega*lambda", " -12/8*omega*lambda", "(2/4*omega + 3/6)^3",
+        "2^3*omega^2", "0^0*omega^2", "1/0*omega",
     ),
     "uc:g=5": ("3/4*omega^2 - 2*omega*(-1/4*lambda)", "lambda^2 - omega*lambda", "lambda"),
 }
@@ -102,6 +108,13 @@ HELP_COMMANDS = (
     ("cert",), ("d12", "run"), ("numbers",),
 )
 
+# argparse usage errors: a missing required option, an invalid choice, an
+# invalid int and a missing expression
+USAGE_ERRORS = (
+    ("pic", "solve-zg"), ("cert", "--g", "12", "--aux", "xyz"), ("numbers", "--g", "x"),
+    ("ring", "eval", "--preset", "uc:g=3"),
+)
+
 
 def pic_curves(g: int) -> list[str]:
     """Every test-curve spec of genus g: each family index, one past the
@@ -128,7 +141,7 @@ def pic_argvs(g: int) -> list[list[str]]:
 
 def grid() -> list[list[str]]:
     """Every command line of the corpus, in file order: each report in both
-    formats, then each help once."""
+    formats, then each help once, then each usage error once."""
     argvs = [["ring", "eval", "--preset", preset, expr]
              for preset, exprs in RING_EVALS.items() for expr in exprs]
     argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
@@ -142,7 +155,8 @@ def grid() -> list[list[str]]:
     argvs += [["pic", "pair", "--g", "7", "--curve", curve, "--class", "zg"]
               for curve in CURVE_SPELLINGS]
     return ([argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
-            + [[*words, "-h"] for words in HELP_COMMANDS])
+            + [[*words, "-h"] for words in HELP_COMMANDS]
+            + [list(argv) for argv in USAGE_ERRORS])
 
 
 def record(argv: list[str]) -> dict:
