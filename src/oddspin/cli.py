@@ -314,17 +314,14 @@ def _run_ring_eval(args):
     preset = _parse_preset_spec(args.preset)
     expr = parse_expression(args.expression, preset)
     elem = expr_to_ring(expr, preset)
-    result = {
-        "preset": preset.label,
-        "normalized": elem.render(),
-        "degree": elem.degree() if elem.is_homogeneous() else None,
-        "value": None,
-        "value_method": None,
-    }
+    # the degree of a nonzero homogeneous element; None for any other
+    degrees = {preset.monomial_degree(mono) for mono, _ in elem.numerators}
+    degree = degrees.pop() if len(degrees) == 1 else None
+    result = {"preset": preset.label, "normalized": elem.render(), "degree": degree,
+              "value": None, "value_method": None}
     assumptions: list[str] = []
-    if elem.is_zero() or not elem.is_homogeneous():
+    if degree is None:
         return {"preset": args.preset, "expression": args.expression}, result, assumptions
-    degree = elem.degree()
     if preset.kind == JACOBIAN:
         g, d, r = preset.param("g"), preset.param("d"), preset.param("r")
         generators = elem.generators()

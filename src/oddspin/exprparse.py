@@ -18,14 +18,15 @@ other character, a non-ASCII digit, letter or space too, is refused.
 Parsing and evaluation are iterative, so neither the length nor the
 nesting depth of an expression meets Python's recursion limit.  One
 left-to-right pass over the tokens writes a postfix program, after
-Dijkstra's operator-precedence ("shunting-yard") idea; one stack machine
-runs that program over either algebra, ring elements or (constant, divisor
-class) pairs.  Each run of '+'/'-' terms is one step that sums all of its
-terms at once.
+Dijkstra's operator-precedence ("shunting-yard") idea, with each literal
+as a pair of ints in lowest terms; one stack machine runs that program
+over either algebra, ring elements or (constant, divisor class) pairs.
+Each run of '+'/'-' terms is one step that sums all of its terms at once.
 """
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import ExprSyntaxError
@@ -82,10 +83,10 @@ def tokenize(text: str) -> list[Token]:
 class Expr:
     """A parsed expression as a postfix program of (kind, value, offset) steps.
 
-    ``num`` pushes a rational and ``name`` a generator; ``^`` raises the top
-    operand to the integer ``value``; ``*`` multiplies the top two; ``+``
-    replaces the top ``len(value)`` operands by their sum, each taken with
-    its sign in ``value``.
+    ``num`` pushes a (numerator, positive denominator) pair in lowest terms
+    and ``name`` a generator; ``^`` raises the top operand to the integer
+    ``value``; ``*`` multiplies the top two; ``+`` replaces the top
+    ``len(value)`` operands by their sum, each with its sign in ``value``.
     """
 
     __slots__ = ("steps",)
@@ -104,7 +105,7 @@ def _rational(tokens: list[Token], i: int, steps: list) -> int:
         sign, i = -1, i + 1
     numerator = sign * int(tokens[i][1])
     if tokens[i + 1][0] != "/":
-        steps.append(("num", Fraction(numerator), start))
+        steps.append(("num", (numerator, 1), start))
         return i + 1
     kind, text, pos = tokens[i + 2]
     if kind != "num":
@@ -112,7 +113,8 @@ def _rational(tokens: list[Token], i: int, steps: list) -> int:
     denominator = int(text)
     if denominator == 0:
         raise ExprSyntaxError("zero denominator in rational literal", pos)
-    steps.append(("num", Fraction(numerator, denominator), start))
+    common = math.gcd(numerator, denominator)
+    steps.append(("num", (numerator // common, denominator // common), start))
     return i + 3
 
 
@@ -206,34 +208,35 @@ def _run(expr: Expr, leaf, power, product, total):
     return stack.pop()
 
 
-def _refuse_oversized_power(base: Fraction, exponent: int, pos: int) -> None:
-    """Refuse ``base^exponent`` before computing it when its numerator or
-    denominator is sure to pass the digit limit: |n| >= 2^(bit_length - 1),
-    so the power has at least (bit_length - 1) * exponent bits."""
+def _refuse_oversized_power(numerator: int, denominator: int, exponent: int, pos: int) -> None:
+    """Refuse ``(numerator/denominator)^exponent`` before computing it when a
+    part in lowest terms is sure to pass the digit limit: |n| >= 2^(bit_length
+    - 1), so the power has at least (bit_length - 1) * exponent bits."""
     limit = digit_limit()
-    bits = max(base.numerator.bit_length(), base.denominator.bit_length()) - 1
+    common = math.gcd(numerator, denominator)
+    bits = max((numerator // common).bit_length(), (denominator // common).bit_length()) - 1
     if limit and bits > 0 and bits * exponent >= (10 ** limit).bit_length():
         raise ExprSyntaxError(f"constant power has more than {limit} digits", pos)
 
 
 def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
     """Evaluate a parsed expression to a normalized ring element."""
-    one = preset.one()
     constant = (0,) * len(preset.names)
+
+    def leaf(kind: str, value) -> RingElem:
+        if kind == "name":
+            return preset.gen(value)
+        # a literal in lowest terms is a canonical constant element
+        return RingElem(preset, ((constant, value[0]),), value[1]) if value[0] else preset.zero()
 
     def power(base: RingElem, exponent: int, pos: int) -> RingElem:
         # every generator has positive degree, so the constant term of the
-        # power is exactly the power of the base's constant term
-        _refuse_oversized_power(base.coefficient(constant), exponent, pos)
+        # power is exactly the power of the base's constant term (the last)
+        numerator = dict(base.numerators[-1:]).get(constant, 0)
+        _refuse_oversized_power(numerator, base.denominator, exponent, pos)
         return base ** exponent
 
-    return _run(
-        expr,
-        lambda kind, value: one * value if kind == "num" else preset.gen(value),
-        power,
-        lambda left, right, pos: left * right,
-        preset.weighted_sum,
-    )
+    return _run(expr, leaf, power, lambda left, right, pos: left * right, preset.weighted_sum)
 
 
 def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
@@ -243,13 +246,13 @@ def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
     # operands are (constant part, class part) pairs
     def leaf(kind: str, value) -> tuple[Fraction, DivisorClass]:
         if kind == "num":
-            return value, zero
+            return Fraction(*value), zero
         return ZERO, DivisorClass.from_mapping(basis, {value: 1})
 
     def power(base, exponent: int, pos: int):
         const, cls = base
         if cls.is_zero():
-            _refuse_oversized_power(const, exponent, pos)
+            _refuse_oversized_power(const.numerator, const.denominator, exponent, pos)
             return const ** exponent, zero
         if exponent == 1:
             return base

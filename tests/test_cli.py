@@ -672,6 +672,16 @@ def test_spin_counts_past_the_digit_limit_exit_1(digit_limit_4300, fmt, monkeypa
     assert counts["total"] == 2 ** 2126
 
 
+def test_a_constant_term_is_counted_in_lowest_terms(digit_limit_4300):
+    # the base is (3*theta + 2)/6: its constant term 1/3 has one bit past the
+    # leading one, 2/6 two, and 3^10000 has 4772 digits, too many to print
+    # but too few for the refusal before the power
+    outcome = run_command(["ring", "eval", "--preset", "jac:g=3,d=2,r=0",
+                           "(1/2*theta + 1/3)^10000"])
+    assert (outcome.exit_code, outcome.stdout) == (1, "")
+    assert outcome.stderr == "error: number too long to print: more than 4300 digits"
+
+
 def test_no_digit_limit_means_no_refusal(digit_limit_4300):
     sys.set_int_max_str_digits(0)
     result = run_json(["ring", "eval", "--preset", "uc:g=3", "2^20000*omega^2",

@@ -14,6 +14,7 @@ from oddspin.ring import (
     preset_surface_product,
     preset_universal_curve,
 )
+from oracles import model_add, model_mul, model_normalize, model_pow, model_terms
 
 
 @pytest.fixture(scope="module")
@@ -264,3 +265,77 @@ def test_a_long_sum_is_normalised_once(monkeypatch):
     assert len(expr_to_ring(expr, uc).terms) == 8000
     # one element holds the whole sum; no partial sum is built on the way
     assert sums == [8000]
+
+
+@pytest.mark.parametrize("text", [
+    "4/6*omega^2 - 0/5*lambda + -12/8*omega*lambda", "(2/4*omega + 3/6)^3", "2^3*omega^2",
+])
+def test_ring_literals_build_no_fraction(fraction_builds, text):
+    uc = preset_universal_curve(3)
+    with fraction_builds() as built:
+        expr_to_ring(parse_expression(text, uc), uc)
+    assert built == []
+
+
+@st.composite
+def literals(draw):
+    """The text and value of a literal: signed or not, zero, multi-digit,
+    unreduced, with leading zeros."""
+    common = draw(st.sampled_from((1, 2, 6, 10 ** 9)))
+    numerator = draw(st.one_of(st.integers(0, 12), st.integers(10 ** 12, 10 ** 20))) * common
+    text, value = "0" * draw(st.integers(0, 2)) + str(numerator), Fraction(numerator)
+    if draw(st.booleans()):
+        denominator = draw(st.integers(1, 10 ** 6)) * common
+        text, value = f"{text}/{denominator}", value / denominator
+    if draw(st.booleans()):
+        text, value = f"-{text}", -value
+    return text, value
+
+
+def ring_expressions(preset):
+    """(text, dict-of-Fraction model, is an atom) triples of sums, products
+    and powers of literals and generators; a compound operand is grouped."""
+    def unit(name):
+        return tuple(int(name == other) for other in preset.names)
+
+    def atom(text, mono, value):
+        return text, model_normalize(preset, [(mono, value)]), True
+
+    def grouped(operand):
+        return operand[0] if operand[2] else f"({operand[0]})"
+
+    def total(first, rest):
+        text = grouped(first) + "".join(
+            f" {'+' if sign > 0 else '-'} {grouped(term)}" for sign, term in rest)
+        model = first[1]
+        for sign, term in rest:
+            model = model_add(model, term[1], sign)
+        return text, model, False
+
+    def extend(operands):
+        signed = st.tuples(st.sampled_from((1, -1)), operands)
+        return st.one_of(
+            st.tuples(operands, st.lists(signed, min_size=1, max_size=2)).map(
+                lambda args: total(*args)),
+            st.tuples(operands, operands).map(lambda pair: (
+                f"{grouped(pair[0])}*{grouped(pair[1])}",
+                model_mul(preset, pair[0][1], pair[1][1]), False)),
+            st.tuples(operands, st.integers(0, 3)).map(lambda pair: (
+                f"{grouped(pair[0])}^{pair[1]}", model_pow(preset, pair[0][1], pair[1]), False)),
+        )
+
+    constant = (0,) * len(preset.names)
+    leaves = st.one_of(literals().map(lambda lit: atom(lit[0], constant, lit[1])),
+                       st.sampled_from(preset.names).map(lambda name: atom(name, unit(name), 1)))
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+@pytest.mark.parametrize("preset", [JAC_3, preset_surface_product(3), preset_universal_curve(3)],
+                         ids=["jac", "surface", "uc"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_literals_evaluate_as_the_fraction_model(preset, data):
+    text, model, _ = data.draw(ring_expressions(preset))
+    elem = expr_to_ring(parse_expression(text, preset), preset)
+    assert elem.terms == model_terms(model)
+    assert elem == preset.element(model)  # the same canonical numerators and denominator
