@@ -112,6 +112,9 @@ class _ArgumentParser(argparse.ArgumentParser):
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help().rstrip("\n"))
 
+    def _get_formatter(self):  # one help width on every terminal: argparse's at COLUMNS=120
+        return self.formatter_class(prog=self.prog, width=118)
+
 
 def _after_double_dash(message: str, word: str) -> str:
     return f"{message} (an expression that begins with '-' goes after '--', as in: -- {word})"

@@ -25,11 +25,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shlex
 import sys
 from pathlib import Path
-from unittest import mock
 
 CORPUS = Path(__file__).with_name("reports.jsonl")
 FORMATS = ("json", "text")
@@ -163,11 +161,7 @@ def record(argv: list[str]) -> dict:
     """The corpus line of one run of ``argv``."""
     from oddspin.cli import run_command
 
-    # argparse wraps help at the terminal's width: record it at a fixed one,
-    # wide enough that no usage line wraps, since Python 3.13 wraps usage
-    # lines at other places than 3.10-3.12 do
-    with mock.patch.dict(os.environ, {"COLUMNS": "120"}):
-        outcome = run_command(argv)
+    outcome = run_command(argv)
     stdout = "\n".join(line for line in outcome.stdout.split("\n")
                        if not line.startswith("elapsed: "))
     return {

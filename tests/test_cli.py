@@ -397,6 +397,14 @@ def test_help_is_an_outcome_not_an_exit(capsys, argv):
     assert capsys.readouterr() == ("", "")
 
 
+def test_help_does_not_follow_the_terminal_width(monkeypatch):
+    helps = set()
+    for columns in ("60", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.add(run_command(["pic", "class", "-h"]).stdout)
+    assert len(helps) == 1
+
+
 def test_main_prints_help_and_exits_zero(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["oddspin", "pic", "class", "-h"])
     with pytest.raises(SystemExit) as stop:
