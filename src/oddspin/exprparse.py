@@ -210,8 +210,9 @@ def _run(expr: Expr, leaf, power, product, total):
 
 def _refuse_oversized_power(numerator: int, denominator: int, exponent: int, pos: int) -> None:
     """Refuse ``(numerator/denominator)^exponent`` before computing it when a
-    part in lowest terms is sure to pass the digit limit: |n| >= 2^(bit_length
-    - 1), so the power has at least (bit_length - 1) * exponent bits."""
+    part in lowest terms is sure to pass the digit limit: |n| >=
+    2^(bit_length - 1), so the power has at least (bit_length - 1) * exponent
+    bits."""
     limit = digit_limit()
     common = math.gcd(numerator, denominator)
     bits = max((numerator // common).bit_length(), (denominator // common).bit_length()) - 1
