@@ -99,6 +99,9 @@ PIC_EXPRESSIONS = {"spin": "13*lambda - 2*alpha0 + 1/3*beta0 - 3/2*alpha1",
 # curves with and without an index (``X:1`` pins the order of the checks)
 CURVE_SPELLINGS = ("F:+2", "F: 2", "F:0_2", "F:\u0663", "X", "X:1")
 
+# --g spellings that argparse's int() reads as plain integers
+G_SPELLINGS = ("\u0663", "1_0", " 3", "+3")
+
 # -h at every level of the command tree and at every leaf
 HELP_COMMANDS = (
     (), ("ring",), ("pic",), ("d12",), ("ring", "eval"), ("pic", "class"),
@@ -144,6 +147,7 @@ def grid() -> list[list[str]]:
              for preset, exprs in RING_EVALS.items() for expr in exprs]
     argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
     argvs += [["pic", "solve-zg", "--g", str(g)] for g in range(2, 41)]
+    argvs += [["pic", "solve-zg", "--g", g] for g in ("100", "1000", *G_SPELLINGS)]
     argvs += [["d12", "run"], ["d12", "run", "--dump-intermediates"]]
     argvs += [["cert", "--g", str(g), "--aux", aux]
               for g in range(10, 31) for aux in ("bn", "d12")]
