@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-The linear systems of this package are small and sparse (a few dozen rows
-of at most four entries), so ``solve_linear`` runs fraction-free
-Gauss-Jordan elimination on sparse rows of integers: each row, with its
-right-hand side, is scaled to integers once, and a rational is built only
-for the solution.  It never guesses: it returns a report that is either a
-unique solution, an explicit list of undetermined columns, or an
-inconsistency witness.  ``series_det`` takes determinants of matrices of
+The linear systems of this package are sparse: a Picard system in genus g
+has about g rows of at most four entries.  ``solve_linear`` runs
+fraction-free Gauss-Jordan elimination on sparse rows of integers: each
+row, with its right-hand side, is scaled to integers once, and a rational
+is built only for the solution.  An index from each column to the rows
+that hold it sends every pivot to those rows alone, so the work grows with
+the entries, not with rows x pivots.  It never guesses: it returns a
+report that is either a unique solution, an explicit list of undetermined
+columns, or an inconsistency witness.  ``series_det`` takes determinants of matrices of
 truncated integer power series, the Brill-Noether evaluator's core, in
 integer arithmetic.
 """
@@ -121,11 +123,17 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     replaces another row with entry f in that column by
     (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), divided by its content.
     Every row stays a nonzero multiple of the row rational Gauss-Jordan
-    would hold, so it has the same nonzero entries.  Columns are taken in
-    order, each pivoting on the first remaining row with an entry there,
-    so the pivots, and with them the report, are those of dense
-    Gauss-Jordan.  A unique solution is read off as one Fraction per
-    unknown, right-hand side over pivot.
+    would hold, so it has the same nonzero entries.
+
+    Rows keep their input index as a stable id; a position array stands in
+    for the row swaps, and an index maps each column to the ids of the rows
+    that hold an entry there, kept up to date on fill-in and cancellation.
+    Columns are taken in order, each pivoting on the holder with the least
+    position at or after the current row: dense Gauss-Jordan's first
+    remaining row with an entry, so the pivots, and with them the report,
+    are the dense ones.  A pivot visits only the holders of its column, so
+    the work follows the entries, not rows x pivots.  A unique solution is
+    read off as one Fraction per unknown, right-hand side over pivot.
     """
     if len(rows) != len(rhs):
         raise DimensionError("right-hand side length does not match row count")
@@ -133,22 +141,29 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
         raise DimensionError("a linear system needs at least one column")
     a = [_integer_row(row, value, n_cols) for row, value in zip(rows, rhs)]
     n_rows = len(a)
+    order = list(range(n_rows))   # order[r]: the id of the row at position r
+    pos = list(range(n_rows))     # pos[i]: the position of row id i
+    holders: dict[int, set[int]] = {}
+    for i, entries in enumerate(a):
+        for c in entries:
+            holders.setdefault(c, set()).add(i)
 
     pivot_cols: list[int] = []
     row = 0
     for col in range(n_cols):
         if row == n_rows:
             break
-        pivot = next((r for r in range(row, n_rows) if col in a[r]), None)
+        pivot = min((pos[i] for i in holders.get(col, ()) if pos[i] >= row), default=None)
         if pivot is None:
             continue
-        a[row], a[pivot] = a[pivot], a[row]
-        pivot_row = a[row]
+        pivot_id, displaced = order[pivot], order[row]
+        order[row], order[pivot] = pivot_id, displaced
+        pos[pivot_id], pos[displaced] = row, pivot
+        pivot_row = a[pivot_id]
         pv = pivot_row[col]
-        for r, other in enumerate(a):
-            f = other.get(col)
-            if r == row or f is None:
-                continue
+        for i in holders[col] - {pivot_id}:
+            other = a[i]
+            f = other[col]
             g = math.gcd(pv, f)
             keep, take = pv // g, f // g
             if keep != 1:
@@ -157,15 +172,19 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
             for c, v in pivot_row.items():
                 if total := other.get(c, 0) - take * v:
                     other[c] = total
+                    holders[c].add(i)
                 else:
                     del other[c]
-            a[r] = _primitive(other)
+                    holders[c].remove(i)
+            a[i] = _primitive(other)
         pivot_cols.append(col)
         row += 1
 
+    a = [a[i] for i in order]
     rank = len(pivot_cols)
-    free_cols = tuple(c for c in range(n_cols) if c not in pivot_cols)
-    witness = next((r for r in range(rank, n_rows) if n_cols in a[r]), None)
+    pivot_set = set(pivot_cols)
+    free_cols = tuple(c for c in range(n_cols) if c not in pivot_set)
+    witness = min((pos[i] for i in holders.get(n_cols, ()) if pos[i] >= rank), default=None)
     if witness is not None:
         return LinearSolveReport(
             status="inconsistent",

@@ -324,6 +324,9 @@ def degenerate_theta_lambda_coefficient(g: int) -> Fraction:
     return integrate(integrand)
 
 
+# bounded like canonical_class: solve-zg, cert --aux bn and push --class zg
+# all read it, and one build serves them
+@lru_cache(maxsize=64)
 def zg_class(g: int) -> DivisorClass:
     """Class of the divisor of odd spin curves with non-reduced support:
     (g+8) lambda - (g+2)/4 alpha_0 - 2 beta_0 - sum 2(g-i) alpha_i - sum 2i beta_i.
@@ -500,7 +503,7 @@ def solve_zg(g: int) -> ZgSolveReport:
     closed = zg_class(g)
     full_rank = report.status == "unique"
     if full_rank:
-        solved = DivisorClass.from_mapping(basis, dict(zip(names, report.solution)))
+        solved = DivisorClass.reduced(basis, *over_lcm(report.solution))
         consistent = True
     else:
         solved = closed

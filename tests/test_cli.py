@@ -432,6 +432,24 @@ def test_main_exits_1_quietly_when_stdout_is_closed_early():
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
 
 
+def test_solve_zg_at_g_20000_runs_in_a_child_under_512_mib():
+    import resource
+
+    limit = 512 * 2**20
+
+    def cap_address_space():  # runs in the child, after fork
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["pic", "solve-zg", "--g", "20000", "--format", "json"]
+    # the timeout only guards against a hang; it is not a speed bound
+    done = subprocess.run([sys.executable, "-m", "oddspin.cli", *argv], capture_output=True,
+                          text=True, timeout=600, preexec_fn=cap_address_space,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"matches_closed_form": true' in done.stdout
+
+
 def test_parser_reuse_leaves_no_state_behind():
     codes = [run_command(["pic", "push", "--g", "3", *rest]).exit_code
              for rest in (["lambda"], ["--class", "zg"], [])]

@@ -179,6 +179,50 @@ def test_sparse_solve_matches_the_dense_oracle(system):
     assert solve_linear(full, len(rows[0]), rhs) == expected
 
 
+def _solve_as_dense(rows, rhs):
+    """``solve_linear`` on dense rows, checked field for field against the
+    dense oracle."""
+    report = solve_linear(_sparse(rows), len(rows[0]), rhs)
+    assert report == dense_solve(rows, rhs)
+    return report
+
+
+def test_pivot_is_the_least_position_after_earlier_swaps():
+    # column 0 pivots on row 3, which swaps row 0 down to position 3; in
+    # column 1, row 2 (position 2) then comes before row 0 (position 3),
+    # though row 0 has the smaller index.  Row 0 is reduced to 0 = -1 at
+    # position 3; pivoting on row 0 instead would leave row 2 as 0 = 1 at
+    # position 2.
+    report = _solve_as_dense([[0, 1], [0, 0], [0, 1], [1, 0]], [1, 0, 2, 0])
+    assert (report.status, report.pivot_columns, report.witness_row) == ("inconsistent", (0, 1), 3)
+
+
+def test_fill_in_gives_a_later_row_its_pivot_column():
+    # row 1 has no entry in column 1 until eliminating column 0 puts one there
+    report = _solve_as_dense([[1, 1, 0], [1, 0, 1], [0, 0, 1]], [1, 2, 3])
+    assert report.status == "unique"
+    assert report.pivot_columns == (0, 1, 2)
+    assert report.solution == (Fraction(-1), Fraction(2), Fraction(3))
+
+
+def test_cancellation_removes_a_row_from_its_columns():
+    # eliminating column 0 cancels row 1's entry in column 1 (and so its
+    # right-hand side); column 1 then pivots on row 2, not on row 1
+    report = _solve_as_dense([[1, 1, 0], [1, 1, 1], [0, 1, 0]], [1, 1, 3])
+    assert report.status == "unique"
+    assert report.solution == (Fraction(-2), Fraction(3), Fraction(0))
+    # row 1 cancels to 0 = 0 and row 2 to 0 = 1: the witness is row 2
+    report = _solve_as_dense([[1], [1], [1]], [1, 1, 2])
+    assert (report.status, report.rank, report.witness_row) == ("inconsistent", 1, 2)
+
+
+def test_witness_row_is_a_position_after_swaps():
+    # row 0 reads 0 = 1 from the start; column 0's pivot (row 2) swaps it to
+    # position 2, which is the witness, not its index 0
+    report = _solve_as_dense([[0, 0], [0, 1], [1, 0], [0, 0]], [1, 0, 0, 0])
+    assert (report.status, report.pivot_columns, report.witness_row) == ("inconsistent", (0, 1), 2)
+
+
 def test_integer_rows_build_at_most_one_fraction_per_unknown(fraction_builds):
     rng = random.Random(20261018)
     for n in (1, 5, 12):

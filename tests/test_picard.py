@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from oddspin.errors import (
     PreconditionError,
     UndefinedSlopeError,
 )
-from oddspin import picard
+from oddspin import linalg, picard
 from oddspin.exprparse import expr_to_class, parse_expression
 from oddspin.linalg import solve_linear
 from oddspin.numerics import boundary_degrees, theta_counts
@@ -399,6 +400,40 @@ def test_solve_zg_memory_grows_linearly_in_g():
             tracemalloc.stop()
     # linear growth doubles the peak; a dense pairing tuple per curve made it 3.4x
     assert peaks[600] / peaks[300] < 2.5
+
+
+def _linalg_line_events(call) -> int:
+    """The number of lines run in ``oddspin/linalg.py`` frames during
+    ``call()``: an operation count that does not depend on the host."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == linalg.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_solve_zg_elimination_work_grows_linearly_in_g():
+    counts = {}
+    for g in (2000, 4000, 8000):
+        solve_zg(g)  # the bases, the preset and the closed-form class warm
+        counts[g] = _linalg_line_events(lambda: solve_zg(g))
+    # linear growth doubles the count; a scan of every row at every pivot
+    # made it about 3.8x per doubling
+    assert counts[4000] / counts[2000] < 2.5
+    assert counts[8000] / counts[4000] < 2.5
 
 
 def test_decomposition_ok_checks_the_pencil_table_entry(monkeypatch):
