@@ -8,9 +8,9 @@ is built only for the solution.  An index from each column to the rows
 that hold it sends every pivot to those rows alone, so the work grows with
 the entries, not with rows x pivots.  It never guesses: it returns a
 report that is either a unique solution, an explicit list of undetermined
-columns, or an inconsistency witness.  ``series_det`` takes determinants of matrices of
-truncated integer power series, the Brill-Noether evaluator's core, in
-integer arithmetic.
+columns, or an inconsistency witness.  ``series_det`` takes determinants
+of matrices of truncated integer power series, the Brill-Noether
+evaluator's core, in integer arithmetic.
 """
 from __future__ import annotations
 
