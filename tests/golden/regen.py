@@ -99,8 +99,10 @@ PIC_EXPRESSIONS = {"spin": "13*lambda - 2*alpha0 + 1/3*beta0 - 3/2*alpha1",
 # curves with and without an index (``X:1`` pins the order of the checks)
 CURVE_SPELLINGS = ("F:+2", "F: 2", "F:0_2", "F:\u0663", "X", "X:1")
 
-# --g spellings that argparse's int() reads as plain integers
+# --g spellings that argparse's int() reads as plain integers; cert refuses
+# g = 3 itself, so it spells 13 instead
 G_SPELLINGS = ("\u0663", "1_0", " 3", "+3")
+CERT_G_SPELLINGS = ("\u0661\u0663", "1_3", " 13", "+13")
 
 # -h at every level of the command tree and at every leaf
 HELP_COMMANDS = (
@@ -114,6 +116,16 @@ HELP_COMMANDS = (
 USAGE_ERRORS = (
     ("pic", "solve-zg"), ("cert", "--g", "12", "--aux", "xyz"), ("numbers", "--g", "x"),
     ("ring", "eval", "--preset", "uc:g=3"),
+)
+
+# command lines recorded as given, without an appended --format: options
+# abbreviated, joined by '=' and repeated (the last one wins), and a bare
+# class name where push and pull read an expression
+AS_GIVEN = (
+    ("pic", "solve-zg", "--g", "5", "--form", "json"), ("numbers", "--g=5", "--f", "text"),
+    ("cert", "--g", "13", "--a", "bn"), ("pic", "class", "--g", "5", "--n", "zg"),
+    ("pic", "solve-zg", "--g", "5", "--format", "json", "--g", "6"),
+    ("pic", "push", "--g", "3", "zg"), ("pic", "pull", "--g", "5", "k"),
 )
 
 
@@ -140,9 +152,19 @@ def pic_argvs(g: int) -> list[list[str]]:
     return argvs
 
 
+def spelled_g_argvs(g: str) -> list[list[str]]:
+    """One run of each command but solve-zg and cert with --g spelled g."""
+    head = ["--g", g]
+    return [["pic", "class", *head, "--name", "zg"],
+            ["pic", "pair", *head, "--curve", "F:1", "--class", "zg"],
+            ["pic", "push", *head, "--class", "zg"], ["pic", "pull", *head, "--class", "k"],
+            ["numbers", *head]]
+
+
 def grid() -> list[list[str]]:
     """Every command line of the corpus, in file order: each report in both
-    formats, then each help once, then each usage error once."""
+    formats, then each help once, then each usage error and each
+    ``AS_GIVEN`` line once."""
     argvs = [["ring", "eval", "--preset", preset, expr]
              for preset, exprs in RING_EVALS.items() for expr in exprs]
     argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
@@ -156,9 +178,11 @@ def grid() -> list[list[str]]:
     argvs += [argv for g in PIC_GENERA for argv in pic_argvs(g)]
     argvs += [["pic", "pair", "--g", "7", "--curve", curve, "--class", "zg"]
               for curve in CURVE_SPELLINGS]
+    argvs += [argv for g in G_SPELLINGS for argv in spelled_g_argvs(g)]
+    argvs += [["cert", "--g", g, "--aux", "bn"] for g in CERT_G_SPELLINGS]
     return ([argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
             + [[*words, "-h"] for words in HELP_COMMANDS]
-            + [list(argv) for argv in USAGE_ERRORS])
+            + [list(argv) for argv in (*USAGE_ERRORS, *AS_GIVEN)])
 
 
 def record(argv: list[str]) -> dict:
