@@ -147,33 +147,28 @@ class Report(Record):
         return json.dumps(payload, indent=2)
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
+        sections = {"command": self.command}
         if self.inputs:
-            lines.append("inputs:")
-            lines.extend(_text_block(self.inputs, indent=2))
-        lines.append("result:")
-        lines.extend(_text_block(self.result, indent=2))
+            sections["inputs"] = self.inputs
+        sections["result"] = self.result
         if self.assumptions:
-            lines.append("assumptions:")
-            lines.extend(f"  - {item}" for item in self.assumptions)
-        lines.append(f"elapsed: {self.elapsed_ms} ms")
-        return "\n".join(lines)
+            sections["assumptions"] = self.assumptions
+        sections["elapsed"] = f"{self.elapsed_ms} ms"
+        return "\n".join(_text_block(sections, indent=0))
 
 
 def _text_block(value, indent: int) -> list[str]:
     pad = " " * indent
-    if isinstance(value, dict):
-        lines = []
-        for key, sub in value.items():
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_block(sub, indent + 2))
-            else:
-                lines.append(f"{pad}{key}: {sub}")
-        return lines
     if isinstance(value, list):
         return [f"{pad}- {item}" for item in value]
-    return [f"{pad}{value}"]
+    lines = []
+    for key, sub in value.items():
+        if isinstance(sub, (dict, list)):
+            lines.append(f"{pad}{key}:")
+            lines.extend(_text_block(sub, indent + 2))
+        else:
+            lines.append(f"{pad}{key}: {sub}")
+    return lines
 
 
 class CommandOutcome(Record):
@@ -282,20 +277,26 @@ def _parse_preset_spec(spec: str):
     return build(*(params[name] for name in names))
 
 
-def _d12_class_info(g: int):
+def _named_class(name: str, g: int, space: str | None):
+    """The class ``name`` in genus g, k on ``space``, and its assumptions."""
+    if name == "zg":
+        return zg_class(g), []
+    if name == "k":
+        return canonical_class(space or SPIN, g), []
+    if name == "bn":
+        return picard.bn_divisor_class(g), []
     if g != 12:
         raise UsageError("the d12 class lives on genus 12")
-    return genus12.d12_class_info()
+    info = genus12.d12_class_info()
+    return info.divisor, list(info.assumptions)
 
 
-def _named_class(name: str, g: int, space: str | None):
-    if name == "zg":
-        return zg_class(g)
-    if name == "k":
-        return canonical_class(space or SPIN, g)
-    if name == "bn":
-        return picard.bn_divisor_class(g)
-    return _d12_class_info(g).divisor
+def _class_on(spec: str, basis):
+    """The named class ``spec`` in the basis's genus, k on the basis's
+    space; any other spec is an expression in the basis."""
+    if spec in NAMED_CLASSES:
+        return _named_class(spec, basis.g, basis.space)[0]
+    return expr_to_class(parse_expression(spec, basis), basis)
 
 
 def _resolve_curve(spec: str, g: int):
@@ -355,11 +356,7 @@ def _run_ring_eval(args):
 def _run_pic_class(args):
     if args.space is not None and args.name != "k":
         raise UsageError(f"--space applies to --name k only, not to {args.name!r}")
-    if args.name == "d12":
-        info = _d12_class_info(args.g)
-        cls, assumptions = info.divisor, list(info.assumptions)
-    else:
-        cls, assumptions = _named_class(args.name, args.g, args.space), []
+    cls, assumptions = _named_class(args.name, args.g, args.space)
     result = {
         "basis": cls.basis.label,
         "class": cls.render(),
@@ -382,12 +379,7 @@ def _run_pic_class(args):
 
 def _run_pic_pair(args):
     curve = _resolve_curve(args.curve, args.g)
-    if args.class_spec in NAMED_CLASSES:
-        space = curve.basis.space if args.class_spec == "k" else None
-        cls = _named_class(args.class_spec, args.g, space)
-    else:
-        expr = parse_expression(args.class_spec, curve.basis)
-        cls = expr_to_class(expr, curve.basis)
+    cls = _class_on(args.class_spec, curve.basis)
     value = pair(curve, cls)
     result = {
         "curve": curve.name,
@@ -406,16 +398,14 @@ def _run_pic_push_pull(args):
         raise UsageError("pass exactly one of an expression or --class")
     source_basis = spin_basis(args.g) if direction == "push" else moduli_basis(args.g)
     if args.class_spec is not None:
-        space = source_basis.space if args.class_spec == "k" else None
-        cls = _named_class(args.class_spec, args.g, space)
+        cls = _class_on(args.class_spec, source_basis)
         if cls.basis != source_basis:
             raise BasisMismatchError(
                 f"class {args.class_spec!r} lives on {cls.basis.label}, but"
                 f" {direction} starts from {source_basis.label}"
             )
     else:
-        expr = parse_expression(args.expression, source_basis)
-        cls = expr_to_class(expr, source_basis)
+        cls = expr_to_class(parse_expression(args.expression, source_basis), source_basis)
     out = pushforward(args.g, cls) if direction == "push" else pullback(args.g, cls)
     result = {
         "from": cls.basis.label,

@@ -117,10 +117,10 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     """Solve rows x = rhs exactly (Gauss-Jordan), reporting degeneracy.
 
     Each row maps column indices in 0..n_cols-1 to its nonzero entries
-    (ints, Fractions or "p/q" strings).  Elimination works on those sparse
-    rows, with the right-hand side kept as column n_cols, in integers: each
-    row is first scaled to coprime integers, and pivoting on an entry pv
-    replaces another row with entry f in that column by
+    (ints or Fractions).  Elimination works on those sparse rows, with the
+    right-hand side kept as column n_cols, in integers: each row is first
+    scaled to coprime integers, and pivoting on an entry pv replaces
+    another row with entry f in that column by
     (pv/g)*row - (f/g)*pivot_row, g = gcd(pv, f), divided by its content.
     Every row stays a nonzero multiple of the row rational Gauss-Jordan
     would hold, so it has the same nonzero entries.
@@ -185,42 +185,26 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     pivot_set = set(pivot_cols)
     free_cols = tuple(c for c in range(n_cols) if c not in pivot_set)
     witness = min((pos[i] for i in holders.get(n_cols, ()) if pos[i] >= rank), default=None)
+    solution, undetermined = None, set()
     if witness is not None:
-        return LinearSolveReport(
-            status="inconsistent",
-            solution=None,
-            rank=rank,
-            pivot_columns=tuple(pivot_cols),
-            free_columns=free_cols,
-            undetermined_columns=(),
-            witness_row=witness,
-        )
-
-    if not free_cols:
-        solution = [ZERO] * n_cols
+        status = "inconsistent"
+    elif not free_cols:
+        status, values = "unique", [ZERO] * n_cols
         for r, col in enumerate(pivot_cols):
             if value := a[r].get(n_cols):
-                solution[col] = Fraction(value, a[r][col])
-        return LinearSolveReport(
-            status="unique",
-            solution=tuple(solution),
-            rank=rank,
-            pivot_columns=tuple(pivot_cols),
-            free_columns=(),
-            undetermined_columns=(),
-            witness_row=None,
-        )
-
-    undetermined = set(free_cols)
-    for r, col in enumerate(pivot_cols):
-        if not undetermined.isdisjoint(a[r]):
-            undetermined.add(col)
+                values[col] = Fraction(value, a[r][col])
+        solution = tuple(values)
+    else:
+        status, undetermined = "underdetermined", set(free_cols)
+        for r, col in enumerate(pivot_cols):
+            if not undetermined.isdisjoint(a[r]):
+                undetermined.add(col)
     return LinearSolveReport(
-        status="underdetermined",
-        solution=None,
+        status=status,
+        solution=solution,
         rank=rank,
         pivot_columns=tuple(pivot_cols),
         free_columns=free_cols,
         undetermined_columns=tuple(sorted(undetermined)),
-        witness_row=None,
+        witness_row=witness,
     )

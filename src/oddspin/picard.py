@@ -61,9 +61,9 @@ class PicBasis(Record):
             raise BasisMismatchError(f"no generator {name!r} in basis {self.label}")
 
     def entries(self, mapping: Mapping[str, object]) -> tuple[tuple[tuple[int, int], ...], int]:
-        """Int, Fraction or "p/q" coefficients by generator name as (basis
-        index, numerator) pairs over one denominator (``scalars.over_lcm``):
-        the nonzero numerators only, in basis order."""
+        """Int or Fraction coefficients by generator name as (basis index,
+        numerator) pairs over one denominator (``scalars.over_lcm``): the
+        nonzero numerators only, in basis order."""
         numerators, den = over_lcm(mapping.values())
         pairs = sorted(zip(map(self.index, mapping), numerators))
         return tuple([(j, p) for j, p in pairs if p]), den

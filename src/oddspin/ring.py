@@ -122,7 +122,7 @@ class RingPreset(Record):
         return RingElem(self, ((tuple(mono), 1),), 1)
 
     def element(self, terms: Mapping[Monomial, object]) -> "RingElem":
-        """The element with the given int, Fraction or "p/q" coefficients."""
+        """The element with the given int or Fraction coefficients."""
         numerators, den = over_lcm(terms.values())
         return _reduced(self, _normalize(self, zip(terms, numerators)), den)
 

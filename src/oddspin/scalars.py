@@ -3,8 +3,8 @@
 Every number in the engine is exact; no floating-point value is ever
 constructed.  A ring element, a divisor class and a row of a linear system
 hold integer numerators over one shared positive denominator (gcd-reduced
-rational arithmetic, Knuth, TAOCP vol. 2, 4.5.1): ``over_lcm`` turns int,
-Fraction and "p/q" inputs into that form, arithmetic accumulates ints over
+rational arithmetic, Knuth, TAOCP vol. 2, 4.5.1): ``over_lcm`` turns int
+and Fraction inputs into that form, arithmetic accumulates ints over
 a common denominator and then divides out the content, so the stored form
 is canonical (gcd(denominator, *numerators) is 1, zero is over 1) and
 equal values are equal records with equal hashes.  ``render_terms`` prints
@@ -26,20 +26,18 @@ _INT = {int}  # the types over_lcm passes through unchanged
 
 
 def ratio(value) -> tuple[int, int]:
-    """Numerator and positive denominator, in lowest terms, of an int,
-    Fraction or "p/q" string."""
+    """Numerator and positive denominator, in lowest terms, of an int or
+    Fraction."""
     if isinstance(value, int):
         return value, 1
-    if isinstance(value, str):
-        value = Fraction(value)
-    elif not isinstance(value, Fraction):
+    if not isinstance(value, Fraction):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     return value.numerator, value.denominator
 
 
 def over_lcm(values) -> tuple[list[int], int]:
-    """Int, Fraction or "p/q" values as integer numerators, in order, over
-    the least common multiple of their lowest-terms denominators.
+    """Int or Fraction values as integer numerators, in order, over the
+    least common multiple of their lowest-terms denominators.
 
     The numerators and that denominator are coprime: for each prime p of
     the lcm, some value's denominator q holds p as often as the lcm does,
@@ -78,7 +76,7 @@ def format_ratio(numerator: int, denominator: int) -> str:
 
 
 def format_scalar(value) -> str:
-    """Serialize an int, Fraction or "p/q" as ``format_ratio`` does."""
+    """Serialize an int or Fraction as ``format_ratio`` does."""
     return format_ratio(*ratio(value))
 
 
@@ -90,24 +88,17 @@ def render_terms(pairs: list[tuple[str, int]], den: int) -> str:
         return "0"
     out = []
     for idx, (body, num) in enumerate(pairs):
-        if idx == 0:
-            if not body:
-                out.append(format_ratio(num, den))
-            elif num == den:
-                out.append(body)
-            elif num == -den:
-                out.append(f"-1*{body}")
-            else:
-                out.append(f"{format_ratio(num, den)}*{body}")
-            continue
-        sep = " + " if num > 0 else " - "
-        mag = abs(num)
+        if idx:
+            out.append(" + " if num > 0 else " - ")
+            num = abs(num)
         if not body:
-            out.append(sep + format_ratio(mag, den))
-        elif mag == den:
-            out.append(sep + body)
+            out.append(format_ratio(num, den))
+        elif num == den:
+            out.append(body)
+        elif num == -den:
+            out.append(f"-1*{body}")
         else:
-            out.append(sep + f"{format_ratio(mag, den)}*{body}")
+            out.append(f"{format_ratio(num, den)}*{body}")
     return "".join(out)
 
 

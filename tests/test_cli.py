@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oddspin import cli, genus12
 from oddspin.cli import run_command
+from oddspin.scalars import digit_limit
 from test_golden import _regen as golden_regen
 
 # every leaf command, by its report label, with one valid argument list
@@ -706,6 +707,20 @@ def test_a_constant_term_is_counted_in_lowest_terms(digit_limit_4300):
                            "(1/2*theta + 1/3)^10000"])
     assert (outcome.exit_code, outcome.stdout) == (1, "")
     assert outcome.stderr == "error: number too long to print: more than 4300 digits"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_report_number_past_the_digit_limit_exits_1(fmt):
+    # N has as many digits as the limit allows, the degree 2N one more: the
+    # normalized element prints, and the report fails where it prints the degree
+    limit = digit_limit()
+    if not limit:
+        pytest.skip("no integer digit limit")
+    n = "9" * limit
+    outcome = run_command(["ring", "eval", "--preset", "uc:g=3", f"omega^{n}*lambda^{n}",
+                           "--format", fmt])
+    assert (outcome.exit_code, outcome.stdout) == (1, "")
+    assert outcome.stderr == f"error: number too long to print: more than {limit} digits"
 
 
 def test_no_digit_limit_means_no_refusal(digit_limit_4300):

@@ -251,9 +251,10 @@ def test_scalar_round_trips():
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         c = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         assert (a + c) - c == a
-        assert ratio(format_scalar(a)) == (a.numerator, a.denominator)
+        assert ratio(a) == (a.numerator, a.denominator)
+        assert Fraction(format_scalar(a)) == a
         # numerators over the lcm: the same values, coprime to the denominator
-        values = [a, c, rng.randint(-9, 9), format_scalar(a + c)]
+        values = [a, c, rng.randint(-9, 9), a + c]
         numerators, den = over_lcm(values)
         assert all(isinstance(n, int) for n in numerators)
         assert [Fraction(n, den) for n in numerators] == [Fraction(v) for v in values]
@@ -263,6 +264,18 @@ def test_scalar_round_trips():
     assert over_lcm([Fraction(1, 6), Fraction(-3, 4), 5]) == ([2, -9, 60], 12)
     assert format_scalar(Fraction(9867)) == "9867"
     assert format_scalar(Fraction(-32, 3)) == "-32/3"
+    # exact values are ints and Fractions: a string is refused as a float is
+    for refused in ("1/3", "2", 0.5):
+        with pytest.raises(TypeError, match="as an exact rational"):
+            ratio(refused)
+        with pytest.raises(TypeError, match="as an exact rational"):
+            over_lcm([Fraction(1, 2), refused])
+        with pytest.raises(TypeError, match="as an exact rational"):
+            format_scalar(refused)
+        with pytest.raises(TypeError, match="as an exact rational"):
+            solve_linear([{0: refused}], 1, [1])
+        with pytest.raises(TypeError, match="as an exact rational"):
+            solve_linear([{0: 1}], 1, [refused])
 
 
 def test_series_det_against_permutation_expansion():

@@ -339,10 +339,21 @@ def test_classes_and_curves_share_the_name_to_vector_builder():
     basis = spin_basis(5)
     # integer numerators over the least common denominator: the nonzero ones
     # by basis index, in basis order, and a class fills in the zeros
-    mixed = {"beta1": 2, "lambda": "1/3", "alpha0": Fraction(5, 6), "alpha2": 0}
+    mixed = {"beta1": 2, "lambda": Fraction(1, 3), "alpha0": Fraction(5, 6), "alpha2": 0}
     assert basis.entries(mixed) == (((0, 2), (1, 5), (5, 12)), 6)
     cls = DivisorClass.from_mapping(basis, mixed)
     assert (cls.numerators, cls.denominator) == ((2, 5, 0, 0, 0, 12, 0), 6)
+    # exact values are ints and Fractions: a string is refused, "1e3" too
+    uc = preset_universal_curve(3)
+    for refused in ("1/3", "1e3"):
+        with pytest.raises(TypeError, match="as an exact rational"):
+            basis.entries({**mixed, "lambda": refused})
+        with pytest.raises(TypeError, match="as an exact rational"):
+            DivisorClass.from_mapping(basis, {**mixed, "lambda": refused})
+        with pytest.raises(TypeError, match="as an exact rational"):
+            combine([zg_class(5)], [refused])
+        with pytest.raises(TypeError, match="as an exact rational"):
+            uc.element({(1, 0): refused})
     assert basis.entries({}) == ((), 1)
     assert DivisorClass.from_mapping(basis, {}).numerators == (0,) * 7
     mapping = {"lambda": 1, "alpha0": 12, "alpha1": -1}
