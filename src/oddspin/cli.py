@@ -405,7 +405,8 @@ def _run_pic_push_pull(args):
                 f" {direction} starts from {source_basis.label}"
             )
     else:
-        cls = expr_to_class(parse_expression(args.expression, source_basis), source_basis)
+        expr = parse_expression(args.expression, source_basis)
+        cls = expr_to_class(expr, source_basis)
     out = pushforward(args.g, cls) if direction == "push" else pullback(args.g, cls)
     result = {
         "from": cls.basis.label,
