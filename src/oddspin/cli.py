@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import genus12, picard
 from .bn import bn_context, evaluate_taut
@@ -144,7 +144,7 @@ class Report(Record):
             "assumptions": self.assumptions,
             "warnings": [],
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
 
     def to_text(self) -> str:
         sections = {"command": self.command}
@@ -155,6 +155,37 @@ class Report(Record):
             sections["assumptions"] = self.assumptions
         sections["elapsed"] = f"{self.elapsed_ms} ms"
         return "\n".join(_text_block(sections, indent=0))
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, indent=2)`` for the types a report
+    holds: dicts with str keys, lists, str, int, bool and None.  Any other
+    type, a tuple or a float included, and a non-str key are a TypeError;
+    an int past the digit limit is the ValueError of ``int.__repr__``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        parts = []
+        for key, sub in value.items():
+            if type(key) is not str:
+                raise TypeError(f"a report key is a str, not {type(key).__name__}")
+            parts.append(f"{encode_basestring_ascii(key)}: {_json(sub, inner)}")
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(sub, inner) for sub in value]) + pad + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def _text_block(value, indent: int) -> list[str]:

@@ -619,6 +619,41 @@ def test_a_non_ascii_digit_is_a_usage_error(argv, offset):
     assert outcome.stderr == f"error: unexpected character '\u00b2' (at byte offset {offset})"
 
 
+# -- the JSON report emitter --------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII, a line separator, a
+# lone surrogate and a character outside the basic plane, among any others
+REPORT_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')))
+REPORT_INTS = st.one_of(st.integers(), st.builds(lambda n, e: n * 10 ** e,
+                                                 st.integers(), st.integers(0, 3000)))
+REPORT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), REPORT_INTS, REPORT_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(REPORT_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_the_report_emitter_writes_the_bytes_of_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value,kind", [
+    (0.5, "float"), (Fraction(1, 2), "Fraction"), ((1, 2), "tuple"), (b"x", "bytes"),
+    ({"a": [1, {"b": 1.0}]}, "float"), ([Fraction(1, 3)], "Fraction"),
+])
+def test_the_report_emitter_refuses_other_types(value, kind):
+    with pytest.raises(TypeError, match=f"a report holds no {kind}$"):
+        cli._json(value)
+
+
+def test_the_report_emitter_refuses_a_key_that_is_not_a_str():
+    with pytest.raises(TypeError, match="a report key is a str, not int$"):
+        cli._json({"a": {1: "one"}})
+
+
 # -- numbers past Python's integer-to-string digit limit --------------------
 
 @pytest.fixture
