@@ -157,35 +157,33 @@ class Report(Record):
         return "\n".join(_text_block(sections, indent=0))
 
 
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+
+
 def _json(value, pad: str = "\n") -> str:
     """The bytes of ``json.dumps(value, indent=2)`` for the types a report
     holds: dicts with str keys, lists, str, int, bool and None.  Any other
-    type, a tuple or a float included, and a non-str key are a TypeError;
-    an int past the digit limit is the ValueError of ``int.__repr__``."""
+    type (a tuple or a float too) or key is a TypeError; an int past the
+    digit limit is the ValueError of ``int.__repr__``."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
-    inner = pad + "  "
-    if kind is dict:
-        if not value:
-            return "{}"
-        parts = []
-        for key, sub in value.items():
-            if type(key) is not str:
-                raise TypeError(f"a report key is a str, not {type(key).__name__}")
-            parts.append(f"{encode_basestring_ascii(key)}: {_json(sub, inner)}")
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json(sub, inner) for sub in value]) + pad + "]"
     if kind is int:
         return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    raise TypeError(f"a report holds no {kind.__name__}")
+    if kind is bool or value is None:
+        return _JSON_WORDS[value]
+    inner = pad + "  "
+    if kind is dict:  # encode_basestring_ascii refuses a key that is not a str
+        parts = [f"{encode_basestring_ascii(key)}: {_json(sub, inner)}"
+                 for key, sub in value.items()]
+        ends = "{}"
+    elif kind is list:
+        parts, ends = [_json(sub, inner) for sub in value], "[]"
+    else:
+        raise TypeError(f"a report holds no {kind.__name__}")
+    if not parts:
+        return ends
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
 def _text_block(value, indent: int) -> list[str]:

@@ -650,7 +650,7 @@ def test_the_report_emitter_refuses_other_types(value, kind):
 
 
 def test_the_report_emitter_refuses_a_key_that_is_not_a_str():
-    with pytest.raises(TypeError, match="a report key is a str, not int$"):
+    with pytest.raises(TypeError, match="must be a string, not int$"):
         cli._json({"a": {1: "one"}})
 
 
