@@ -207,6 +207,15 @@ class TestCurve(Record):
 
     __slots__ = ("name", "basis", "pairings", "assumed_zero")
 
+    # fields set directly, as DivisorClass does: solve_zg builds one curve per
+    # row, and Record's generic argument check was a tenth of its profile
+    def __init__(self, name: str, basis: PicBasis, pairings: tuple[tuple[int, int], ...],
+                 assumed_zero: tuple[str, ...]):
+        set_field(self, "name", name)
+        set_field(self, "basis", basis)
+        set_field(self, "pairings", pairings)
+        set_field(self, "assumed_zero", assumed_zero)
+
     @staticmethod
     def from_pairings(
         name: str,

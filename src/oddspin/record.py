@@ -19,9 +19,7 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        # the set only for keywords: most records are built positionally
-        if len(args) + len(kwargs) != len(fields) or (
-                kwargs and not kwargs.keys() <= set(fields[len(args):])):
+        if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(fields[len(args):]):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
         for name, value in zip(fields, args):
             set_field(self, name, value)
