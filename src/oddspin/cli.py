@@ -161,10 +161,11 @@ _JSON_WORDS = {True: "true", False: "false", None: "null"}
 
 
 def _json(value, pad: str = "\n") -> str:
-    """The bytes of ``json.dumps(value, indent=2)`` for the types a report
-    holds: dicts with str keys, lists, str, int, bool and None.  Any other
-    type (a tuple or a float too) or key is a TypeError; an int past the
-    digit limit is the ValueError of ``int.__repr__``."""
+    """``value`` as the standard library's JSON encoder writes it with
+    ``indent=2``, byte for byte, for the types a report holds: dicts with
+    str keys, lists, str, int, bool and None.  Any other type (a tuple or a
+    float too) or key is a TypeError; an int past the digit limit is the
+    ValueError of ``int.__repr__``."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
