@@ -323,10 +323,11 @@ def _named_class(name: str, g: int, space: str | None):
 
 def _class_on(spec: str, basis):
     """The named class ``spec`` in the basis's genus, k on the basis's
-    space; any other spec is an expression in the basis."""
+    space, and its assumptions; any other spec is an expression in the
+    basis, with none."""
     if spec in NAMED_CLASSES:
-        return _named_class(spec, basis.g, basis.space)[0]
-    return expr_to_class(parse_expression(spec, basis), basis)
+        return _named_class(spec, basis.g, basis.space)
+    return expr_to_class(parse_expression(spec, basis), basis), []
 
 
 def _resolve_curve(spec: str, g: int):
@@ -409,7 +410,7 @@ def _run_pic_class(args):
 
 def _run_pic_pair(args):
     curve = _resolve_curve(args.curve, args.g)
-    cls = _class_on(args.class_spec, curve.basis)
+    cls, assumptions = _class_on(args.class_spec, curve.basis)
     value = pair(curve, cls)
     result = {
         "curve": curve.name,
@@ -417,9 +418,8 @@ def _run_pic_pair(args):
         "class": cls.render(),
         "value": format_scalar(value),
     }
-    assumptions = list(curve.assumed_zero_labels())
     inputs = {"g": args.g, "curve": args.curve, "class": args.class_spec}
-    return inputs, result, assumptions
+    return inputs, result, [*curve.assumed_zero_labels(), *assumptions]
 
 
 def _run_pic_push_pull(args):
@@ -427,8 +427,9 @@ def _run_pic_push_pull(args):
     if (args.expression is None) == (args.class_spec is None):
         raise UsageError("pass exactly one of an expression or --class")
     source_basis = spin_basis(args.g) if direction == "push" else moduli_basis(args.g)
+    assumptions = []
     if args.class_spec is not None:
-        cls = _class_on(args.class_spec, source_basis)
+        cls, assumptions = _class_on(args.class_spec, source_basis)
         if cls.basis != source_basis:
             raise BasisMismatchError(
                 f"class {args.class_spec!r} lives on {cls.basis.label}, but"
@@ -446,7 +447,7 @@ def _run_pic_push_pull(args):
     }
     inputs = {"g": args.g,
               "class": args.class_spec if args.class_spec else args.expression}
-    return inputs, result, []
+    return inputs, result, assumptions
 
 
 def _run_pic_solve_zg(args):

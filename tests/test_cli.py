@@ -367,6 +367,22 @@ def test_pic_class_d12():
     assert any("conservative bound" in note for note in payload["assumptions"])
 
 
+@pytest.mark.parametrize("argv,curve_notes", [
+    (["pic", "pair", "--g", "12", "--curve", "C0", "--class", "d12"], []),
+    (["pic", "pair", "--g", "12", "--curve", "C1", "--class", "d12"], []),
+    (["pic", "pair", "--g", "12", "--curve", "R", "--class", "d12"],
+     [f"R:delta{j}" for j in range(2, 7)]),
+    (["pic", "pull", "--g", "12", "--class", "d12"], []),
+])
+def test_a_named_d12_class_carries_its_assumption(argv, curve_notes):
+    bound = run_json(["pic", "class", "--g", "12", "--name", "d12",
+                      "--format", "json"])["assumptions"]
+    assert bound == ["delta_j coefficients for j >= 2 use the conservative bound b_j = b_1 = 9867"]
+    assert run_json([*argv, "--format", "json"])["assumptions"] == curve_notes + bound
+    text = run_command([*argv, "--format", "text"]).stdout
+    assert "assumptions:\n" in text and f"  - {bound[0]}\n" in text
+
+
 @pytest.mark.parametrize("label", LEAVES)
 def test_every_leaf_reports_its_label(label):
     payload = run_json([*LEAVES[label], "--format", "json"])
