@@ -55,6 +55,11 @@ def test_det_requires_square():
         series_det([[[1], [2], [3]], [[4], [5], [6]]], 0)
 
 
+def test_det_refuses_a_negative_order():
+    with pytest.raises(PreconditionError, match=r"^series order must be nonnegative$"):
+        series_det([[[1]]], -1)
+
+
 def test_recip_factorial_total_function():
     assert recip_factorial(-1) == 0
     assert recip_factorial(-7) == 0

@@ -61,6 +61,8 @@ def test_scorza_genus_closed_form():
     assert scorza_genus(10) == 271
     for g in range(3, 31):
         assert scorza_genus(g) == 3 * g * (g - 1) + 1
+    with pytest.raises(PreconditionError, match=r"^Scorza genus needs g >= 3$"):
+        scorza_genus(2)
 
 
 def test_theta_pencil_profile():

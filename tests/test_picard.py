@@ -664,6 +664,21 @@ def test_slope_zero_numerator():
     assert slope(cls) == 0
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: combine([], []), PreconditionError, "combine needs at least one class"),
+    (lambda: combine([zg_class(5)], []), PreconditionError, "combine needs one weight per class"),
+    (lambda: certificate(13, "zz"), PreconditionError, "unknown auxiliary divisor 'zz'"),
+    (lambda: slope(zg_class(5)), BasisMismatchError,
+     "slope is defined for classes on the moduli basis"),
+    (lambda: pullback(5, zg_class(5)), BasisMismatchError,
+     "pullback expects a class on the moduli basis"),
+], ids=["combine-empty", "combine-no-weight", "certificate-aux", "slope-spin", "pullback-spin"])
+def test_public_refusals_name_their_input(call, error, message):
+    with pytest.raises(error) as refusal:
+        call()
+    assert type(refusal.value) is error and str(refusal.value) == message
+
+
 # -- certificates -----------------------------------------------------------
 
 def test_certificate_bn_examples_and_closed_form():
