@@ -31,6 +31,13 @@ numerator.  Arithmetic inside the ring, and rendering, work on integers
 only; a ``Fraction`` is built where a value leaves the ring:
 ``coefficient``, the ``terms`` view and ``integrate``.
 
+Normalisation happens in one kernel, ``_normalize``, which sums the
+products of every pair of terms of two operands straight into normal form:
+a product of elements calls it, ``element`` calls it with 1 as the right
+operand, and a one-term power calls it on its scaled monomial.  Sums,
+negation and scaling by a constant keep the normalized monomials of their
+operands and do not normalize again.
+
 Integration, fixed once for the whole package, is one rule: a preset's
 ``pairings`` table maps each normalized top-degree monomial to its value,
 ``integrate`` sums every term times its entry, and a term with no entry
@@ -46,14 +53,15 @@ Integration, fixed once for the whole package, is one rule: a preset's
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .record import Record, set_field
-from .scalars import ZERO, format_scalar, over_lcm, render_terms
+from .scalars import ZERO, format_scalar, over_lcm, ratio, render_terms
 
 JACOBIAN = "jacobian"
 SURFACE = "surface"
@@ -95,7 +103,7 @@ class RingPreset(Record):
             raise RingDomainError(f"no generator {name!r} in preset {self.label}") from None
 
     def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+        return sum(map(mul, mono, self.degrees))
 
     def monomial_text(self, mono: Monomial) -> str:
         parts = []
@@ -124,28 +132,32 @@ class RingPreset(Record):
     def element(self, terms: Mapping[Monomial, object]) -> "RingElem":
         """The element with the given int or Fraction coefficients."""
         numerators, den = over_lcm(terms.values())
-        return _reduced(self, _normalize(self, zip(terms, numerators)), den)
+        return _reduced(self, _normalize(self, zip(terms, numerators), _unit(len(self.names))),
+                        den)
 
     def weighted_sum(self, pairs: Iterable[tuple[int | Fraction, "RingElem"]]) -> "RingElem":
-        """The sum of ``weight * elem`` over one or more (int or Fraction
-        weight, elem) pairs, accumulated in one dict of integers over the
-        product of the weights' and the elements' common denominators, then
-        reduced."""
-        weights, elems = zip(*pairs)
-        for elem in elems:
+        """The sum of ``weight * elem`` over (int or Fraction weight, elem)
+        pairs, read once, accumulated in one dict of integers over the lcm of
+        the products weight denominator * elem denominator, then reduced."""
+        scaled, dens = [], []
+        for weight, elem in pairs:
             _require_preset(self, elem)
-        weights, weight_den = over_lcm(weights)
-        den = math.lcm(*[elem.denominator for elem in elems])
+            num, den = ratio(weight)
+            if num:
+                den *= elem.denominator
+                scaled.append((num, den, elem))
+                if den != 1:
+                    dens.append(den)
+        den = math.lcm(*dens)
         acc: dict[Monomial, int] = {}
-        for weight, elem in zip(weights, elems):
-            if weight:
-                scale = weight * (den // elem.denominator)
-                for mono, num in elem.numerators:
-                    if total := acc.get(mono, 0) + scale * num:
-                        acc[mono] = total
-                    else:
-                        del acc[mono]
-        return _reduced(self, acc, weight_den * den)
+        for num, elem_den, elem in scaled:
+            scale = num * (den // elem_den)
+            for mono, n in elem.numerators:
+                if total := acc.get(mono, 0) + scale * n:
+                    acc[mono] = total
+                else:
+                    del acc[mono]
+        return _reduced(self, acc, den)
 
 
 def _require_preset(preset: RingPreset, elem: "RingElem") -> None:
@@ -155,27 +167,64 @@ def _require_preset(preset: RingPreset, elem: "RingElem") -> None:
         )
 
 
-def _normalize(preset: RingPreset, raw: Iterable[tuple[Monomial, int]]) -> dict:
-    """Sum ``raw`` into normal form: the Jacobian closed form, then truncation."""
+def _normalize(preset: RingPreset, left: Iterable[tuple[Monomial, int]],
+               right: tuple[tuple[Monomial, int], ...]) -> dict:
+    """Sum ``n1 * n2`` times ``m1 * m2`` over every pair of (monomial, int)
+    terms of ``left`` and ``right`` straight into normal form, the one place
+    where the relations and the truncation apply.  On the jacobian preset a
+    pair is judged by its eta, gamma and theta exponents alone, so a product
+    that the closed form or the truncation drops is skipped before its
+    exponent vector is built."""
     acc: dict[Monomial, int] = {}
-    jacobian, top = preset.kind == JACOBIAN, preset.top_degree
-    for mono, coeff in raw:
-        if jacobian:
-            if mono[_ETA] + mono[_GAMMA] >= 2:
-                if mono[_ETA] or mono[_GAMMA] != 2:
+    top = preset.top_degree
+    if preset.kind == JACOBIAN:
+        for m1, n1 in left:
+            eta1, gamma1, theta1 = m1[_ETA], m1[_GAMMA], m1[_THETA]
+            for m2, n2 in right:
+                eta, gamma, theta = eta1 + m2[_ETA], gamma1 + m2[_GAMMA], theta1 + m2[_THETA]
+                if eta + gamma + theta > top:  # the closed form keeps this degree
                     continue
-                mono = (1, 0, mono[_THETA] + 1) + mono[_C1:]
-                coeff = -2 * coeff
-            if mono[_ETA] + mono[_GAMMA] + mono[_THETA] > top:
+                if eta + gamma < 2:
+                    mono, coeff = tuple(map(add, m1, m2)), n1 * n2
+                elif eta or gamma != 2:
+                    continue
+                else:  # gamma^2 = -2*eta*theta
+                    mono = (1, 0, theta + 1) + tuple(map(add, m1[_C1:], m2[_C1:]))
+                    coeff = -2 * n1 * n2
+                if total := acc.get(mono, 0) + coeff:
+                    acc[mono] = total
+                else:
+                    acc.pop(mono, None)
+        return acc
+    degree = preset.monomial_degree
+    for m1, n1 in left:
+        for m2, n2 in right:
+            mono = tuple(map(add, m1, m2))
+            if top is not None and degree(mono) > top:
                 continue
-        elif top is not None and preset.monomial_degree(mono) > top:
-            continue
-        total = acc.get(mono, 0) + coeff
-        if total:
-            acc[mono] = total
-        else:
-            acc.pop(mono, None)
+            if total := acc.get(mono, 0) + n1 * n2:
+                acc[mono] = total
+            else:
+                acc.pop(mono, None)
     return acc
+
+
+@functools.cache
+def _unit(size: int) -> tuple[tuple[Monomial, int]]:
+    """The one term of 1: the kernel's right operand for a single factor."""
+    return (((0,) * size, 1),)
+
+
+def _scaled(elem: "RingElem", num: int, den: int) -> "RingElem":
+    """``elem * num / den`` for a positive ``den``.  The normal form is
+    linear, so the monomials and their order stay; only the content is
+    divided out."""
+    if not num:
+        return elem.preset.zero()
+    terms, den = elem.numerators, den * elem.denominator
+    content = math.gcd(den, num * math.gcd(*[n for _, n in terms])) if den != 1 else 1
+    return RingElem(elem.preset, tuple([(m, n * num // content) for m, n in terms]),
+                    den // content)
 
 
 def _reduced(preset: RingPreset, acc: dict, den: int) -> "RingElem":
@@ -264,12 +313,15 @@ class RingElem(Record):
     def __mul__(self, other):
         if isinstance(other, RingElem):
             _require_preset(self.preset, other)
-            raw = ((tuple(map(add, m1, m2)), n1 * n2)
-                   for m1, n1 in self.numerators for m2, n2 in other.numerators)
-            return _reduced(self.preset, _normalize(self.preset, raw),
+            # a constant factor scales the other operand
+            if len(other.numerators) == 1 and not any(other.numerators[0][0]):
+                return _scaled(self, other.numerators[0][1], other.denominator)
+            if len(self.numerators) == 1 and not any(self.numerators[0][0]):
+                return _scaled(other, self.numerators[0][1], self.denominator)
+            return _reduced(self.preset, _normalize(self.preset, self.numerators, other.numerators),
                             self.denominator * other.denominator)
         if isinstance(other, (int, Fraction)):
-            return self.preset.weighted_sum(((other, self),))
+            return _scaled(self, *ratio(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -282,22 +334,18 @@ class RingElem(Record):
             # its exponent vector times n, normalised once; a truncated power
             # is dropped before its coefficient is raised
             ((mono, num),) = self.numerators
-            acc = _normalize(self.preset, [(tuple(n * e for e in mono), 1)])
-            if not acc:
-                return self.preset.zero()
-            scale = num ** n
-            return _reduced(self.preset, {m: c * scale for m, c in acc.items()},
-                            self.denominator ** n)
-        # square and multiply; a zero square or partial product ends it early
-        result, square = self.preset.one(), self
-        while n and not result.is_zero():
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-                if square.is_zero():
-                    return square
+            power = _reduced(self.preset, _normalize(
+                self.preset, ((tuple(n * e for e in mono), 1),), _unit(len(mono))), 1)
+            return _scaled(power, num ** n, self.denominator ** n) if power.numerators else power
+        if n == 0:
+            return self.preset.one()
+        # square and multiply from the base, leading bit first: (bit_length - 1)
+        # squarings and (popcount - 1) products by the base
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     # -- rendering ----------------------------------------------------

@@ -174,6 +174,29 @@ def test_power_takes_logarithmically_many_products(monkeypatch, preset, name):
         assert power.render() == f"omega^{n}"
 
 
+def test_a_multi_term_power_squares_from_the_base(monkeypatch):
+    preset = preset_universal_curve(3)
+    base = preset.gen("omega") + Fraction(2, 3) * preset.gen("lambda") - 1
+    model, one = dict(base.terms), preset.one()
+    operands = []
+    multiply = RingElem.__mul__
+
+    def counted(self, other):
+        operands.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counted)
+    monkeypatch.setattr(RingElem, "__rmul__", counted)
+    for n in range(18):
+        operands.clear()
+        power = base ** n
+        # (bit_length - 1) squarings and (popcount - 1) products by the base
+        assert len(operands) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+        assert all(one not in pair for pair in operands)
+        assert power.terms == model_terms(model_pow(preset, model, n))
+    assert base ** 0 == one
+
+
 def _square_and_multiply(base, n):
     result, square = base.preset.one(), base
     while n:
@@ -257,6 +280,7 @@ ORACLE_PRESETS = (
     preset_jacobian_product(1, 1, 0),
     preset_jacobian_product(2, 3, 1),
     preset_jacobian_product(3, 4, 0),
+    preset_jacobian_product(2, 4, 3),  # 8 generators: eta, gamma, theta, c1..c4, k
     preset_surface_product(2),
     preset_surface_product(4),
     preset_universal_curve(3),
@@ -280,7 +304,8 @@ def oracle_cases(draw):
         return draw(st.dictionaries(st.tuples(*exponents), coefficients, max_size=max_size))
 
     return (preset, raw(4), raw(4), raw(1) or {(0,) * len(preset.names): 3},
-            draw(rationals), draw(st.integers(0, 5)), draw(st.integers(0, 3)))
+            draw(rationals), draw(rationals.filter(bool)), draw(st.integers(0, 5)),
+            draw(st.integers(0, 3)))
 
 
 def _canonical(elem):
@@ -304,8 +329,10 @@ def _agrees(elem, model):
 @settings(max_examples=150, deadline=None)
 @given(oracle_cases())
 def test_arithmetic_matches_the_fraction_model(case):
-    preset, raw_a, raw_b, raw_t, scalar, n, degree = case
+    preset, raw_a, raw_b, raw_t, scalar, constant, n, degree = case
     a, b, t = (preset.element(raw) for raw in (raw_a, raw_b, raw_t))
+    # a one-term constant element, multiplied element by element
+    c = preset.element({(0,) * len(preset.names): constant})
     ma, mb, mt = (model_normalize(preset, raw.items()) for raw in (raw_a, raw_b, raw_t))
     _agrees(a, ma)
     _agrees(b, mb)
@@ -314,6 +341,8 @@ def test_arithmetic_matches_the_fraction_model(case):
     _agrees(-a, model_scale(ma, -1))
     _agrees(scalar * a, model_scale(ma, scalar))
     _agrees(a * scalar, model_scale(ma, scalar))
+    _agrees(c * a, model_scale(ma, constant))
+    _agrees(a * c, model_scale(ma, constant))
     _agrees(a * b, model_mul(preset, ma, mb))
     _agrees(a ** n, model_pow(preset, ma, n))
     _agrees(t ** n, model_pow(preset, mt, n))
