@@ -208,6 +208,12 @@ def _run(expr: Expr, leaf, power, product, total):
     return stack.pop()
 
 
+@functools.cache
+def _bits_of_power_of_ten(limit: int) -> int:
+    """The bit length of 10^limit, computed once per digit limit."""
+    return (10 ** limit).bit_length()
+
+
 def _refuse_oversized_power(numerator: int, denominator: int, exponent: int, pos: int) -> None:
     """Refuse ``(numerator/denominator)^exponent`` before computing it when a
     part in lowest terms is sure to pass the digit limit: |n| >=
@@ -216,7 +222,7 @@ def _refuse_oversized_power(numerator: int, denominator: int, exponent: int, pos
     limit = digit_limit()
     common = math.gcd(numerator, denominator)
     bits = max((numerator // common).bit_length(), (denominator // common).bit_length()) - 1
-    if limit and bits > 0 and bits * exponent >= (10 ** limit).bit_length():
+    if limit and bits > 0 and bits * exponent >= _bits_of_power_of_ten(limit):
         raise ExprSyntaxError(f"constant power has more than {limit} digits", pos)
 
 

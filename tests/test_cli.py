@@ -717,6 +717,19 @@ def test_power_with_an_oversized_constant_term_is_refused(digit_limit_4300, pres
     assert outcome.stderr == "error: constant power has more than 4300 digits (at byte offset 9)"
 
 
+def test_the_power_refusal_follows_a_changed_digit_limit(digit_limit_4300):
+    # 2^3000 has 904 digits: printed under a 4300-digit limit, refused before
+    # the power under a 640-digit one, whichever limit was met first
+    argv = ["ring", "eval", "--preset", "uc:g=3", "2^3000*omega^2"]
+    assert run_command(argv).exit_code == 0
+    sys.set_int_max_str_digits(640)
+    outcome = run_command(argv)
+    assert outcome.exit_code == 2
+    assert outcome.stderr == "error: constant power has more than 640 digits (at byte offset 1)"
+    sys.set_int_max_str_digits(4300)
+    assert run_command(argv).exit_code == 0
+
+
 def test_power_with_a_unit_constant_term_is_computed(digit_limit_4300):
     n = 300000
     result = run_json(["ring", "eval", "--preset", "jac:g=3,d=2,r=0", f"(1+theta)^{n}",
