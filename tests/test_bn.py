@@ -20,6 +20,7 @@ from oddspin.bn import (
 from oddspin.errors import PreconditionError, PresetMismatchError, RingDomainError
 
 from oddspin.genus12 import SIDE_X, side
+from oddspin.ring import preset_jacobian_product, preset_surface_product
 
 from oracles import (
     expand_c_monomial,
@@ -219,6 +220,18 @@ def test_ker_substitution_class_forms(ctx, jet):
     other = bn_context(12, 5, 16).preset
     with pytest.raises(PresetMismatchError):
         degeneracy_classes(ctx, jet_bundle_inverse_chern(other, 12, 16))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda ctx: split_kernel_class(preset_surface_product(3).gen("F1")), RingDomainError,
+     "the kernel class lives on the jacobian preset"),
+    (lambda ctx: evaluate_taut(ctx, preset_jacobian_product(11, 14, 3).gen("eta")),
+     PresetMismatchError, "element does not live in the context's preset"),
+], ids=["split-off-jacobian", "evaluate-other-preset"])
+def test_kernel_and_evaluator_refusals_name_their_input(ctx, call, error, message):
+    with pytest.raises(error) as refusal:
+        call(ctx)
+    assert type(refusal.value) is error and str(refusal.value) == message
 
 
 def test_split_kernel_class(ctx):

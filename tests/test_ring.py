@@ -10,10 +10,12 @@ from oddspin.errors import PresetMismatchError, RingDomainError
 from oddspin.ring import (
     RingElem,
     adjunction_genus,
+    geometric_series,
     integrate,
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
+    surface_canonical_class,
 )
 
 from oracles import (
@@ -364,6 +366,26 @@ def test_ring_arithmetic_builds_no_fraction(fraction_builds):
     ma, mb = dict(a.terms), dict(b.terms)
     assert product.terms == model_terms(model_mul(uc, ma, mb))
     assert total.terms == model_terms(model_add(ma, mb))
+
+
+JAC3, UC3 = preset_jacobian_product(3, 2, 0), preset_universal_curve(3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: JAC3.gen("theta") ** -1, "ring exponents are nonnegative integers"),
+    (lambda: JAC3.gen("theta") ** 1.5, "ring exponents are nonnegative integers"),
+    (lambda: geometric_series(UC3.gen("omega")), "geometric series needs a truncated preset"),
+    (lambda: geometric_series(JAC3.gen("c1")),
+     "geometric series did not terminate: non-nilpotent argument"),
+    (lambda: adjunction_genus(UC3.gen("omega")), "adjunction is defined on the surface preset"),
+    (lambda: surface_canonical_class(JAC3), "canonical class is defined on the surface preset"),
+    (lambda: JAC3.index("omega"), "no generator 'omega' in preset jacobian(g=3,d=2,r=0)"),
+], ids=["pow-negative", "pow-float", "series-untruncated", "series-c1", "adjunction-uc",
+        "canonical-jac", "index-omega"])
+def test_ring_refusals_name_their_input(call, message):
+    with pytest.raises(RingDomainError) as refusal:
+        call()
+    assert type(refusal.value) is RingDomainError and str(refusal.value) == message
 
 
 def test_preset_mismatch_is_an_error(jac11):
