@@ -31,12 +31,10 @@ numerator.  Arithmetic inside the ring, and rendering, work on integers
 only; a ``Fraction`` is built where a value leaves the ring:
 ``coefficient``, the ``terms`` view and ``integrate``.
 
-Normalisation happens in one kernel, ``_normalize``, which sums the
-products of every pair of terms of two operands straight into normal form:
-a product of elements calls it, ``element`` calls it with 1 as the right
-operand, and a one-term power calls it on its scaled monomial.  Sums,
-negation and scaling by a constant keep the normalized monomials of their
-operands and do not normalize again.
+Normalisation happens in one kernel, ``_normalize``, called by products,
+by ``element`` (times 1) and by a one-term power (its scaled monomial times
+1).  Sums, negation and constant factors keep their operands' normalized
+monomials.
 
 Integration, fixed once for the whole package, is one rule: a preset's
 ``pairings`` table maps each normalized top-degree monomial to its value,
@@ -170,11 +168,9 @@ def _require_preset(preset: RingPreset, elem: "RingElem") -> None:
 def _normalize(preset: RingPreset, left: Iterable[tuple[Monomial, int]],
                right: tuple[tuple[Monomial, int], ...]) -> dict:
     """Sum ``n1 * n2`` times ``m1 * m2`` over every pair of (monomial, int)
-    terms of ``left`` and ``right`` straight into normal form, the one place
-    where the relations and the truncation apply.  On the jacobian preset a
-    pair is judged by its eta, gamma and theta exponents alone, so a product
-    that the closed form or the truncation drops is skipped before its
-    exponent vector is built."""
+    terms of ``left`` and ``right`` into normal form.  On the jacobian preset
+    a pair is judged by its eta, gamma and theta exponents, so a product that
+    the closed form or the truncation drops is never built."""
     acc: dict[Monomial, int] = {}
     top = preset.top_degree
     if preset.kind == JACOBIAN:
