@@ -41,6 +41,8 @@ RING_EVALS = {
         "theta", "theta^2", "eta*theta^5", "eta*theta^3 + theta", "eta + theta^2",
         "k*eta*theta^2", "k*theta", "eta*c1^2", "eta*c1*theta", "c1*theta^3",
         "(eta + c1)^3", "eta*+theta", "theta^", "Delta", "",
+        # a one-term power whose monomial truncates: its coefficient is never raised
+        "(3*theta)^1000000",
     ),
     "jac:g=11,d=14,r=4": (
         "eta*theta^11", "gamma^2*theta^10", "theta^12", "eta*theta^6",
@@ -67,6 +69,8 @@ RING_EVALS = {
         "4/6*omega^2", "0/5*omega^2 + lambda^2", "omega^2 + -0*omega",
         "-12/8*omega*lambda", " -12/8*omega*lambda", "(2/4*omega + 3/6)^3",
         "2^3*omega^2", "0^0*omega^2", "1/0*omega",
+        # one-term powers whose coefficient power passes the digit limit
+        "(3*omega)^1000000", "(1/3*omega)^1000000",
     ),
     "uc:g=5": ("3/4*omega^2 - 2*omega*(-1/4*lambda)", "lambda^2 - omega*lambda", "lambda"),
 }
