@@ -237,9 +237,17 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
         return RingElem(preset, ((constant, value[0]),), value[1]) if value[0] else preset.zero()
 
     def power(base: RingElem, exponent: int, pos: int) -> RingElem:
-        # every generator has positive degree, so the constant term of the
-        # power is exactly the power of the base's constant term (the last)
-        numerator = dict(base.numerators[-1:]).get(constant, 0)
+        terms = base.numerators
+        if len(terms) == 1:
+            # a one-term base's coefficient is raised unless its monomial's
+            # power is dropped
+            mono, numerator = terms[0]
+            if (RingElem(preset, ((mono, 1),), 1) ** exponent).is_zero():
+                numerator = 0
+        else:
+            # every generator has positive degree, so the constant term of
+            # the power is exactly the power of the base's constant term (the last)
+            numerator = dict(terms[-1:]).get(constant, 0)
         _refuse_oversized_power(numerator, base.denominator, exponent, pos)
         return base ** exponent
 

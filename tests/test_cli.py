@@ -745,6 +745,24 @@ def test_nilpotent_power_is_not_refused(digit_limit_4300):
     assert result["normalized"] == "0"
 
 
+@pytest.mark.parametrize("preset,expression,offset", [
+    ("uc:g=3", "(3*omega)^1000000", 9), ("uc:g=3", "(1/3*omega)^1000000", 11),
+    ("jac:g=3,d=2,r=0", "(-3*c1)^20000", 7), ("uc:g=3", "(3)^1000000", 3),
+])
+def test_a_one_term_power_with_an_oversized_coefficient_is_refused(
+        digit_limit_4300, preset, expression, offset):
+    # the coefficient's power would be computed in full, then refused at printing
+    outcome = run_command(["ring", "eval", "--preset", preset, expression])
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert outcome.stderr == f"error: constant power has more than 4300 digits (at byte offset {offset})"
+
+
+def test_a_truncated_one_term_power_is_not_refused(digit_limit_4300):
+    result = run_json(["ring", "eval", "--preset", "jac:g=3,d=2,r=0", "(3*theta)^1000000",
+                       "--format", "json"])["result"]
+    assert result["normalized"] == "0"
+
+
 def test_printable_constant_power_is_computed(digit_limit_4300):
     # 2^14000 has 4215 digits; (10/3)^4000 has parts of 4001 and 1909 digits
     for expression, coefficient in (("2^14000*omega^2", 2 ** 14000),
