@@ -92,7 +92,7 @@ class RingPreset(Record):
         for key, value in self.params:
             if key == name:
                 return value
-        raise KeyError(name)
+        raise RingDomainError(f"no parameter {name!r} in preset {self.label}")
 
     def index(self, name: str) -> int:
         try:

@@ -48,6 +48,11 @@ from oracles import model_add, model_scale
 
 # -- pullback / pushforward -------------------------------------------------
 
+def test_a_class_prints_as_its_rendering():
+    cls = zg_class(5) - Fraction(1, 3) * canonical_class(SPIN, 5)
+    assert str(cls) == cls.render() != ""
+
+
 def test_pullback_of_delta0():
     d0 = DivisorClass.from_mapping(moduli_basis(7), {"delta0": 1})
     up = pullback(7, d0)

@@ -380,8 +380,9 @@ JAC3, UC3 = preset_jacobian_product(3, 2, 0), preset_universal_curve(3)
     (lambda: adjunction_genus(UC3.gen("omega")), "adjunction is defined on the surface preset"),
     (lambda: surface_canonical_class(JAC3), "canonical class is defined on the surface preset"),
     (lambda: JAC3.index("omega"), "no generator 'omega' in preset jacobian(g=3,d=2,r=0)"),
+    (lambda: UC3.param("d"), "no parameter 'd' in preset universal-curve(g=3)"),
 ], ids=["pow-negative", "pow-float", "series-untruncated", "series-c1", "adjunction-uc",
-        "canonical-jac", "index-omega"])
+        "canonical-jac", "index-omega", "param-d"])
 def test_ring_refusals_name_their_input(call, message):
     with pytest.raises(RingDomainError) as refusal:
         call()
@@ -570,6 +571,14 @@ def test_canonical_rendering(jac11):
     eta, gamma, theta = gens(jac11, "eta", "gamma", "theta")
     series = 1 + 48 * eta + 2 * gamma - 6 * eta * theta
     assert series.render() == "-6*eta*theta + 48*eta + 2*gamma + 1"
+
+
+def test_inspection_of_absent_terms_and_of_zero(jac11):
+    eta, theta = gens(jac11, "eta", "theta")
+    elem = Fraction(3, 4) * eta * theta - 2 * theta
+    assert elem.coefficient((0,) * len(jac11.names)) == 0  # no constant term
+    assert jac11.zero().degree() is None
+    assert str(elem) == elem.render() == "3/4*eta*theta - 2*theta"
 
 
 # -- preset preconditions ----------------------------------------------------
