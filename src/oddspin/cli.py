@@ -8,6 +8,13 @@ and are byte-identical across runs for identical inputs in JSON mode.
 
 Exit codes: 0 success (and help), 2 expression/usage parse error, 3 basis
 or preset mismatch, 4 failed internal cross-check, 1 any other engine error.
+
+The leaf commands are declared once, in ``_COMMANDS``.  A plain command
+line (each option spelled in full and given once, no value or expression
+empty or beginning with '-') is read from that table without argparse.
+Any other spelling, such as -h, --, an abbreviation, --opt=value, a repeat
+or a negative number, goes to the argparse tree built from the same
+table, the one source of help and error text.
 """
 from __future__ import annotations
 
@@ -81,7 +88,7 @@ def _dash_word(word: str) -> bool:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    # set on the leaves whose expression may begin with '-' (``_add_expression``)
+    # set on the leaves that take an expression, which may begin with '-'
     takes_expression = False
 
     def error(self, message):  # noqa: A003 - argparse API
@@ -118,11 +125,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _after_double_dash(message: str, word: str) -> str:
     return f"{message} (an expression that begins with '-' goes after '--', as in: -- {word})"
-
-
-def _add_expression(leaf: _ArgumentParser, **kwargs) -> None:
-    leaf.add_argument("expression", **kwargs)
-    leaf.takes_expression = True
 
 
 class Report(Record):
@@ -208,68 +210,6 @@ class CommandOutcome(Record):
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
-
-# every leaf parser, by the words of its label: ("pic", "solve-zg"), ("cert",)
-_LEAVES: dict[tuple[str, ...], _ArgumentParser] = {}
-
-
-def _leaf(commands, label: str, run) -> _ArgumentParser:
-    """Declare the command ``label``: its handler, its label and ``--format``;
-    record its parser in ``_LEAVES``."""
-    words = tuple(label.split())
-    leaf = commands.add_parser(words[-1])
-    leaf.add_argument("--format", choices=("json", "text"), default="text")
-    leaf.set_defaults(run=run, label=label)
-    _LEAVES[words] = leaf
-    return leaf
-
-
-@functools.cache
-def build_parser() -> _ArgumentParser:
-    """The parser of every command, built once per process on first use.
-    Building it fills ``_LEAVES``: ``run_command`` parses an argv whose
-    leading words name a leaf on that leaf alone, and the rest on the tree."""
-    parser = _ArgumentParser(prog="oddspin", description=__doc__)
-    commands = parser.add_subparsers(required=True)
-    ring, pic, d12 = (
-        commands.add_parser(name).add_subparsers(required=True)
-        for name in ("ring", "pic", "d12")
-    )
-    ring_eval = _leaf(ring, "ring eval", _run_ring_eval)
-    ring_eval.add_argument("--preset", required=True,
-                           help="jac:g=<g>,d=<d>,r=<r> | surface:g=<g> | uc:g=<g>")
-    _add_expression(ring_eval)
-
-    pic_class = _leaf(pic, "pic class", _run_pic_class)
-    pic_class.add_argument("--g", type=int, required=True)
-    pic_class.add_argument("--name", required=True, choices=NAMED_CLASSES)
-    pic_class.add_argument("--space", choices=(SPIN, MODULI), default=None)
-
-    pic_pair = _leaf(pic, "pic pair", _run_pic_pair)
-    pic_pair.add_argument("--g", type=int, required=True)
-    pic_pair.add_argument("--curve", required=True, help=" | ".join(
-        f"{name}:<i>" if name in picard.INDEXED_CURVES else name for name in picard.TEST_CURVES))
-    pic_pair.add_argument("--class", dest="class_spec", required=True,
-                          help=" | ".join(NAMED_CLASSES) + " | expression in the basis")
-
-    for label in ("pic push", "pic pull"):
-        cmd = _leaf(pic, label, _run_pic_push_pull)
-        cmd.add_argument("--g", type=int, required=True)
-        _add_expression(cmd, nargs="?", default=None)
-        cmd.add_argument("--class", dest="class_spec", default=None, choices=NAMED_CLASSES,
-                         help="a named class (alternative to an expression)")
-
-    _leaf(pic, "pic solve-zg", _run_pic_solve_zg).add_argument("--g", type=int, required=True)
-
-    cert = _leaf(commands, "cert", _run_cert)
-    cert.add_argument("--g", type=int, required=True)
-    cert.add_argument("--aux", required=True, choices=("bn", "d12"))
-
-    _leaf(d12, "d12 run", _run_d12).add_argument("--dump-intermediates", action="store_true")
-
-    _leaf(commands, "numbers", _run_numbers).add_argument("--g", type=int, required=True)
-    return parser
-
 
 # preset kind -> (builder, its parameters in argument order)
 _PRESET_KINDS = {
@@ -528,15 +468,148 @@ def _run_numbers(args):
     return {"g": g}, result, assumptions
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` on the leaf its leading words name, else on the tree.
+# ---------------------------------------------------------------------------
+# The command table, and the two parsers read from it
+# ---------------------------------------------------------------------------
 
-    Both give the same namespace, error or help: each subparsers level hands
-    the rest of argv to the chosen parser unchanged (``nargs=PARSER``), the
-    enclosing levels have no option but ``-h`` and no defaults, a leaf's
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+_G = ("--g", {"type": int, "required": True})
+
+# Every leaf command: its label, its handler and its arguments after
+# --format, each the name and keywords of one ``add_argument`` call, in the
+# order argparse declares them.
+_COMMANDS = (
+    ("ring eval", _run_ring_eval, (
+        ("--preset", {"required": True,
+                      "help": "jac:g=<g>,d=<d>,r=<r> | surface:g=<g> | uc:g=<g>"}),
+        ("expression", {}),
+    )),
+    ("pic class", _run_pic_class, (
+        _G, ("--name", {"required": True, "choices": NAMED_CLASSES}),
+        ("--space", {"choices": (SPIN, MODULI)}),
+    )),
+    ("pic pair", _run_pic_pair, (
+        _G,
+        ("--curve", {"required": True, "help": " | ".join(
+            f"{name}:<i>" if name in picard.INDEXED_CURVES else name
+            for name in picard.TEST_CURVES)}),
+        ("--class", {"dest": "class_spec", "required": True,
+                     "help": " | ".join(NAMED_CLASSES) + " | expression in the basis"}),
+    )),
+    *((label, _run_pic_push_pull, (
+        _G, ("expression", {"nargs": "?"}),
+        ("--class", {"dest": "class_spec", "choices": NAMED_CLASSES,
+                     "help": "a named class (alternative to an expression)"}),
+    )) for label in ("pic push", "pic pull")),
+    ("pic solve-zg", _run_pic_solve_zg, (_G,)),
+    ("cert", _run_cert, (_G, ("--aux", {"required": True, "choices": ("bn", "d12")}))),
+    ("d12 run", _run_d12, (("--dump-intermediates", {"action": "store_true"}),)),
+    ("numbers", _run_numbers, (_G,)),
+)
+
+# every leaf parser, by the words of its label: ("pic", "solve-zg"), ("cert",)
+_LEAVES: dict[tuple[str, ...], _ArgumentParser] = {}
+
+
+@functools.cache
+def build_parser() -> _ArgumentParser:
+    """The argparse tree of ``_COMMANDS``, built once per process on first
+    use; building it fills ``_LEAVES``."""
+    # the help leaves out the docstring's last paragraph, on parsing
+    parser = _ArgumentParser(prog="oddspin", description=__doc__.rpartition("\n\n")[0])
+    commands = parser.add_subparsers(required=True)
+    groups = {word: commands.add_parser(word).add_subparsers(required=True)
+              for word in dict.fromkeys(label.split()[0] for label, _, _ in _COMMANDS
+                                        if " " in label)}
+    for label, run, arguments in _COMMANDS:
+        words = tuple(label.split())
+        leaf = groups.get(words[0], commands).add_parser(words[-1])
+        for name, keywords in (_FORMAT, *arguments):
+            leaf.add_argument(name, **keywords)
+        leaf.takes_expression = any(name == "expression" for name, _ in arguments)
+        leaf.set_defaults(run=run, label=label)
+        _LEAVES[words] = leaf
+    return parser
+
+
+def _plain(label: str, run, arguments):
+    """What ``_canonical`` reads of one leaf: its depth in the tree; each
+    option string's dest, type (None for a flag) and choices; the required
+    option strings; the namespace of defaults; the positional and the least
+    number of positionals."""
+    options, required, defaults = {}, set(), {"run": run, "label": label}
+    positional = None, 0
+    for name, keywords in (_FORMAT, *arguments):
+        flag = keywords.get("action") == "store_true"
+        dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+        defaults[dest] = False if flag else keywords.get("default")
+        if name[0] != "-":
+            positional = name, int(keywords.get("nargs") != "?")
+        else:
+            options[name] = dest, None if flag else keywords.get("type", str), keywords.get("choices")
+        if keywords.get("required"):
+            required.add(name)
+    return len(label.split()), options, required, defaults, positional
+
+
+_PLAIN = {tuple(label.split()): _plain(label, run, arguments)
+          for label, run, arguments in _COMMANDS}
+
+
+def _canonical(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse gives ``argv`` when it is a plain spelling of
+    a leaf command, else None; never raises.  Plain: every word is a str;
+    each option is one of the leaf's option strings, spelled in full and
+    given once; each value and positional is non-empty, does not begin with
+    '-' and passes the option's type and choices; nothing required is
+    missing.  -h, --, abbreviations, --opt=value, repeats and negative
+    numbers are left to argparse."""
+    leaf = all(type(word) is str for word in argv) and (
+        _PLAIN.get(tuple(argv[:2])) or _PLAIN.get(tuple(argv[:1])))
+    if not leaf:
+        return None
+    depth, options, required, values, (positional, least) = leaf
+    values, given, positionals = dict(values), set(), []
+    words = iter(argv[depth:])
+    for word in words:
+        if word in options and word not in given:
+            given.add(word)
+            dest, convert, choices = options[word]
+            if convert is None:
+                values[dest] = True
+                continue
+            word = next(words, "")
+            if word[:1] in ("", "-"):
+                return None
+            try:
+                values[dest] = convert(word)
+            except ValueError:
+                return None
+            if choices is not None and values[dest] not in choices:
+                return None
+        elif word[:1] not in ("", "-"):
+            positionals.append(word)
+        else:
+            return None
+    if not (least <= len(positionals) <= (positional is not None) and required <= given):
+        return None
+    if positionals:
+        values[positional] = positionals[0]
+    return argparse.Namespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``: a plain spelling directly (``_canonical``), any other
+    on the leaf its leading words name, else on the whole tree.  The three
+    give the same namespace, error or help: each subparsers level
+    hands the rest of argv to the chosen parser unchanged (``nargs=PARSER``),
+    the enclosing levels have no option but ``-h`` and no defaults, a leaf's
     ``prog`` already spells its whole command, and ``_ArgumentParser.error``
     keeps only the message.
     """
+    namespace = _canonical(argv)
+    if namespace is not None:
+        return namespace
     tree = build_parser()
     for depth in (2, 1):
         words = tuple(argv[:depth])
@@ -547,8 +620,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def run_command(argv) -> CommandOutcome:
     """Execute one command line; returns help, reports and engine errors
-    as an outcome and never raises for them.  A command is parsed on its
-    leaf alone (``_parse``), in under half the time the whole tree takes."""
+    as an outcome and never raises for them.  A plain command line builds
+    no argparse parser at all (``_parse``)."""
     started = time.monotonic_ns()
     try:
         args = _parse(list(argv))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -477,7 +478,6 @@ def test_parser_reuse_leaves_no_state_behind():
 
 
 def test_parser_tree_is_built_once(monkeypatch):
-    run_command(["numbers", "--g", "3"])
     built = []
     init = cli._ArgumentParser.__init__
 
@@ -486,15 +486,19 @@ def test_parser_tree_is_built_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
-    for argv in LEAVES.values():
-        run_command(argv)
-    run_command(["pic", "-h"])
+    cli.build_parser.cache_clear()
+    for argv in LEAVES.values():  # plain spellings: no parser is built
+        assert run_command(argv).exit_code == 0
     assert built == []
+    for _ in range(2):
+        assert run_command(["pic", "-h"]).exit_code == 0
+    groups = ["oddspin ring", "oddspin pic", "oddspin d12"]
+    assert sorted(built) == sorted(["oddspin", *groups, *(f"oddspin {label}" for label in LEAVES)])
 
 
 def test_every_leaf_is_routed(monkeypatch):
-    # routing builds no parser: test_parser_tree_is_built_once runs these argvs
     cli.build_parser()
+    assert [label for label, _, _ in cli._COMMANDS] == list(LEAVES)
     assert {" ".join(words) for words in cli._LEAVES} == set(LEAVES)
     for words, leaf in cli._LEAVES.items():
         assert leaf.prog == f"oddspin {' '.join(words)}"
@@ -507,8 +511,12 @@ def test_every_leaf_is_routed(monkeypatch):
 
     monkeypatch.setattr(cli._ArgumentParser, "parse_args", spied)
     for label, argv in LEAVES.items():
+        # a plain spelling skips argparse; '--format=json' is parsed on the leaf
         parsed.clear()
-        assert run_command(argv).exit_code == 0
+        outcome = run_command(argv)
+        assert (outcome.exit_code, parsed) == (0, [])
+        assert outcome.stdout.startswith(f"command: {label}\n")
+        assert run_json([*argv, "--format=json"])["command"] == label
         assert parsed == [f"oddspin {label}"]
     parsed.clear()
     run_command(["pic", "bogus"])
@@ -579,6 +587,85 @@ EDGE_ARGVS = [
 @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
 def test_routed_parse_agrees_on_edge_argvs(argv):
     assert_routing_agrees(argv)
+
+
+# -- the plain-spelling parse against argparse -------------------------------
+
+def assert_plain_parse_agrees(argv):
+    """``_canonical(argv)`` is None, or argparse reads ``argv`` without an
+    error or help to the same namespace."""
+    namespace = cli._canonical(list(argv))
+    if namespace is not None:
+        assert vars(cli.build_parser().parse_args(list(argv))) == vars(namespace)
+    return namespace
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload module, loaded with the benchmark's own
+    ``oracles`` in place of the tests' one while it loads."""
+    saved = {name: sys.modules.pop(name, None) for name in ("oracles", "workloads")}
+    try:
+        for name in saved:
+            spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        return module
+    finally:
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+
+
+def test_plain_parse_agrees_on_the_golden_grid():
+    plain = [argv for argv in golden_regen().grid() if assert_plain_parse_agrees(argv)]
+    assert len(plain) > 2000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11])
+def test_plain_parse_agrees_on_the_benchmark_commands(workloads, seed):
+    session = [op.argv for op in workloads.build("session", seed).ops]
+    fuzz = [op.argv for op in workloads.build("ring_fuzz", seed).ops]
+    for argv in (*session, *fuzz):
+        assert_plain_parse_agrees([*argv, "--format", "json"])
+    # every session command is a plain spelling
+    assert all(cli._canonical([*argv, "--format", "json"]) for argv in session)
+
+
+PLAIN_WORDS = sorted({word for argv in LEAVES.values() for word in argv} | {
+    "ring", "pic", "push", "pull", "d12", "run", "numbers", "cert", "eval",
+    "json", "text", "spin", "moduli", "bn", "d12", "k", "uc:g=3", "omega^2", "lambda",
+    "-h", "--help", "--", "", "-3", "-omega", "-1/2*lambda", "+3", "1_0", "\u0663", " 3",
+    "--g=3", "--format=json", "--preset=uc:g=3", "--class=zg", "--name=k",
+} | {option[:end] for _, _, arguments in cli._COMMANDS for option, _ in (cli._FORMAT, *arguments)
+     if option[0] == "-" for end in range(3, len(option) + 1)})
+
+
+def _edited(label, edits):
+    """The valid argv of ``label`` with a word replaced at each position."""
+    argv = list(LEAVES[label])
+    for position, word in edits:
+        argv[position % len(argv)] = word
+    return argv
+
+
+PLAIN_WORD = st.sampled_from(PLAIN_WORDS + [3, None])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.builds(lambda label, words: [*label.split(), *words], st.sampled_from(list(LEAVES)),
+              st.lists(PLAIN_WORD, max_size=8)),
+    st.builds(_edited, st.sampled_from(list(LEAVES)),
+              st.lists(st.tuples(st.integers(0, 9), PLAIN_WORD), min_size=1, max_size=2)),
+    st.lists(PLAIN_WORD, max_size=6),
+))
+def test_plain_parse_agrees_with_argparse_on_word_sequences(argv):
+    assert_plain_parse_agrees(argv)
 
 
 # argv fuzz: a leaf's valid argument list with some of its values replaced,
