@@ -10,11 +10,9 @@ Exit codes: 0 success (and help), 2 expression/usage parse error, 3 basis
 or preset mismatch, 4 failed internal cross-check, 1 any other engine error.
 
 The leaf commands are declared once, in ``_COMMANDS``.  A plain command
-line (each option spelled in full and given once, no value or expression
-empty or beginning with '-') is read from that table without argparse.
-Any other spelling, such as -h, --, an abbreviation, --opt=value, a repeat
-or a negative number, goes to the argparse tree built from the same
-table, the one source of help and error text.
+line (options in full and once, no value empty or beginning with '-') is
+read without argparse; the argparse tree built from the same table reads
+any other spelling and is the one source of help and error text.
 """
 from __future__ import annotations
 
@@ -533,10 +531,9 @@ def build_parser() -> _ArgumentParser:
 
 
 def _plain(label: str, run, arguments):
-    """What ``_canonical`` reads of one leaf: its depth in the tree; each
-    option string's dest, type (None for a flag) and choices; the required
-    option strings; the namespace of defaults; the positional and the least
-    number of positionals."""
+    """What ``_canonical`` reads of one leaf: its depth, each option's dest,
+    type (None for a flag) and choices, the required options, the defaults,
+    and the positional with its least count."""
     options, required, defaults = {}, set(), {"run": run, "label": label}
     positional = None, 0
     for name, keywords in (_FORMAT, *arguments):
@@ -546,7 +543,8 @@ def _plain(label: str, run, arguments):
         if name[0] != "-":
             positional = name, int(keywords.get("nargs") != "?")
         else:
-            options[name] = dest, None if flag else keywords.get("type", str), keywords.get("choices")
+            convert = None if flag else keywords.get("type", str)
+            options[name] = dest, convert, keywords.get("choices")
         if keywords.get("required"):
             required.add(name)
     return len(label.split()), options, required, defaults, positional
@@ -557,13 +555,11 @@ _PLAIN = {tuple(label.split()): _plain(label, run, arguments)
 
 
 def _canonical(argv: list) -> argparse.Namespace | None:
-    """The namespace argparse gives ``argv`` when it is a plain spelling of
-    a leaf command, else None; never raises.  Plain: every word is a str;
-    each option is one of the leaf's option strings, spelled in full and
-    given once; each value and positional is non-empty, does not begin with
-    '-' and passes the option's type and choices; nothing required is
-    missing.  -h, --, abbreviations, --opt=value, repeats and negative
-    numbers are left to argparse."""
+    """argparse's namespace for ``argv`` if it is a plain spelling of a leaf
+    command, else None; never raises.  Plain: every word is a str, each
+    option is spelled in full and given once, each value and positional is
+    non-empty, does not begin with '-' and passes the option's type and
+    choices, and nothing required is missing."""
     leaf = all(type(word) is str for word in argv) and (
         _PLAIN.get(tuple(argv[:2])) or _PLAIN.get(tuple(argv[:1])))
     if not leaf:

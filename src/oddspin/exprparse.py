@@ -238,9 +238,7 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
 
     def power(base: RingElem, exponent: int, pos: int) -> RingElem:
         terms = base.numerators
-        if len(terms) == 1:
-            # a one-term base's coefficient is raised unless its monomial's
-            # power is dropped
+        if len(terms) == 1:  # the coefficient is raised unless the monomial's power drops
             mono, numerator = terms[0]
             if (RingElem(preset, ((mono, 1),), 1) ** exponent).is_zero():
                 numerator = 0
