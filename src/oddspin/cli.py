@@ -564,8 +564,8 @@ def _canonical(argv: list) -> argparse.Namespace | None:
         _PLAIN.get(tuple(argv[:2])) or _PLAIN.get(tuple(argv[:1])))
     if not leaf:
         return None
-    depth, options, required, values, (positional, least) = leaf
-    values, given, positionals = dict(values), set(), []
+    depth, options, required, defaults, (positional, least) = leaf
+    values, given, positionals = dict(defaults), set(), []
     words = iter(argv[depth:])
     for word in words:
         if word in options and word not in given:
@@ -597,9 +597,9 @@ def _canonical(argv: list) -> argparse.Namespace | None:
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``: a plain spelling directly (``_canonical``), any other
     on the leaf its leading words name, else on the whole tree.  The three
-    give the same namespace, error or help: each subparsers level
-    hands the rest of argv to the chosen parser unchanged (``nargs=PARSER``),
-    the enclosing levels have no option but ``-h`` and no defaults, a leaf's
+    give the same namespace, error or help: each subparsers level hands the
+    rest of argv to the chosen parser unchanged (``nargs=PARSER``), the
+    enclosing levels have no option but ``-h`` and no defaults, a leaf's
     ``prog`` already spells its whole command, and ``_ArgumentParser.error``
     keeps only the message.
     """
