@@ -4,13 +4,13 @@ The linear systems of this package are sparse: a Picard system in genus g
 has about g rows of at most four entries.  ``solve_linear`` runs
 fraction-free Gauss-Jordan elimination on sparse rows of integers: each
 row, with its right-hand side, is scaled to integers once, and a rational
-is built only for the solution.  An index from each column to the rows
-that hold it sends every pivot to those rows alone, so the work grows with
-the entries, not with rows x pivots.  It never guesses: it returns a
-report that is either a unique solution, an explicit list of undetermined
-columns, or an inconsistency witness.  ``series_det`` takes determinants
-of matrices of truncated integer power series, the Brill-Noether
-evaluator's core, in integer arithmetic.
+is built only for the solution.  A list indexed by column holds the rows
+with an entry there; a pivot visits those rows alone, none when its own
+row is the only one, so the work grows with the entries, not with rows x
+pivots.  It never guesses: it returns a report that is either a unique
+solution, an explicit list of undetermined columns, or an inconsistency
+witness.  ``series_det`` takes determinants of matrices of truncated
+integer power series, the Brill-Noether evaluator's core, in integers.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, InternalCheckError, PreconditionError
 from .record import Record
-from .scalars import ZERO, over_lcm
+from .scalars import ZERO, ratio
 
 
 def _bareiss_entry(head, entry, lead, pivot_row_entry, previous) -> list[int]:
@@ -96,12 +96,24 @@ class LinearSolveReport(Record):
 
 def _integer_row(row: Mapping[int, object], value, n_cols: int) -> dict[int, int]:
     """``row`` with the right-hand side ``value`` as column n_cols, scaled
-    to coprime integers: a nonzero rational multiple of the row."""
-    for col in row:
+    to coprime integers: a nonzero rational multiple of the row.  One pass
+    checks the columns and splits the values; a non-int one costs an lcm."""
+    out, dens = {}, {}
+    for col, v in row.items():
         if not (isinstance(col, int) and 0 <= col < n_cols):
             raise DimensionError(f"column {col!r} is outside 0..{n_cols - 1}")
-    numerators, _ = over_lcm([*row.values(), value])
-    return _primitive({col: p for col, p in zip([*row, n_cols], numerators) if p})
+        if type(v) is not int:
+            v, dens[col] = ratio(v)
+        if v:
+            out[col] = v
+    if type(value) is not int:
+        value, dens[n_cols] = ratio(value)
+    if value:
+        out[n_cols] = value
+    if dens:
+        den = math.lcm(*dens.values())
+        out = {c: p * (den // dens.get(c, 1)) for c, p in out.items()}
+    return _primitive(out)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -125,15 +137,14 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     Every row stays a nonzero multiple of the row rational Gauss-Jordan
     would hold, so it has the same nonzero entries.
 
-    Rows keep their input index as a stable id; a position array stands in
-    for the row swaps, and an index maps each column to the ids of the rows
-    that hold an entry there, kept up to date on fill-in and cancellation.
-    Columns are taken in order, each pivoting on the holder with the least
-    position at or after the current row: dense Gauss-Jordan's first
-    remaining row with an entry, so the pivots, and with them the report,
-    are the dense ones.  A pivot visits only the holders of its column, so
-    the work follows the entries, not rows x pivots.  A unique solution is
-    read off as one Fraction per unknown, right-hand side over pivot.
+    Rows keep their input index as a stable id, a position array stands in
+    for the row swaps, and ``holders[c]`` holds the ids of the rows with an
+    entry in column c (n_cols: the right-hand side), kept up to date on
+    fill-in and cancellation.  Each column pivots on its holder with the
+    least position at or after the current row, dense Gauss-Jordan's first
+    remaining row with an entry, so the report is the dense one; the sweep
+    visits only the column's other holders, so the work follows the
+    entries.  A unique solution is read off as one Fraction per unknown.
     """
     if len(rows) != len(rhs):
         raise DimensionError("right-hand side length does not match row count")
@@ -143,48 +154,51 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     n_rows = len(a)
     order = list(range(n_rows))   # order[r]: the id of the row at position r
     pos = list(range(n_rows))     # pos[i]: the position of row id i
-    holders: dict[int, set[int]] = {}
+    holders: list[set[int]] = [set() for _ in range(n_cols + 1)]
     for i, entries in enumerate(a):
         for c in entries:
-            holders.setdefault(c, set()).add(i)
+            holders[c].add(i)
 
     pivot_cols: list[int] = []
     row = 0
     for col in range(n_cols):
         if row == n_rows:
             break
-        pivot = min((pos[i] for i in holders.get(col, ()) if pos[i] >= row), default=None)
-        if pivot is None:
+        pivot = n_rows
+        for i in holders[col]:
+            if row <= pos[i] < pivot:
+                pivot = pos[i]
+        if pivot == n_rows:
             continue
         pivot_id, displaced = order[pivot], order[row]
         order[row], order[pivot] = pivot_id, displaced
         pos[pivot_id], pos[displaced] = row, pivot
-        pivot_row = a[pivot_id]
-        pv = pivot_row[col]
-        for i in holders[col] - {pivot_id}:
-            other = a[i]
-            f = other[col]
-            g = math.gcd(pv, f)
-            keep, take = pv // g, f // g
-            if keep != 1:
-                for c in other:
-                    other[c] *= keep
-            for c, v in pivot_row.items():
-                if total := other.get(c, 0) - take * v:
-                    other[c] = total
-                    holders[c].add(i)
-                else:
-                    del other[c]
-                    holders[c].remove(i)
-            a[i] = _primitive(other)
+        if len(holders[col]) > 1:
+            pivot_row = a[pivot_id]
+            pv = pivot_row[col]
+            for i in [i for i in holders[col] if i != pivot_id]:
+                other = a[i]
+                f = other[col]
+                g = math.gcd(pv, f)
+                keep, take = pv // g, f // g
+                if keep != 1:
+                    for c in other:
+                        other[c] *= keep
+                for c, v in pivot_row.items():
+                    if total := other.get(c, 0) - take * v:
+                        other[c] = total
+                        holders[c].add(i)
+                    else:
+                        del other[c]
+                        holders[c].remove(i)
+                a[i] = _primitive(other)
         pivot_cols.append(col)
         row += 1
 
     a = [a[i] for i in order]
     rank = len(pivot_cols)
-    pivot_set = set(pivot_cols)
-    free_cols = tuple(c for c in range(n_cols) if c not in pivot_set)
-    witness = min((pos[i] for i in holders.get(n_cols, ()) if pos[i] >= rank), default=None)
+    free_cols = tuple(sorted(set(range(n_cols)).difference(pivot_cols)))
+    witness = min((pos[i] for i in holders[n_cols] if pos[i] >= rank), default=None)
     solution, undetermined = None, set()
     if witness is not None:
         status = "inconsistent"

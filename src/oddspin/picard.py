@@ -37,7 +37,7 @@ from .linalg import solve_linear
 from .numerics import boundary_degrees, theta_counts
 from .record import Record, set_field
 from .ring import integrate, preset_universal_curve
-from .scalars import ZERO, format_ratio, format_scalar, over_lcm, render_terms
+from .scalars import ZERO, format_ratio, format_scalar, over_lcm, ratio, render_terms
 
 SPIN = "spin"
 MODULI = "moduli"
@@ -200,41 +200,41 @@ class TestCurve(Record):
 
     ``pairings`` holds the nonzero pairings only, as (basis index, int)
     pairs in basis order; a generator absent from it pairs to 0.
-    ``assumed_zero`` lists the generators whose vanishing pairing is a
-    zero-fill assumption rather than an explicitly recorded value; reports
-    propagate these flags.
+    ``assumed_zero`` lists the generators whose zero pairing is assumed,
+    not recorded; reports propagate these flags.
     """
 
     __slots__ = ("name", "basis", "pairings", "assumed_zero")
 
-    # fields set directly, as DivisorClass does: solve_zg builds one curve per
-    # row, and Record's generic argument check was a tenth of its profile
-    def __init__(self, name: str, basis: PicBasis, pairings: tuple[tuple[int, int], ...],
-                 assumed_zero: tuple[str, ...]):
-        set_field(self, "name", name)
-        set_field(self, "basis", basis)
-        set_field(self, "pairings", pairings)
-        set_field(self, "assumed_zero", assumed_zero)
-
     @staticmethod
-    def from_pairings(
-        name: str,
-        basis: PicBasis,
-        mapping: Mapping[str, object],
-        assumed_zero: Sequence[str] = (),
-    ) -> "TestCurve":
-        """The curve with the given pairings by generator name; a curve
-        meets every divisor in an integer, so a non-integer is refused."""
-        pairings, den = basis.entries(mapping)
-        if den != 1:
-            raise PreconditionError(f"test curve {name} has a non-integer pairing")
-        return TestCurve(name, basis, pairings, tuple(assumed_zero))
+    def from_pairings(name: str, basis: PicBasis, mapping: Mapping[str, object],
+                      assumed_zero: Sequence[str] = ()) -> "TestCurve":
+        """The curve with the given pairings by generator name."""
+        row = _pairing_row(name, basis, mapping)
+        return TestCurve(name, basis, tuple(row.items()), tuple(assumed_zero))
 
     def pairing(self, name: str) -> int:
         return dict(self.pairings).get(self.basis.index(name), 0)
 
     def assumed_zero_labels(self) -> tuple[str, ...]:
         return tuple(f"{self.name}:{gen}" for gen in self.assumed_zero)
+
+
+def _pairing_row(name: str, basis: PicBasis, mapping: Mapping[str, object]) -> dict[int, int]:
+    """Pairings by generator name as {basis index: int}, the nonzero ones in
+    basis order.  Every name is looked up, as in ``PicBasis.entries``, but
+    no common denominator is taken: a curve meets every divisor in an
+    integer, so a non-integer is refused."""
+    row = []
+    for gen, value in mapping.items():
+        j = basis.index(gen)
+        if type(value) is not int:
+            value, den = ratio(value)
+            if den != 1:
+                raise PreconditionError(f"test curve {name} has a non-integer pairing")
+        if value:
+            row.append((j, value))
+    return dict(sorted(row))
 
 
 def pair(t: TestCurve, c: DivisorClass) -> Fraction:
@@ -424,11 +424,20 @@ def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
     key = "H0" if name == "H" else name
     if key not in TEST_CURVES:
         raise PreconditionError(f"unknown test curve {name!r}")
+    label, basis, row, assumed = _curve_row(key, g, i)
+    return TestCurve(label, basis, tuple(row.items()), assumed)
+
+
+def _curve_row(key: str, g: int, i: int | None = None):
+    """The ``TEST_CURVES`` entry ``key`` in genus g (family index i) as its
+    name, basis, ``_pairing_row`` and assumed-zero generators: the one
+    reading of the table, so ``solve_zg`` builds no ``TestCurve`` per row."""
     build_basis, pairing_rule, assumed_rule = TEST_CURVES[key]
     basis = build_basis(g)
+    label = key if i is None else f"{key}{i}"
     pairings = pairing_rule(g) if i is None else pairing_rule(g, i)
     assumed = assumed_rule(basis, pairings) if assumed_rule else ()
-    return TestCurve.from_pairings(key if i is None else f"{name}{i}", basis, pairings, assumed)
+    return label, basis, _pairing_row(label, basis, pairings), assumed
 
 
 class ThetaPencilProfile(Record):
@@ -492,15 +501,14 @@ def solve_zg(g: int) -> ZgSolveReport:
         "alpha1 row uses the boundary-family closed form 2(g-1);"
         " the F_1 pairing row is identically zero"
     ]
-    curves = [(test_curve("F", g, i), 4 * (g - i) * (i - 1), "family-")
-              for i in range(2, m + 1)]
-    curves += [(test_curve("G", g, i), 4 * i * (i - 1), "family-")
-               for i in range(2, m + 1)]
-    curves += [(test_curve(name, g), value, "pencil-")
-               for name, value in (("F0", 0), ("G0", 0), ("H", 2 * (g - 2)))]
-    for curve, value, kind in curves:
-        system.append((dict(curve.pairings), value, kind + curve.name))
-        assumptions.extend(curve.assumed_zero_labels())
+    curves = [("F", i, 4 * (g - i) * (i - 1), "family-") for i in range(2, m + 1)]
+    curves += [("G", i, 4 * i * (i - 1), "family-") for i in range(2, m + 1)]
+    curves += [(key, None, value, "pencil-")
+               for key, value in (("F0", 0), ("G0", 0), ("H0", 2 * (g - 2)))]
+    for key, i, value, kind in curves:
+        label, _, row, assumed = _curve_row(key, g, i)
+        system.append((row, value, kind + label))
+        assumptions.extend([f"{label}:{gen}" for gen in assumed])
     rows, rhs, labels = zip(*system)
 
     report = solve_linear(rows, len(names), rhs)

@@ -575,7 +575,9 @@ def test_solvers_work_in_raw_coefficients(monkeypatch):
     assert certificate(12, "d12").verdict == "pass"
 
 
-def test_solve_zg_rows_are_the_stored_pairings(monkeypatch):
+def _recorded_systems(monkeypatch):
+    """A list that gets the (rows, rhs) of every ``solve_linear`` call
+    ``picard`` makes from then on."""
     seen = []
 
     def recording(rows, n_cols, rhs):
@@ -583,22 +585,69 @@ def test_solve_zg_rows_are_the_stored_pairings(monkeypatch):
         return solve_linear(rows, n_cols, rhs)
 
     monkeypatch.setattr(picard, "solve_linear", recording)
-    g = 7
-    report = solve_zg(g)
+    return seen
+
+
+def test_solve_zg_rows_are_the_stored_pairings(monkeypatch):
+    seen = _recorded_systems(monkeypatch)
+    for g in range(3, 61):
+        report = solve_zg(g)
+        (rows, rhs), = seen
+        seen.clear()
+        basis, m = spin_basis(g), g // 2
+        assert report.row_labels == (
+            "porteous-lambda", "family-F1-closed-form",
+            *[f"family-F{i}" for i in range(2, m + 1)],
+            *[f"family-G{i}" for i in range(2, m + 1)],
+            "pencil-F0", "pencil-G0", "pencil-H0")
+        by_label = dict(zip(report.row_labels, zip(rows, rhs)))
+        assert by_label.pop("porteous-lambda") == ({basis.index("lambda"): 1}, g + 8)
+        assert by_label.pop("family-F1-closed-form") == ({basis.index("alpha1"): 1}, -2 * (g - 1))
+        for label, (row, value) in by_label.items():
+            kind, name = label.split("-")
+            curve = (boundary_curve(name[0], g, int(name[1:])) if kind == "family"
+                     else boundary_curve(name, g))
+            assert row == dict(curve.pairings)
+            assert row == {basis.index(gen): curve.pairing(gen)
+                           for gen in basis.names if curve.pairing(gen)}
+            assert value == pair(curve, zg_class(g))
+            assert set(curve.assumed_zero_labels()) <= set(report.assumptions)
+
+
+def test_solve_zg_rows_follow_the_curve_table(monkeypatch):
+    build_basis, rule, _ = picard.TEST_CURVES["G"]
+
+    def doubled(g, i):
+        return {name: 2 * value for name, value in rule(g, i).items()}
+
+    monkeypatch.setitem(picard.TEST_CURVES, "G", (
+        build_basis, doubled, lambda basis, pairings: ("lambda",)))
+    seen = _recorded_systems(monkeypatch)
+    report = solve_zg(9)
     (rows, rhs), = seen
-    by_label = dict(zip(report.row_labels, zip(rows, rhs)))
-    alpha1 = spin_basis(g).index("alpha1")
-    assert by_label["family-F1-closed-form"] == ({alpha1: 1}, -2 * (g - 1))
-    for label, curve in (("family-F2", boundary_curve("F", g, 2)),
-                         ("family-G3", boundary_curve("G", g, 3)),
-                         ("pencil-F0", boundary_curve("F0", g)),
-                         ("pencil-G0", boundary_curve("G0", g)),
-                         ("pencil-H0", boundary_curve("H0", g))):
-        row, value = by_label[label]
-        assert row == dict(curve.pairings)
-        assert row == {spin_basis(g).index(name): curve.pairing(name)
-                       for name in spin_basis(g).names if curve.pairing(name)}
-        assert value == pair(curve, zg_class(g))
+    by_label = dict(zip(report.row_labels, rows))
+    beta3 = spin_basis(9).index("beta3")
+    assert by_label["family-G3"] == {beta3: -8} == dict(boundary_curve("G", 9, 3).pairings)
+    assert {"G2:lambda", "G3:lambda", "G4:lambda"} <= set(report.assumptions)
+    # the family's right-hand side is unchanged, so beta_3 solves to half its value
+    assert report.divisor_class.coefficient("beta3") == zg_class(9).coefficient("beta3") / 2
+
+
+def test_solve_zg_builds_at_most_three_test_curves_per_genus(monkeypatch):
+    built = []
+    init = picard.TestCurve.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(picard.TestCurve, "__init__", counting)
+    boundary_curve("F", 7, 2)
+    assert len(built) == 1
+    for g in range(3, 41):
+        built.clear()
+        solve_zg(g)
+        assert len(built) <= 3
 
 
 def test_solve_zg_genus7_hand_elimination_oracle():
