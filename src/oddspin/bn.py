@@ -372,11 +372,11 @@ def _recursion_images(preset: RingPreset) -> tuple[RingElem, ...]:
 
 
 def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
-    """Independent evaluator through the h^1 = 1 Chern-class recursion.
-
-    Rewrites c_2, c_3, ... in c_1 and theta, then evaluates the result with
-    ``evaluate_taut``.  Valid only when the line bundles have h^1 = 1
-    across the whole locus, i.e. g - d + r = 1 and the next Brill-Noether
+    """``evaluate_taut`` after rewriting c_2..c_{r+1} in c_1 and theta by
+    the h^1 = 1 recursion.  Not an independent evaluator: the agreement
+    check in ``genus12.side`` covers the rewrite and the Pieri expansion,
+    not the ``series_det`` core that both routes share.  Valid only when
+    g - d + r = 1 (h^1 = 1 across the locus) and the next Brill-Noether
     locus is empty; other contexts are refused.
     """
     if ctx.g - ctx.d + ctx.r != 1 or rho(ctx.g, ctx.r + 1, ctx.d) >= 0:

@@ -595,17 +595,20 @@ def _canonical(argv: list) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``: a plain spelling directly (``_canonical``), any other
-    on the leaf its leading words name, else on the whole tree.  The three
-    give the same namespace, error or help: each subparsers level hands the
-    rest of argv to the chosen parser unchanged (``nargs=PARSER``), the
-    enclosing levels have no option but ``-h`` and no defaults, a leaf's
-    ``prog`` already spells its whole command, and ``_ArgumentParser.error``
-    keeps only the message.
+    """Parse ``argv``: a plain spelling directly (``_canonical``), a non-str
+    word not at all (UsageError), any other on the leaf its leading words
+    name, else on the whole tree.  The three readings give the same
+    namespace, error or help: each subparsers level hands the rest of argv
+    to the chosen parser unchanged (``nargs=PARSER``), the enclosing levels
+    have no option but ``-h`` and no defaults, a leaf's ``prog`` already
+    spells its whole command, and ``_ArgumentParser.error`` keeps only the
+    message.
     """
     namespace = _canonical(argv)
     if namespace is not None:
         return namespace
+    if not all(isinstance(word, str) for word in argv):
+        raise UsageError("every word of a command line must be a str")
     tree = build_parser()
     for depth in (2, 1):
         words = tuple(argv[:depth])

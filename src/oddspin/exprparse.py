@@ -29,7 +29,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import ExprSyntaxError
+from .errors import ExprSyntaxError, PreconditionError
 from .picard import DivisorClass, PicBasis
 from .ring import RingElem, RingPreset
 from .scalars import ZERO, digit_limit
@@ -126,7 +126,7 @@ def _sum_step(signs: list[int], pos: int, steps: list) -> None:
 def parse_expression(text: str, context) -> Expr:
     """Parse and resolve every name against the active preset or basis."""
     if not isinstance(context, (RingPreset, PicBasis)):
-        raise TypeError("context must be a RingPreset or a PicBasis")
+        raise PreconditionError("context must be a RingPreset or a PicBasis")
     tokens = tokenize(text)
     steps: list = []
     # one frame per open group: the signs of its terms so far, and the offset

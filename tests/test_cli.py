@@ -403,6 +403,13 @@ def test_format_before_the_leaf_is_a_usage_error(argv):
     assert outcome.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [[3], ["numbers", "--g", 3], ["pic", ["x"]]])
+def test_a_word_that_is_not_a_str_is_a_usage_error(argv):
+    outcome = run_command(argv)
+    assert (outcome.exit_code, outcome.stdout) == (2, "")
+    assert outcome.stderr == "error: every word of a command line must be a str"
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"], ["-h"], ["pic", "-h"], ["ring", "eval", "-h"], ["d12", "run", "--help"],
 ])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddspin.errors import ExprSyntaxError
+from oddspin.errors import ExprSyntaxError, PreconditionError
 from oddspin.exprparse import expr_to_class, expr_to_ring, parse_expression
 from oddspin.picard import DivisorClass, moduli_basis, spin_basis
 from oddspin.ring import (
@@ -53,6 +53,14 @@ def test_unknown_name_reports_position(jac):
         parse_expression("c7", jac)  # rank stops at c5
     with pytest.raises(ExprSyntaxError):
         parse_expression("delta0", spin_basis(5))
+
+
+@pytest.mark.parametrize("context", [None, "uc:g=3", moduli_basis(5).names])
+def test_a_wrong_context_is_a_precondition_error(context):
+    with pytest.raises(PreconditionError) as refusal:
+        parse_expression("lambda", context)
+    assert type(refusal.value) is PreconditionError
+    assert str(refusal.value) == "context must be a RingPreset or a PicBasis"
 
 
 def test_unbalanced_parentheses(jac):

@@ -369,6 +369,7 @@ def test_ring_arithmetic_builds_no_fraction(fraction_builds):
 
 
 JAC3, UC3 = preset_jacobian_product(3, 2, 0), preset_universal_curve(3)
+SURFACE3 = preset_surface_product(3)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -378,10 +379,16 @@ JAC3, UC3 = preset_jacobian_product(3, 2, 0), preset_universal_curve(3)
     (lambda: geometric_series(JAC3.gen("c1")),
      "geometric series did not terminate: non-nilpotent argument"),
     (lambda: adjunction_genus(UC3.gen("omega")), "adjunction is defined on the surface preset"),
+    (lambda: adjunction_genus(SURFACE3.zero()), "adjunction needs a nonzero degree-1 curve class"),
+    (lambda: adjunction_genus(SURFACE3.gen("F1") * SURFACE3.gen("F2") + SURFACE3.gen("F1")),
+     "adjunction needs a nonzero degree-1 curve class"),
+    (lambda: adjunction_genus(SURFACE3.gen("F1") * SURFACE3.gen("F2")),
+     "adjunction needs a nonzero degree-1 curve class"),
     (lambda: surface_canonical_class(JAC3), "canonical class is defined on the surface preset"),
     (lambda: JAC3.index("omega"), "no generator 'omega' in preset jacobian(g=3,d=2,r=0)"),
     (lambda: UC3.param("d"), "no parameter 'd' in preset universal-curve(g=3)"),
 ], ids=["pow-negative", "pow-float", "series-untruncated", "series-c1", "adjunction-uc",
+        "adjunction-zero", "adjunction-mixed-degree", "adjunction-degree-2",
         "canonical-jac", "index-omega", "param-d"])
 def test_ring_refusals_name_their_input(call, message):
     with pytest.raises(RingDomainError) as refusal:
