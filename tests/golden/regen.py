@@ -108,12 +108,14 @@ CURVE_SPELLINGS = ("F:+2", "F: 2", "F:0_2", "F:\u0663", "X", "X:1")
 G_SPELLINGS = ("\u0663", "1_0", " 3", "+3")
 CERT_G_SPELLINGS = ("\u0661\u0663", "1_3", " 13", "+13")
 
-# -h at every level of the command tree and at every leaf
-HELP_COMMANDS = (
-    (), ("ring",), ("pic",), ("d12",), ("ring", "eval"), ("pic", "class"),
-    ("pic", "pair"), ("pic", "push"), ("pic", "pull"), ("pic", "solve-zg"),
-    ("cert",), ("d12", "run"), ("numbers",),
+# every leaf command
+LEAF_COMMANDS = (
+    ("ring", "eval"), ("pic", "class"), ("pic", "pair"), ("pic", "push"), ("pic", "pull"),
+    ("pic", "solve-zg"), ("cert",), ("d12", "run"), ("numbers",),
 )
+
+# -h at every level of the command tree and at every leaf
+HELP_COMMANDS = ((), ("ring",), ("pic",), ("d12",), *LEAF_COMMANDS)
 
 # argparse usage errors: a missing required option, an invalid choice, an
 # invalid int and a missing expression
@@ -130,6 +132,42 @@ AS_GIVEN = (
     ("cert", "--g", "13", "--a", "bn"), ("pic", "class", "--g", "5", "--n", "zg"),
     ("pic", "solve-zg", "--g", "5", "--format", "json", "--g", "6"),
     ("pic", "push", "--g", "3", "zg"), ("pic", "pull", "--g", "5", "k"),
+)
+
+# parser edges, recorded as given: help ahead of a bad value, '--',
+# expressions and values that begin with '-', abbreviated, joined and
+# repeated options, a missing value, and words that name no command
+EDGE_ARGVS = (
+    *((*words, "--help", "--g", "x") for words in LEAF_COMMANDS),
+    ("ring", "eval", "--preset", "uc:g=3", "--", "-2*omega^2"),
+    ("ring", "eval", "--preset", "uc:g=3", "-omega"),
+    ("ring", "eval", "--preset", "uc:g=3", "-2*omega^2"),
+    ("ring", "eval", "--preset", "uc:g=3", "omega^2", "-x", "--", "-y"),
+    ("ring", "eval", "-x", "--format", "json"),
+    ("pic", "pull", "--g", "5", "-1/2*lambda"),
+    ("pic", "push", "--g", "5", "--", "-lambda", "-x"),
+    ("pic", "push", "--g", "-5", "lambda"),
+    ("ring", "eval", "--", "--preset", "uc:g=3"),
+    ("ring", "eval", "--pre", "uc:g=3", "omega^2", "--form", "json"),
+    ("ring", "eval", "--preset=uc:g=3", "omega^2"),
+    ("pic", "class", "--g", "3", "--na", "zg", "--sp", "spin"),
+    ("pic", "push", "--g", "3", "--cl", "zg"),
+    ("pic", "solve-zg", "--he"),
+    ("pic", "solve-zg", "-hx"),
+    ("pic", "solve-zg", "--g=3"),
+    ("pic", "solve-zg", "--g", "3", "--"),
+    ("pic", "solve-zg", "--g", "3", "--", "--g"),
+    ("pic", "solve-zg", "--g", "3", "extra", "words"),
+    ("d12", "run", "--dump"),
+    ("d12", "run", "--format"),
+    ("cert", "--g", "12", "--aux", "d12", "--format", "xml"),
+    ("cert", "--g", "12"),
+    ("numbers", "--g", "-3"),
+    ("numbers", "--g", "3", "--g", "4"),
+    ("numbers",),
+    (), ("--help",), ("pic",), ("pic", "bogus"), ("bogus",),
+    ("pic", "--format", "json", "class", "--g", "3", "--name", "zg"),
+    ("--", "numbers", "--g", "3"), ("-x", "cert"), ("eval", "ring"), ("run",),
 )
 
 
@@ -167,8 +205,8 @@ def spelled_g_argvs(g: str) -> list[list[str]]:
 
 def grid() -> list[list[str]]:
     """Every command line of the corpus, in file order: each report in both
-    formats, then each help once, then each usage error and each
-    ``AS_GIVEN`` line once."""
+    formats, then each help once, then each usage error, each ``AS_GIVEN``
+    and each ``EDGE_ARGVS`` line once."""
     argvs = [["ring", "eval", "--preset", preset, expr]
              for preset, exprs in RING_EVALS.items() for expr in exprs]
     argvs += [["ring", "eval", "--preset", spec, expr] for spec, expr in PRESET_SPECS]
@@ -186,7 +224,7 @@ def grid() -> list[list[str]]:
     argvs += [["cert", "--g", g, "--aux", "bn"] for g in CERT_G_SPELLINGS]
     return ([argv + ["--format", fmt] for argv in argvs for fmt in FORMATS]
             + [[*words, "-h"] for words in HELP_COMMANDS]
-            + [list(argv) for argv in (*USAGE_ERRORS, *AS_GIVEN)])
+            + [list(argv) for argv in (*USAGE_ERRORS, *AS_GIVEN, *EDGE_ARGVS)])
 
 
 def record(argv: list[str]) -> dict:
