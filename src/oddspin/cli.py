@@ -9,19 +9,18 @@ and are byte-identical across runs for identical inputs in JSON mode.
 Exit codes: 0 success (and help), 2 expression/usage parse error, 3 basis
 or preset mismatch, 4 failed internal cross-check, 1 any other engine error.
 
-The leaf commands are declared once, in ``_COMMANDS``.  A plain command
-line (options in full and once, no value empty or beginning with '-') is
-read without argparse; the argparse tree built from the same table reads
-any other spelling and is the one source of help and error text.
+The leaf commands are declared once, in ``_COMMANDS``, and ``_parse`` is
+their one reader: it reads every command line, writes every usage error
+and renders every help text from that table.  An option is spelled in
+full and given at most once; an abbreviation or a repeat exits 2.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import genus12, picard
 from .bn import bn_context, evaluate_taut
@@ -77,52 +76,6 @@ class UsageError(EngineError):
 
 class _HelpRequested(Exception):
     """Carries the help text of ``-h`` back to ``run_command``."""
-
-
-def _dash_word(word: str) -> bool:
-    """A word that argparse reads as an unknown option, not as a value: it
-    begins with a single '-' and is not a negative integer."""
-    return word[:1] == "-" and word[1:2] not in ("", "-") and not word[1:].isdigit()
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # set on the leaves that take an expression, which may begin with '-'
-    takes_expression = False
-
-    def error(self, message):  # noqa: A003 - argparse API
-        raise UsageError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        """As argparse, except that a leaf taking an expression says where
-        an expression such as -2*omega^2 goes when argparse took it for an
-        option and left the expression missing or the word unrecognized.
-        The tree and the leaf alone both raise the error here."""
-        if not self.takes_expression:
-            return super().parse_known_args(args, namespace)
-        try:
-            namespace, extras = super().parse_known_args(args, namespace)
-        except UsageError as err:
-            message = str(err)
-            # with the expression missing, no word follows a '--'
-            word = next(filter(_dash_word, sys.argv[1:] if args is None else args), None)
-            if (word is None or "expression" not in message
-                    or not message.startswith("the following arguments are required")):
-                raise
-            self.error(_after_double_dash(message, word))
-        word = next(filter(_dash_word, extras), None)
-        if word is not None:
-            self.error(_after_double_dash(f"unrecognized arguments: {' '.join(extras)}", word))
-        return namespace, extras
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help().rstrip("\n"))
-
-    def _get_formatter(self):  # one help width on every terminal: argparse's at COLUMNS=120
-        return self.formatter_class(prog=self.prog, width=118)
-
-
-def _after_double_dash(message: str, word: str) -> str:
-    return f"{message} (an expression that begins with '-' goes after '--', as in: -- {word})"
 
 
 class Report(Record):
@@ -467,20 +420,21 @@ def _run_numbers(args):
 
 
 # ---------------------------------------------------------------------------
-# The command table, and the two parsers read from it
+# The command table and its one reader
 # ---------------------------------------------------------------------------
 
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
 _G = ("--g", {"type": int, "required": True})
 
 # Every leaf command: its label, its handler and its arguments after
-# --format, each the name and keywords of one ``add_argument`` call, in the
-# order argparse declares them.
+# --format, each a name (without a leading '-', the one positional) and its
+# keywords: required, type (int; else a str), choices, default, flag (takes
+# no value, sets True), dest (else the name without dashes) and help.
 _COMMANDS = (
     ("ring eval", _run_ring_eval, (
         ("--preset", {"required": True,
                       "help": "jac:g=<g>,d=<d>,r=<r> | surface:g=<g> | uc:g=<g>"}),
-        ("expression", {}),
+        ("expression", {"required": True}),
     )),
     ("pic class", _run_pic_class, (
         _G, ("--name", {"required": True, "choices": NAMED_CLASSES}),
@@ -495,132 +449,169 @@ _COMMANDS = (
                      "help": " | ".join(NAMED_CLASSES) + " | expression in the basis"}),
     )),
     *((label, _run_pic_push_pull, (
-        _G, ("expression", {"nargs": "?"}),
+        _G, ("expression", {}),
         ("--class", {"dest": "class_spec", "choices": NAMED_CLASSES,
                      "help": "a named class (alternative to an expression)"}),
     )) for label in ("pic push", "pic pull")),
     ("pic solve-zg", _run_pic_solve_zg, (_G,)),
+    ("d12 run", _run_d12, (("--dump-intermediates", {"flag": True}),)),
     ("cert", _run_cert, (_G, ("--aux", {"required": True, "choices": ("bn", "d12")}))),
-    ("d12 run", _run_d12, (("--dump-intermediates", {"action": "store_true"}),)),
     ("numbers", _run_numbers, (_G,)),
 )
 
-# every leaf parser, by the words of its label: ("pic", "solve-zg"), ("cert",)
-_LEAVES: dict[tuple[str, ...], _ArgumentParser] = {}
+_HELP = ("-h", "--help")
 
 
-@functools.cache
-def build_parser() -> _ArgumentParser:
-    """The argparse tree of ``_COMMANDS``, built once per process on first
-    use; building it fills ``_LEAVES``."""
-    # the help leaves out the docstring's last paragraph, on parsing
-    parser = _ArgumentParser(prog="oddspin", description=__doc__.rpartition("\n\n")[0])
-    commands = parser.add_subparsers(required=True)
-    groups = {word: commands.add_parser(word).add_subparsers(required=True)
-              for word in dict.fromkeys(label.split()[0] for label, _, _ in _COMMANDS
-                                        if " " in label)}
-    for label, run, arguments in _COMMANDS:
-        words = tuple(label.split())
-        leaf = groups.get(words[0], commands).add_parser(words[-1])
+def _option_word(word: str) -> bool:
+    """A word read as an option, not a value: it begins with '-' and is not
+    '-' alone, a negative integer or a word with a space ('-2 * omega')."""
+    return word[:1] == "-" and word != "-" and not word[1:].isdecimal() and " " not in word
+
+
+def _metavar(choices) -> str:
+    return "{" + ",".join(choices) + "}"
+
+
+def _invalid_choice(name: str, value, choices) -> str:
+    return (f"argument {name}: invalid choice: {value!r}"
+            f" (choose from {', '.join(map(repr, choices))})")
+
+
+class _Leaf:
+    """One leaf of ``_COMMANDS`` as ``_parse`` reads it, worked out once at
+    import: each option's dest, type (bool for a flag) and choices, the
+    required names, the defaults, the positional and its help's lines."""
+
+    __slots__ = ("words", "options", "required", "defaults", "positional", "usage", "rows")
+
+    def __init__(self, label: str, run, arguments):
+        self.words, self.defaults = tuple(label.split()), {"run": run, "label": label}
+        self.options, self.required, self.positional = {}, [], None
+        usage = [f"oddspin {label} [-h]"]
+        self.rows = [("-h, --help", "show this help message and exit")]
         for name, keywords in (_FORMAT, *arguments):
-            leaf.add_argument(name, **keywords)
-        leaf.takes_expression = any(name == "expression" for name, _ in arguments)
-        leaf.set_defaults(run=run, label=label)
-        _LEAVES[words] = leaf
-    return parser
+            flag, choices = keywords.get("flag", False), keywords.get("choices")
+            dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
+            self.defaults[dest] = False if flag else keywords.get("default")
+            if keywords.get("required"):
+                self.required.append(name)
+            if name[0] != "-":
+                self.positional = invocation = name
+            else:
+                self.options[name] = dest, bool if flag else keywords.get("type", str), choices
+                metavar = _metavar(choices) if choices else dest.upper()
+                invocation = name if flag else f"{name} {metavar}"
+            usage.append(invocation if keywords.get("required") else f"[{invocation}]")
+            self.rows.append((invocation, keywords.get("help", "")))
+        self.usage = " ".join(usage)
 
-
-def _plain(label: str, run, arguments):
-    """What ``_canonical`` reads of one leaf: its depth, each option's dest,
-    type (None for a flag) and choices, the required options, the defaults,
-    and the positional with its least count."""
-    options, required, defaults = {}, set(), {"run": run, "label": label}
-    positional = None, 0
-    for name, keywords in (_FORMAT, *arguments):
-        flag = keywords.get("action") == "store_true"
-        dest = keywords.get("dest", name.lstrip("-").replace("-", "_"))
-        defaults[dest] = False if flag else keywords.get("default")
-        if name[0] != "-":
-            positional = name, int(keywords.get("nargs") != "?")
+    def read(self, words) -> SimpleNamespace:
+        """The handler's namespace for the words after the label: help and
+        option errors as met, then what is missing, then what is left over."""
+        values, given, extras = dict(self.defaults), set(), []
+        slot, after_dashes = self.positional, False
+        words = iter(words)
+        for word in words:
+            name, joined, value = word.partition("=")
+            option = None if after_dashes else self.options.get(name)
+            if option is not None and not (joined and option[1] is bool):
+                if name in given:
+                    raise UsageError(f"argument {name}: given more than once")
+                given.add(name)
+                dest, kind, choices = option
+                if kind is bool:
+                    values[dest] = True
+                    continue
+                if not joined:
+                    value = next(words, None)
+                    if value is None or _option_word(value):
+                        raise UsageError(f"argument {name}: expected one argument")
+                try:
+                    value = kind(value)
+                except ValueError:
+                    raise UsageError(
+                        f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+                if choices is not None and value not in choices:
+                    raise UsageError(_invalid_choice(name, value, choices))
+                values[dest] = value
+            elif after_dashes or not _option_word(word):
+                if slot is None:
+                    extras.append(word)
+                else:
+                    values[slot] = word
+                    given.add(slot)
+                    slot = None
+            elif word == "--":  # the first '--': every later word is a value
+                after_dashes = True
+                if slot is None:
+                    extras.append(word)
+            elif word in _HELP:
+                raise _HelpRequested(_help(self.words))
+            else:
+                extras.append(word)
+        # an expression that begins with '-' was read as an unknown option
+        hint = self.positional and next(
+            (word for word in extras if word[1:2] != "-" and _option_word(word)), None)
+        missing = [name for name in self.required if name not in given]
+        if missing:
+            message = f"the following arguments are required: {', '.join(missing)}"
+            hint = hint if self.positional in missing else None
+        elif extras:
+            message = f"unrecognized arguments: {' '.join(extras)}"
         else:
-            convert = None if flag else keywords.get("type", str)
-            options[name] = dest, convert, keywords.get("choices")
-        if keywords.get("required"):
-            required.add(name)
-    return len(label.split()), options, required, defaults, positional
+            return SimpleNamespace(**values)
+        if hint:
+            message += f" (an expression that begins with '-' goes after '--', as in: -- {hint})"
+        raise UsageError(message)
 
 
-_PLAIN = {tuple(label.split()): _plain(label, run, arguments)
-          for label, run, arguments in _COMMANDS}
+# every leaf by the words of its label: ("pic", "solve-zg"), ("cert",)
+_LEAVES = {leaf.words: leaf for leaf in (_Leaf(*command) for command in _COMMANDS)}
 
 
-def _canonical(argv: list) -> argparse.Namespace | None:
-    """argparse's namespace for ``argv`` if it is a plain spelling of a leaf
-    command, else None; never raises.  Plain: every word is a str, each
-    option is spelled in full and given once, each value and positional is
-    non-empty, does not begin with '-' and passes the option's type and
-    choices, and nothing required is missing."""
-    leaf = all(type(word) is str for word in argv) and (
-        _PLAIN.get(tuple(argv[:2])) or _PLAIN.get(tuple(argv[:1])))
-    if not leaf:
-        return None
-    depth, options, required, defaults, (positional, least) = leaf
-    values, given, positionals = dict(defaults), set(), []
-    words = iter(argv[depth:])
-    for word in words:
-        if word in options and word not in given:
-            given.add(word)
-            dest, convert, choices = options[word]
-            if convert is None:
-                values[dest] = True
-                continue
-            word = next(words, "")
-            if word[:1] in ("", "-"):
-                return None
-            try:
-                values[dest] = convert(word)
-            except ValueError:
-                return None
-            if choices is not None and values[dest] not in choices:
-                return None
-        elif word[:1] not in ("", "-"):
-            positionals.append(word)
-        else:
-            return None
-    if not (least <= len(positionals) <= (positional is not None) and required <= given):
-        return None
-    if positionals:
-        values[positional] = positionals[0]
-    return argparse.Namespace(**values)
+def _below(path: tuple) -> dict:
+    """The words that may follow the level ``path``, in table order."""
+    return dict.fromkeys(words[len(path)] for words in _LEAVES if words[:len(path)] == path)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``: a plain spelling directly (``_canonical``), a non-str
-    word not at all (UsageError), any other on the leaf its leading words
-    name, else on the whole tree.  The three readings give the same
-    namespace, error or help: each subparsers level hands the rest of argv
-    to the chosen parser unchanged (``nargs=PARSER``), the enclosing levels
-    have no option but ``-h`` and no defaults, a leaf's ``prog`` already
-    spells its whole command, and ``_ArgumentParser.error`` keeps only the
-    message.
-    """
-    namespace = _canonical(argv)
-    if namespace is not None:
-        return namespace
+def _parse(argv: list) -> SimpleNamespace:
+    """The handler's namespace for ``argv``, else ``_HelpRequested`` or
+    ``UsageError``.  The leaf that the leading words name reads the rest.
+    Any other line goes down the levels above the leaves, and each level
+    takes -h, --help or the word of a level or leaf below it."""
     if not all(isinstance(word, str) for word in argv):
         raise UsageError("every word of a command line must be a str")
-    tree = build_parser()
-    for depth in (2, 1):
-        words = tuple(argv[:depth])
-        if words in _LEAVES:
-            return _LEAVES[words].parse_args(argv[len(words):])
-    return tree.parse_args(argv)
+    leaf = _LEAVES.get(tuple(argv[:2])) or _LEAVES.get(tuple(argv[:1]))
+    if leaf is not None:
+        return leaf.read(argv[len(leaf.words):])
+    path = ()
+    for word in argv:
+        commands = _below(path)
+        if word in _HELP:
+            raise _HelpRequested(_help(path))
+        if word not in commands:
+            raise UsageError(_invalid_choice(_metavar(commands), word, commands))
+        path += (word,)
+    raise UsageError(f"the following arguments are required: {_metavar(_below(path))}")
+
+
+def _help(path: tuple) -> str:
+    """The help of the leaf or level ``path``: a leaf's arguments, or the
+    usage of each leaf below a level (the top one after this docstring
+    but its last paragraph)."""
+    leaf = _LEAVES.get(path)
+    if leaf is not None:
+        return f"usage: {leaf.usage}\n\narguments:\n" + "\n".join(
+            f"  {invocation:<21} {text}".rstrip() for invocation, text in leaf.rows)
+    about = "" if path else __doc__.rpartition("\n\n")[0] + "\n\n"
+    return (f"usage: {' '.join(('oddspin', *path))} [-h] {_metavar(_below(path))} ...\n\n"
+            f"{about}commands:\n" + "\n".join(
+                f"  {leaf.usage}" for words, leaf in _LEAVES.items() if words[:len(path)] == path))
 
 
 def run_command(argv) -> CommandOutcome:
     """Execute one command line; returns help, reports and engine errors
-    as an outcome and never raises for them.  A plain command line builds
-    no argparse parser at all (``_parse``)."""
+    as an outcome and never raises for them."""
     started = time.monotonic_ns()
     try:
         args = _parse(list(argv))

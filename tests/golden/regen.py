@@ -64,8 +64,8 @@ RING_EVALS = {
         "3/4*omega^2 - 2*omega*(-1/4*lambda)", "omega", "omega^2 + omega",
         "omega^3", "1", "k", "c1", "Delta*omega",
         # signed, zero and unreduced literals, constant powers, a zero
-        # denominator; argparse takes a leading '-' for an option, and a
-        # leading space gets the same expression past it
+        # denominator; the command line takes a leading '-' for an option,
+        # and a leading space gets the same expression past it
         "4/6*omega^2", "0/5*omega^2 + lambda^2", "omega^2 + -0*omega",
         "-12/8*omega*lambda", " -12/8*omega*lambda", "(2/4*omega + 3/6)^3",
         "2^3*omega^2", "0^0*omega^2", "1/0*omega",
@@ -103,7 +103,7 @@ PIC_EXPRESSIONS = {"spin": "13*lambda - 2*alpha0 + 1/3*beta0 - 3/2*alpha1",
 # curves with and without an index (``X:1`` pins the order of the checks)
 CURVE_SPELLINGS = ("F:+2", "F: 2", "F:0_2", "F:\u0663", "X", "X:1")
 
-# --g spellings that argparse's int() reads as plain integers; cert refuses
+# --g spellings that int() reads as plain integers; cert refuses
 # g = 3 itself, so it spells 13 instead
 G_SPELLINGS = ("\u0663", "1_0", " 3", "+3")
 CERT_G_SPELLINGS = ("\u0661\u0663", "1_3", " 13", "+13")
@@ -117,16 +117,16 @@ LEAF_COMMANDS = (
 # -h at every level of the command tree and at every leaf
 HELP_COMMANDS = ((), ("ring",), ("pic",), ("d12",), *LEAF_COMMANDS)
 
-# argparse usage errors: a missing required option, an invalid choice, an
-# invalid int and a missing expression
+# usage errors: a missing required option, an invalid choice, an invalid
+# int and a missing expression
 USAGE_ERRORS = (
     ("pic", "solve-zg"), ("cert", "--g", "12", "--aux", "xyz"), ("numbers", "--g", "x"),
     ("ring", "eval", "--preset", "uc:g=3"),
 )
 
 # command lines recorded as given, without an appended --format: options
-# abbreviated, joined by '=' and repeated (the last one wins), and a bare
-# class name where push and pull read an expression
+# abbreviated, joined by '=' and repeated (an abbreviation or a repeat
+# exits 2), and a bare class name where push and pull read an expression
 AS_GIVEN = (
     ("pic", "solve-zg", "--g", "5", "--form", "json"), ("numbers", "--g=5", "--f", "text"),
     ("cert", "--g", "13", "--a", "bn"), ("pic", "class", "--g", "5", "--n", "zg"),
