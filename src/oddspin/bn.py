@@ -19,22 +19,22 @@ integrates c_1^n prod_{k>=2} c_k^{m_k} in two steps:
   (c_k = s_(1^k) adds a vertical strip), which gives the offsets
   lambda_j - j with positive integer multiplicities.
 
-Rows are scaled to integers and the determinant is fraction-free
-(``linalg.series_det``); only the final value is a rational.  The
-determinant of a shape at order n is the truncation of the one at any
-higher order, so each (rows, b, shape) takes one determinant, kept at the
-highest order asked in a bounded process memo (``_shape_series``).
+The class is read as integer numerators, rows are scaled to integers and
+the determinant is fraction-free (``linalg.series_det``); only the final
+value is a rational.  A shape's determinant at order n truncates the one at
+any higher order, so each (rows, b, shape) takes one determinant, kept at
+the highest order asked in a bounded process memo (``_shape_series``).
 
-``evaluate_taut_recursion`` first eliminates c_2, c_3, ... through the
-h^1 = 1 relation c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)! and
-hands the resulting polynomial in c_1 and theta to ``evaluate_taut``.  Both
-evaluators read the zero-shape determinant from that memo: it is computed
-once and shared, since recomputing a deterministic function never made the
-cross-check independent.  What the check compares is two paths to the
-value: the rewritten class meets only the p_1 series of the zero shape,
-while the raw integrand also goes through the Pieri expansion of
-c_2..c_{r+1} and the shifted rows of the other shapes.  Their agreement
-on every valid-degree monomial is the package's main internal safety net.
+``evaluate_taut_recursion`` eliminates c_2, c_3, ... by the h^1 = 1 relation
+c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)!, one power per image and
+exponent, and hands the polynomial in c_1 and theta, summed once, to
+``evaluate_taut``.  Both evaluators read the zero-shape determinant from
+that memo: it is computed once and shared, since recomputing a deterministic
+function never made the cross-check independent.  What the check compares is
+two paths to the value: the rewritten class meets only the p_1 series of the
+zero shape, while the raw integrand also goes through the Pieri expansion of
+c_2..c_{r+1} and the shifted rows of the other shapes.  Their agreement on
+every valid-degree monomial is the package's main internal safety net.
 
 Both evaluators take only a k-free class homogeneous of degree rho+1 on
 curve x W^r_d; anything else raises RingDomainError rather than
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .linalg import series_det
@@ -67,7 +67,7 @@ from .ring import (
     geometric_series,
     preset_jacobian_product,
 )
-from .scalars import ZERO, recip_factorial
+from .scalars import recip_factorial
 
 class BNContext(Record):
     """Fixed (g, r, d) together with the matching ring preset."""
@@ -185,9 +185,9 @@ def _shape_series(rows: int, base: int, shape: Shape,
     return kept
 
 
-def _integrate_shapes(ctx: BNContext, weights: dict[tuple[int, Shape], Fraction]) -> Fraction:
-    """g! * sum of weight * L(p_1^n s_shape) over the keys (n, shape) of
-    ``weights``, where L is the Harris-Tu functional
+def _integrate_shapes(ctx: BNContext, weights: dict, den: int) -> Fraction:
+    """g!/den * sum of weight * L(p_1^n s_shape) over the keys (n, shape) of
+    the integer ``weights``, where L is the Harris-Tu functional
     x^e -> det[1/(b + e_j - j + l)!] and p_1 = x_1 + ... + x_{r+1}.
 
     The determinant only depends on the row offsets e_j - j, up to the sign
@@ -200,21 +200,22 @@ def _integrate_shapes(ctx: BNContext, weights: dict[tuple[int, Shape], Fraction]
     one determinant of truncated power series in place of a sum over all
     exponent vectors.  Each shape takes one such determinant, at the highest
     order n asked (``_shape_series``), with its entries scaled by one
-    integer S, so det(S M) = S^rows det(M) is divided out once per shape.
+    integer S, so det(S M) = S^rows det(M): an integer over S^rows per
+    shape, summed over the lcm of those denominators into one Fraction.
     """
     rows = ctx.r + 1
     base = ctx.g + ctx.r - ctx.d
-    by_shape: dict[Shape, dict[int, Fraction]] = {}
+    by_shape: dict[Shape, dict[int, int]] = {}
     for (order, shape), weight in weights.items():
         by_shape.setdefault(shape, {})[order] = weight
-    total = ZERO
+    parts = []
     for shape, orders in by_shape.items():
         _, scale, series = _shape_series(rows, base, shape, max(orders))
-        total += sum((
-            weight * (math.factorial(order) * series[order])
-            for order, weight in orders.items()
-        ), ZERO) / scale ** rows
-    return total * math.factorial(ctx.g)
+        parts.append((sum(weight * math.factorial(order) * series[order]
+                          for order, weight in orders.items()), scale ** rows))
+    common = math.lcm(*[q for _, q in parts])
+    total = sum(p * (common // q) for p, q in parts)
+    return Fraction(total * math.factorial(ctx.g), common * den)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,7 @@ def point_pair_inverse_chern(preset: RingPreset, line_degree: int) -> RingElem:
     return geometric_series(line_degree * eta + gamma) * (preset.one() - eta)
 
 
+@lru_cache(maxsize=16)  # bounded; one derivation serves the locus check and the restriction
 def degeneracy_classes(ctx: BNContext, source: RingElem) -> tuple[RingElem, RingElem]:
     """(locus class, kernel push-down) of the degeneracy locus of a morphism
     from a rank-2 source bundle, given by its inverse total Chern series
@@ -290,17 +292,18 @@ def split_kernel_class(e: RingElem) -> tuple[RingElem, RingElem]:
     k = e.preset.index("k")
     free: dict = {}
     linear: dict = {}
-    for mono, coeff in e.terms:
+    for mono, n in e.numerators:
         if mono[k] == 0:
-            free[mono] = coeff
+            free[mono] = n
         elif mono[k] == 1:
-            linear[mono[:k] + (0,) + mono[k + 1:]] = coeff
+            # the jacobian normal form does not look at k: still normalized
+            linear[mono[:k] + (0,) + mono[k + 1:]] = n
         else:
             raise RingDomainError(
                 "kernel class appears with exponent >= 2; excess intersection"
                 " is outside this evaluator's scope"
             )
-    return e.preset.element(free), e.preset.element(linear)
+    return tuple(RingElem.reduced(e.preset, part, e.denominator) for part in (free, linear))
 
 
 def restrict_to_locus(ctx: BNContext, e: RingElem, source: RingElem) -> RingElem:
@@ -348,15 +351,15 @@ def evaluate_taut(ctx: BNContext, e: RingElem) -> Fraction:
     _check_integrand(ctx, e)
     index = ctx.preset.index
     eta, gamma, c1, k = index("eta"), index("gamma"), index("c1"), index("k")
-    weights: dict[tuple[int, Shape], Fraction] = {}
-    for mono, coeff in e.terms:
+    weights: dict[tuple[int, Shape], int] = {}
+    for mono, n in e.numerators:
         if mono[gamma] or mono[eta] != 1:
             continue
         # c_2..c_{r+1} lie between c_1 and k
         for shape, count in _schur_expansion(ctx.r + 1, mono[c1 + 1:k]):
             key = (mono[c1], shape)
-            weights[key] = weights.get(key, ZERO) + coeff * count
-    return _integrate_shapes(ctx, weights)
+            weights[key] = weights.get(key, 0) + n * count
+    return _integrate_shapes(ctx, weights, e.denominator)
 
 
 @lru_cache(maxsize=16)
@@ -373,7 +376,9 @@ def _recursion_images(preset: RingPreset) -> tuple[RingElem, ...]:
 
 def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
     """``evaluate_taut`` after rewriting c_2..c_{r+1} in c_1 and theta by
-    the h^1 = 1 recursion.  Not an independent evaluator: the agreement
+    the h^1 = 1 recursion: one power per image and exponent, and one
+    ``weighted_sum`` of the rewritten numerators, whose value is divided by
+    the denominator at the end.  Not an independent evaluator: the agreement
     check in ``genus12.side`` covers the rewrite and the Pieri expansion,
     not the ``series_det`` core that both routes share.  Valid only when
     g - d + r = 1 (h^1 = 1 across the locus) and the next Brill-Noether
@@ -388,13 +393,17 @@ def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
     preset = ctx.preset
     images = _recursion_images(preset)
     c1, k = preset.index("c1"), preset.index("k")
-    rewritten = preset.zero()
-    for mono, coeff in e.terms:
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, n in e.numerators:
         # keep eta, gamma, theta and c_1; c_2..c_{r+1}, between c_1 and k,
         # go through their images, and k is absent
-        term = preset.element({mono[:c1 + 1] + (0,) * (len(mono) - c1 - 1): coeff})
-        for image, power in zip(images, mono[c1 + 1:k]):
-            if power:
-                term = term * image ** power
-        rewritten = rewritten + term
-    return evaluate_taut(ctx, rewritten)
+        groups.setdefault(mono[c1 + 1:k], {})[mono[:c1 + 1] + (0,) * (len(mono) - c1 - 1)] = n
+    power = cache(lambda i, m: images[i] ** m)
+    rewritten = []
+    for exponents, kept in groups.items():
+        term = preset.element(kept)
+        for i, m in enumerate(exponents):
+            if m:
+                term = term * power(i, m)
+        rewritten.append((1, term))
+    return evaluate_taut(ctx, preset.weighted_sum(rewritten)) / e.denominator

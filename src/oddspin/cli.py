@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # json.encoder's C encoder, without the json package
 from types import SimpleNamespace
 
 from . import genus12, picard

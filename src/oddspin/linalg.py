@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
 The linear systems of this package are sparse: a Picard system in genus g
-has about g rows of at most four entries.  ``solve_linear`` runs
-fraction-free Gauss-Jordan elimination on sparse rows of integers: each
-row, with its right-hand side, is scaled to integers once, and a rational
-is built only for the solution.  A list indexed by column holds the rows
-with an entry there; a pivot visits those rows alone, none when its own
-row is the only one, so the work grows with the entries, not with rows x
-pivots.  It never guesses: it returns a report that is either a unique
-solution, an explicit list of undetermined columns, or an inconsistency
-witness.  ``series_det`` takes determinants of matrices of truncated
-integer power series, the Brill-Noether evaluator's core, in integers.
+has about g rows of at most four entries.  One core runs fraction-free
+Gauss-Jordan elimination on sparse rows of integers, each row scaled to
+integers once; ``solve_linear`` reads a unique solution off as Fractions,
+``solve_over_lcm`` as integer numerators over the lcm of the pivots.  A
+list indexed by column holds the rows with an entry there; a pivot visits
+those rows alone, none when its own row is the only one, so the work
+grows with the entries, not with rows x pivots.  It never guesses: it
+returns a report that is either a unique solution, an explicit list of
+undetermined columns, or an inconsistency witness.  ``series_det`` takes
+determinants of matrices of truncated integer power series, the
+Brill-Noether evaluator's core, in integers.
 """
 from __future__ import annotations
 
@@ -124,9 +125,12 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
-                 rhs: Sequence) -> LinearSolveReport:
-    """Solve rows x = rhs exactly (Gauss-Jordan), reporting degeneracy.
+def _eliminate(rows: Sequence[Mapping[int, object]], n_cols: int,
+               rhs: Sequence) -> tuple[dict, list[int], int]:
+    """Gauss-Jordan elimination of rows x = rhs in integers, the core of
+    both read-offs: (the report's fields but its solution, numerators, den),
+    where a unique solution is ``numerators`` over ``den``, the positive lcm
+    of the pivots, with their content not divided out; otherwise [] over 1.
 
     Each row maps column indices in 0..n_cols-1 to its nonzero entries
     (ints or Fractions).  Elimination works on those sparse rows, with the
@@ -144,7 +148,8 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     least position at or after the current row, dense Gauss-Jordan's first
     remaining row with an entry, so the report is the dense one; the sweep
     visits only the column's other holders, so the work follows the
-    entries.  A unique solution is read off as one Fraction per unknown.
+    entries.  With no free column, the row at position c holds just the
+    pivot of column c and the right-hand side, and the solution is read off.
     """
     if len(rows) != len(rhs):
         raise DimensionError("right-hand side length does not match row count")
@@ -199,26 +204,34 @@ def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
     rank = len(pivot_cols)
     free_cols = tuple(sorted(set(range(n_cols)).difference(pivot_cols)))
     witness = min((pos[i] for i in holders[n_cols] if pos[i] >= rank), default=None)
-    solution, undetermined = None, set()
+    numerators, den, undetermined = [], 1, set()
     if witness is not None:
         status = "inconsistent"
     elif not free_cols:
-        status, values = "unique", [ZERO] * n_cols
-        for r, col in enumerate(pivot_cols):
-            if value := a[r].get(n_cols):
-                values[col] = Fraction(value, a[r][col])
-        solution = tuple(values)
+        status, den = "unique", math.lcm(*[a[c][c] for c in range(n_cols)])
+        numerators = [a[c].get(n_cols, 0) * (den // a[c][c]) for c in range(n_cols)]
     else:
         status, undetermined = "underdetermined", set(free_cols)
         for r, col in enumerate(pivot_cols):
             if not undetermined.isdisjoint(a[r]):
                 undetermined.add(col)
-    return LinearSolveReport(
-        status=status,
-        solution=solution,
-        rank=rank,
-        pivot_columns=tuple(pivot_cols),
-        free_columns=free_cols,
-        undetermined_columns=tuple(sorted(undetermined)),
-        witness_row=witness,
-    )
+    return dict(status=status, rank=rank, pivot_columns=tuple(pivot_cols),
+                free_columns=free_cols, undetermined_columns=tuple(sorted(undetermined)),
+                witness_row=witness), numerators, den
+
+
+def solve_linear(rows: Sequence[Mapping[int, object]], n_cols: int,
+                 rhs: Sequence) -> LinearSolveReport:
+    """Solve rows x = rhs exactly (``_eliminate``), reporting degeneracy.
+    A unique solution is read off as one Fraction per nonzero unknown."""
+    fields, numerators, den = _eliminate(rows, n_cols, rhs)
+    solution = tuple([Fraction(n, den) if n else ZERO for n in numerators]) or None
+    return LinearSolveReport(solution=solution, **fields)
+
+
+def solve_over_lcm(rows: Sequence[Mapping[int, object]], n_cols: int,
+                   rhs: Sequence) -> tuple[LinearSolveReport, list[int], int]:
+    """(``solve_linear``'s report with no solution built, numerators, den):
+    the integer read-off of ``_eliminate``."""
+    fields, numerators, den = _eliminate(rows, n_cols, rhs)
+    return LinearSolveReport(solution=None, **fields), numerators, den

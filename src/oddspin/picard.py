@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     UndefinedSlopeError,
 )
-from .linalg import solve_linear
+from .linalg import solve_linear, solve_over_lcm
 from .numerics import boundary_degrees, theta_counts
 from .record import Record, set_field
 from .ring import integrate, preset_universal_curve
@@ -377,9 +377,13 @@ def bn_divisor_class(g: int) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 def _higher_boundary(*kinds: str):
-    """The assumed-zero rule: each ``kinds`` generator of index 2..g//2."""
-    return lambda basis, pairings: tuple(
-        f"{kind}{j}" for j in range(2, basis.g // 2 + 1) for kind in kinds)
+    """The assumed-zero rule: each ``kinds`` generator of index 2..g//2, in
+    the order alpha2, beta2, alpha3, ..., sliced from the basis names, where
+    a kind's index-j name stands j places after its index-0 name."""
+    firsts = [f"{kind}0" for kind in kinds]
+    return lambda basis, pairings: tuple([name for names in zip(*[
+        basis.names[i + 2:i + basis.g // 2 + 1] for i in map(basis.index, firsts)])
+        for name in names])
 
 
 # name -> (basis builder, pairing rule, assumed-zero rule), in the order the
@@ -511,7 +515,7 @@ def solve_zg(g: int) -> ZgSolveReport:
         assumptions.extend([f"{label}:{gen}" for gen in assumed])
     rows, rhs, labels = zip(*system)
 
-    report = solve_linear(rows, len(names), rhs)
+    report, numerators, den = solve_over_lcm(rows, len(names), rhs)
     if report.status == "inconsistent":
         raise InternalCheckError(
             f"test-curve system for g={g} is inconsistent at reduced row"
@@ -520,14 +524,14 @@ def solve_zg(g: int) -> ZgSolveReport:
     closed = zg_class(g)
     full_rank = report.status == "unique"
     if full_rank:
-        solved = DivisorClass.reduced(basis, *over_lcm(report.solution))
+        solved = DivisorClass.reduced(basis, numerators, den)
         consistent = True
     else:
         solved = closed
         consistent = all(
-            sum(v * closed.numerators[j] for j, v in row.items())
-            == value * closed.denominator
-            for row, value in zip(rows, rhs)
+            sum(v * closed.numerators[j] for j, v in row.items()) * q
+            == p * closed.denominator
+            for row, (p, q) in zip(rows, map(ratio, rhs))
         )
         assumptions.append("degenerate system: closed-form fallback returned")
     return ZgSolveReport(
@@ -632,18 +636,20 @@ def certificate(g: int, auxiliary: str) -> CertificateReport:
 
     canonical = canonical_class(SPIN, g)
     zg = zg_class(g)
-    matched = ("alpha0", "beta0")
+    matched = [canonical.basis.index(name) for name in ("alpha0", "beta0")]
+    zd, ad, cd = zg.denominator, aux_spin.denominator, canonical.denominator  # rows in ints
     solved = solve_linear(
-        [{0: zg.coefficient(name), 1: aux_spin.coefficient(name)} for name in matched],
+        [{0: zg.numerators[j] * ad * cd, 1: aux_spin.numerators[j] * zd * cd} for j in matched],
         2,
-        [canonical.coefficient(name) for name in matched],
+        [canonical.numerators[j] * zd * ad for j in matched],
     )
     if solved.status != "unique":
         raise InternalCheckError("certificate weight system is degenerate")
     x, y = solved.solution
 
     combo = combine([zg, aux_spin], [x, y])
-    if any(combo.coefficient(name) != canonical.coefficient(name) for name in matched):
+    if any(combo.numerators[j] * cd != canonical.numerators[j] * combo.denominator
+           for j in matched):
         raise InternalCheckError(
             "certificate combination does not match the canonical boundary"
             " coefficients at alpha_0, beta_0"
@@ -656,7 +662,7 @@ def certificate(g: int, auxiliary: str) -> CertificateReport:
         (name, ZERO if name == "lambda" else value)
         for name, value in zip(residual.basis.names, residual.coefficients)
     )
-    ok = mu > 0 and all(value >= 0 for _, value in slacks)
+    ok = residual.numerators[0] > 0 and min(residual.numerators) >= 0  # mu, then the slacks
 
     return CertificateReport(
         g=g,

@@ -246,6 +246,8 @@ class RingElem(Record):
 
     __slots__ = ("preset", "numerators", "denominator")
 
+    reduced = staticmethod(_reduced)  # sum(acc) / den in canonical form
+
     def __init__(self, preset: RingPreset, numerators: tuple[tuple[Monomial, int], ...],
                  denominator: int):
         set_field(self, "preset", preset)

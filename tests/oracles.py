@@ -275,6 +275,16 @@ def model_pow(preset, a, n):
     return out
 
 
+def model_split_kernel(preset, a):
+    """(k-free part, k-linear part with k stripped) of a model element
+    without k^2: the reference for ``bn.split_kernel_class``."""
+    k = preset.names.index("k")
+    free = {m: c for m, c in a.items() if m[k] == 0}
+    linear = {m[:k] + (0,) + m[k + 1:]: c for m, c in a.items() if m[k] == 1}
+    assert len(free) + len(linear) == len(a), "a k^2 term has no split"
+    return free, linear
+
+
 def model_homogeneous_part(preset, a, degree):
     return {m: c for m, c in a.items() if preset.monomial_degree(m) == degree}
 

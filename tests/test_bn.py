@@ -25,6 +25,9 @@ from oddspin.ring import preset_jacobian_product, preset_surface_product
 from oracles import (
     expand_c_monomial,
     laplace_det,
+    model_normalize,
+    model_split_kernel,
+    model_terms,
     poly_mul,
     poly_pow,
     recip_factorial_rows,
@@ -240,6 +243,57 @@ def test_split_kernel_class(ctx):
     free, linear = split_kernel_class(2 * eta + 5 * k * c2)
     assert free == 2 * eta
     assert linear == 5 * c2
+
+
+@st.composite
+def kernel_linear_classes(draw):
+    """A small jacobian preset and {monomial: Fraction} with k-degree at most
+    1, every coefficient over one drawn denominator (often above 1)."""
+    g, r = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    preset = preset_jacobian_product(g, draw(st.integers(0, g + r)), r)
+    den = draw(st.integers(1, 12))
+    mono = st.tuples(*[st.integers(0, 2)] * (len(preset.names) - 1), st.integers(0, 1))
+    coefficients = draw(st.dictionaries(mono, st.integers(-30, 30).filter(bool), max_size=8))
+    return preset, {m: Fraction(n, den) for m, n in coefficients.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_linear_classes(), st.integers(-5, 5).filter(bool))
+def test_split_kernel_class_matches_the_fraction_split(case, square_coeff):
+    preset, coefficients = case
+    elem = preset.element(coefficients)
+    want_free, want_linear = model_split_kernel(
+        preset, model_normalize(preset, coefficients.items()))
+    free, linear = split_kernel_class(elem)
+    assert free.terms == model_terms(want_free)
+    assert linear.terms == model_terms(want_linear)
+    # the canonical form: equal to the parts built from their Fractions
+    assert (free, linear) == (preset.element(want_free), preset.element(want_linear))
+    # a k^2 term is refused as before, whatever else the class holds
+    k = preset.gen("k")
+    with pytest.raises(RingDomainError) as refusal:
+        split_kernel_class(elem + Fraction(square_coeff, 7) * k * k)
+    assert str(refusal.value) == (
+        "kernel class appears with exponent >= 2; excess intersection"
+        " is outside this evaluator's scope")
+
+
+def test_evaluators_build_at_most_one_fraction_per_schur_shape(ctx, jet, fraction_builds, monkeypatch):
+    # the side-X ambient class: 43 terms over the denominator 3, 11 Schur
+    # shapes.  At e4b4516 evaluate_taut built 174 Fractions on it (the
+    # Fraction view of every term, and one per weight and per sum), and the
+    # h^1 = 1 rewrite 81.  The bound is one per shape plus 2.
+    ambient = restrict_to_locus(ctx, side(SIDE_X).integrand, jet)
+    assert len(ambient.numerators) == 43 and ambient.denominator == 3
+    shapes = []
+    shape_series = bn._shape_series
+    monkeypatch.setattr(bn, "_shape_series",
+                        lambda *args: shapes.append(args[2]) or shape_series(*args))
+    for evaluate in (evaluate_taut, evaluate_taut_recursion):
+        shapes.clear()
+        with fraction_builds() as built:
+            assert evaluate(ctx, ambient) == 197340
+        assert len(built) <= len(set(shapes)) + 2
 
 
 # -- the two evaluators -----------------------------------------------------

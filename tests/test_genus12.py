@@ -26,7 +26,7 @@ from oddspin.genus12 import (
 )
 from oddspin.picard import pair, slope
 from oddspin.picard import test_curve as boundary_curve
-from oddspin.ring import geometric_series
+from oddspin.ring import RingElem, geometric_series
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +239,7 @@ def test_elliptic_pencil_relation():
 # -- the pipeline's hard checks ---------------------------------------------
 
 def _clear_pipeline_caches():
-    for cached in (side, d12_coefficients):
+    for cached in (side, d12_coefficients, bn.degeneracy_classes, bn._recursion_images):
         cached.cache_clear()
     bn._series_memo.clear()
 
@@ -258,6 +258,21 @@ def test_d12_takes_one_determinant_per_schur_shape(fresh_pipeline, series_det_or
     # both sides and both evaluators share one context and its 12 shapes
     assert d12_coefficients() == (13245, 1926, 9867)
     assert len(series_det_orders) == 12
+
+
+def test_a_cold_pipeline_makes_at_most_40_powers(fresh_pipeline, monkeypatch, fraction_builds):
+    # at e4b4516 a cold d12_coefficients() made 134 RingElem.__pow__ calls,
+    # each image power of the h^1 = 1 rewrite once per term, and built 619
+    # Fractions, most of them the Fraction view of the classes the
+    # evaluators and the kernel split read; the Fraction bound here is a
+    # tenth of that
+    powers = []
+    power = RingElem.__pow__
+    monkeypatch.setattr(RingElem, "__pow__", lambda self, n: powers.append(n) or power(self, n))
+    with fraction_builds() as built:
+        assert d12_coefficients() == (13245, 1926, 9867)
+    assert len(powers) <= 40
+    assert len(built) <= 62
 
 
 def _perturbed_recorded_locus(monkeypatch):

@@ -17,7 +17,7 @@ from oddspin.errors import (
 )
 from oddspin import linalg, picard
 from oddspin.exprparse import expr_to_class, parse_expression
-from oddspin.linalg import solve_linear
+from oddspin.linalg import solve_over_lcm
 from oddspin.numerics import boundary_degrees, theta_counts
 from oddspin.picard import (
     MODULI,
@@ -546,9 +546,9 @@ def test_solve_zg_rows_are_sparse_and_the_solution_is_the_closed_form(monkeypatc
 
     def recording(rows, n_cols, rhs):
         seen.append((rows, n_cols))
-        return solve_linear(rows, n_cols, rhs)
+        return solve_over_lcm(rows, n_cols, rhs)
 
-    monkeypatch.setattr(picard, "solve_linear", recording)
+    monkeypatch.setattr(picard, "solve_over_lcm", recording)
     for g in range(3, 61):
         report = solve_zg(g)
         rows, n_cols = seen.pop()
@@ -576,15 +576,15 @@ def test_solvers_work_in_raw_coefficients(monkeypatch):
 
 
 def _recorded_systems(monkeypatch):
-    """A list that gets the (rows, rhs) of every ``solve_linear`` call
-    ``picard`` makes from then on."""
+    """A list that gets the (rows, rhs) of every ``solve_over_lcm`` call
+    ``picard`` makes from then on: the Z_g systems of ``solve_zg``."""
     seen = []
 
     def recording(rows, n_cols, rhs):
         seen.append((rows, rhs))
-        return solve_linear(rows, n_cols, rhs)
+        return solve_over_lcm(rows, n_cols, rhs)
 
-    monkeypatch.setattr(picard, "solve_linear", recording)
+    monkeypatch.setattr(picard, "solve_over_lcm", recording)
     return seen
 
 
@@ -631,6 +631,18 @@ def test_solve_zg_rows_follow_the_curve_table(monkeypatch):
     assert {"G2:lambda", "G3:lambda", "G4:lambda"} <= set(report.assumptions)
     # the family's right-hand side is unchanged, so beta_3 solves to half its value
     assert report.divisor_class.coefficient("beta3") == zg_class(9).coefficient("beta3") / 2
+
+
+def test_solve_zg_builds_at_most_three_fractions(fraction_builds):
+    # at e4b4516 solve_zg(40) built 46: one per unknown in the solution of
+    # solve_linear, turned at once back into numerators; the three left are
+    # the Porteous lambda coefficient's
+    for g in range(3, 41):
+        solve_zg(g)  # the bases and the closed form are built and cached
+        with fraction_builds() as built:
+            report = solve_zg(g)
+        assert report.matches_closed_form
+        assert len(built) <= 3, g
 
 
 def test_solve_zg_builds_at_most_three_test_curves_per_genus(monkeypatch):

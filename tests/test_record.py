@@ -15,10 +15,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_cold_import_generates_no_code():
-    # no generated code, and no argparse or gettext for the command line;
-    # -S keeps site-packages' .pth files from loading typing first
+    # no generated code, no argparse or gettext for the command line, and
+    # no json package for the reports; -S keeps site-packages' .pth files
+    # from loading typing first
     probe = ("import sys, oddspin.cli; print(' '.join(m for m in ('dataclasses', 'inspect',"
-             " 'ast', 'typing', 'argparse', 'gettext') if m in sys.modules))")
+             " 'ast', 'typing', 'argparse', 'gettext', 'json') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert done.returncode == 0, done.stderr
