@@ -5,36 +5,33 @@ With c_i = e_i(x_1..x_{r+1}) in the Chern roots, a root monomial x^e
 integrates (against eta and the matching theta power) to g! times the
 Harris-Tu determinant det[1/(b + e_j - j + l)!], b = g - d + r.
 ``evaluate_taut`` never expands a class into root monomials.  It
-integrates c_1^n prod_{k>=2} c_k^{m_k} in two steps:
+integrates prod_k c_k^{m_k} in two steps:
 
-* c_1 = p_1 = x_1 + ... + x_{r+1}.  The determinant is multilinear in its
-  rows and row j depends on x_j alone, so with p_1^n = n! [t^n]
-  prod_j exp(t x_j) the whole symmetric sum over exponents is n! [t^n] of
-  one determinant of truncated power series, row j holding
-  sum_e t^e/e! * 1/(b + o_j + e + l)!.
-* The determinant depends on the row offsets o_j = e_j - j only up to the
-  sign of sorting them, so against a symmetric factor a Schur function
-  s_lambda integrates like the single monomial x^lambda.  The product of
-  c_2, c_3, ... is expanded in Schur functions by the dual Pieri rule
-  (c_k = s_(1^k) adds a vertical strip), which gives the offsets
-  lambda_j - j with positive integer multiplicities.
+* The determinant depends on the row offsets e_j - j only up to the sign
+  of sorting them, so against a symmetric factor a Schur function s_lambda
+  integrates like the single monomial x^lambda.  The product of c_1, c_2,
+  ... is expanded in Schur functions by the Pieri rule (c_k = s_(1^k) adds
+  a vertical strip, c_1 one box), which gives the shapes lambda with
+  positive integer multiplicities; an evaluation sums them per shape.
+* Each shape's determinant is a Vandermonde product in closed form
+  (``_integrate_shapes``): with c_j = b + lambda_j - j it is
+  prod_{j<k} (c_j - c_k) / prod_j (c_j + r)!, the hook-length formula.
 
-The class is read as integer numerators, rows are scaled to integers and
-the determinant is fraction-free (``linalg.series_det``); only the final
-value is a rational.  A shape's determinant at order n truncates the one at
-any higher order, so each (rows, b, shape) takes one determinant, kept at
-the highest order asked in a bounded process memo (``_shape_series``).
+The class is read as integer numerators, every shape's term is an integer
+over one common power of a factorial, and only the final value is a
+rational: one Fraction per evaluation.  The cost is the number of shapes,
+the partitions of at most rho into at most r+1 parts.
 
 ``evaluate_taut_recursion`` eliminates c_2, c_3, ... by the h^1 = 1 relation
 c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)!, one power per image and
-exponent, and hands the polynomial in c_1 and theta, summed once, to
-``evaluate_taut``.  Both evaluators read the zero-shape determinant from
-that memo: it is computed once and shared, since recomputing a deterministic
-function never made the cross-check independent.  What the check compares is
-two paths to the value: the rewritten class meets only the p_1 series of the
-zero shape, while the raw integrand also goes through the Pieri expansion of
-c_2..c_{r+1} and the shifted rows of the other shapes.  Their agreement on
-every valid-degree monomial is the package's main internal safety net.
+exponent, and integrates the polynomial in c_1 and theta, summed once, by
+the same Pieri step and closed form.  What ``genus12.side``'s agreement
+check compares is two paths to the value: the rewritten class meets only
+the Pieri shapes of c_1, while the raw integrand also goes through the
+vertical strips of c_2..c_{r+1}.  So the check covers the rewrite and the
+e_k strips, not the closed form both routes share; the independent routes
+are the oracles of the test suite.  Their agreement on every valid-degree
+monomial is the package's main internal safety net.
 
 Both evaluators take only a k-free class homogeneous of degree rho+1 on
 curve x W^r_d; anything else raises RingDomainError rather than
@@ -57,7 +54,6 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
-from .linalg import series_det
 from .numerics import rho
 from .record import Record
 from .ring import (
@@ -100,7 +96,7 @@ def bn_context(g: int, r: int, d: int) -> BNContext:
 
 
 # ---------------------------------------------------------------------------
-# Schur shapes and the generating-function determinant
+# Schur shapes and their closed-form integrals
 # ---------------------------------------------------------------------------
 
 Shape = tuple[int, ...]  # a partition, padded with zeros to r+1 parts
@@ -109,6 +105,9 @@ Shape = tuple[int, ...]  # a partition, padded with zeros to r+1 parts
 def _vertical_strips(shape: Shape, k: int) -> list[Shape]:
     """Partitions obtained from ``shape`` by adding k boxes, no two in one
     row, within the same number of rows (the dual Pieri rule for e_k)."""
+    if k == 1:  # one box in any addable row
+        return [shape[:i] + (part + 1,) + shape[i + 1:]
+                for i, part in enumerate(shape) if i == 0 or shape[i - 1] > part]
     rows = len(shape)
     out: list[Shape] = []
 
@@ -128,13 +127,14 @@ def _vertical_strips(shape: Shape, k: int) -> list[Shape]:
 
 @lru_cache(maxsize=1024)
 def _schur_expansion(rows: int, exponents: tuple[int, ...]) -> tuple[tuple[Shape, int], ...]:
-    """prod_{k>=2} e_k^{m_k} in Schur functions of ``rows`` variables, with
-    ``exponents`` = (m_2, m_3, ...): ((shape, multiplicity), ...).
+    """prod_k e_k^{m_k} in Schur functions of ``rows`` variables, with
+    ``exponents`` = (m_1, m_2, ...): ((shape, multiplicity), ...).
 
-    e_k = s_(1^k), and each factor adds a vertical strip; shapes with more
-    than ``rows`` parts vanish.  Multiplicities are positive integers."""
+    e_k = s_(1^k), and each factor adds a vertical strip (for c_1 = e_1 one
+    box in any addable row); shapes with more than ``rows`` parts vanish.
+    Multiplicities are positive integers."""
     shapes = {(0,) * rows: 1}
-    for k, mult in enumerate(exponents, start=2):
+    for k, mult in enumerate(exponents, start=1):
         for _ in range(mult):
             grown: dict[Shape, int] = {}
             for shape, count in shapes.items():
@@ -144,78 +144,53 @@ def _schur_expansion(rows: int, exponents: tuple[int, ...]) -> tuple[tuple[Shape
     return tuple(shapes.items())
 
 
-# (rows, b, shape) -> (order, scale S, det series mod t^(order+1)); bounded
-# like ``_schur_expansion``, the oldest entry goes first
-_SERIES_MEMO_SIZE = 1024
-_series_memo: dict[tuple[int, int, Shape], tuple[int, int, tuple[int, ...]]] = {}
+def _shape_weights(ctx: BNContext, numerators) -> dict[Shape, int]:
+    """The integer weight of each Schur shape in a k-free class given by its
+    ``numerators``: monomials containing gamma or missing eta integrate to
+    zero, and c_1..c_{r+1} of the others are expanded in Schur functions."""
+    index = ctx.preset.index
+    eta, gamma, c1, k = index("eta"), index("gamma"), index("c1"), index("k")
+    weights: dict[Shape, int] = {}
+    for mono, n in numerators:
+        if mono[gamma] or mono[eta] != 1:
+            continue
+        # c_1..c_{r+1} lie between theta and k
+        for shape, count in _schur_expansion(ctx.r + 1, mono[c1:k]):
+            weights[shape] = weights.get(shape, 0) + n * count
+    return weights
 
 
-def _shape_series(rows: int, base: int, shape: Shape,
-                  order: int) -> tuple[int, int, tuple[int, ...]]:
-    """(kept order, S, series) with series = det[ sum_e t^e S/(e! (b + shape_j
-    - j + e + l)!) ] modulo t^(kept order + 1), kept order >= ``order``.
+def _integrate_shapes(ctx: BNContext, weights: dict[Shape, int], den: int) -> Fraction:
+    """g!/den * sum of weight * L(s_shape) over the integer ``weights``,
+    where L is the Harris-Tu functional x^e -> det[1/(b + e_j - j + l)!],
+    b = g - d + r.
 
-    S = o! (b + r + o + shape_0)! at the kept order o makes every entry an
-    integer.  Truncation commutes with the determinant, so a series kept at
-    order o serves every order up to o; a request above it recomputes and
-    replaces the entry."""
-    key = (rows, base, shape)
-    kept = _series_memo.get(key)
-    if kept is not None and kept[0] >= order:
-        return kept
-    top = base + rows - 1 + order + shape[0]
-    fact = [1]
-    for i in range(1, top + 1):
-        fact.append(fact[-1] * i)
-    scale = fact[order] * fact[top]
+    With c_j = b + shape_j - j, 1/(c_j + l)! = (c_j + r)...(c_j + l + 1) /
+    (c_j + r)!, and the falling product is monic of degree r - l in c_j, so
+    unitriangular column operations leave the Vandermonde matrix [c_j^(r-l)]:
 
-    def entry(m: int, e: int) -> int:
-        return scale // (fact[e] * fact[m]) if m >= 0 else 0
+        L(s_shape) = prod_{j<k} (c_j - c_k) / prod_j (c_j + r)!,
 
-    matrix = [
-        [[entry(base + shape[j] - j + l + e, e) for e in range(order + 1)]
-         for l in range(rows)]
-        for j in range(rows)
-    ]
-    kept = (order, scale, tuple(series_det(matrix, order)))
-    _series_memo.pop(key, None)
-    if len(_series_memo) >= _SERIES_MEMO_SIZE:
-        del _series_memo[next(iter(_series_memo))]
-    _series_memo[key] = kept
-    return kept
-
-
-def _integrate_shapes(ctx: BNContext, weights: dict, den: int) -> Fraction:
-    """g!/den * sum of weight * L(p_1^n s_shape) over the keys (n, shape) of
-    the integer ``weights``, where L is the Harris-Tu functional
-    x^e -> det[1/(b + e_j - j + l)!] and p_1 = x_1 + ... + x_{r+1}.
-
-    The determinant only depends on the row offsets e_j - j, up to the sign
-    of sorting them, so L(g s_shape) = L(g x^shape) for every symmetric g.
-    The determinant is multilinear in its rows and row j depends on x_j
-    alone, so p_1^n = n! [t^n] prod_j exp(t x_j) gives
-
-        L(p_1^n x^shape) = n! [t^n] det[ sum_e t^e/e! * 1/(b + shape_j - j + e + l)! ],
-
-    one determinant of truncated power series in place of a sum over all
-    exponent vectors.  Each shape takes one such determinant, at the highest
-    order n asked (``_shape_series``), with its entries scaled by one
-    integer S, so det(S M) = S^rows det(M): an integer over S^rows per
-    shape, summed over the lcm of those denominators into one Fraction.
+    the hook-length formula for f^nu / |nu|!, nu = shape + (b^(r+1)).  Each
+    shape's term is an integer over top!^(r+1), top = b + r + the largest
+    first part, summed into one Fraction.
     """
-    rows = ctx.r + 1
-    base = ctx.g + ctx.r - ctx.d
-    by_shape: dict[Shape, dict[int, int]] = {}
-    for (order, shape), weight in weights.items():
-        by_shape.setdefault(shape, {})[order] = weight
-    parts = []
-    for shape, orders in by_shape.items():
-        _, scale, series = _shape_series(rows, base, shape, max(orders))
-        parts.append((sum(weight * math.factorial(order) * series[order]
-                          for order, weight in orders.items()), scale ** rows))
-    common = math.lcm(*[q for _, q in parts])
-    total = sum(p * (common // q) for p, q in parts)
-    return Fraction(total * math.factorial(ctx.g), common * den)
+    r = ctx.r
+    base = ctx.g - ctx.d + r
+    top = base + r + max((shape[0] for shape in weights), default=0)
+    over = [1] * (top + 1)  # over[m] = top!/m!
+    for m in range(top, 0, -1):
+        over[m - 1] = over[m] * m
+    total = 0
+    for shape, weight in weights.items():
+        c = [base + part - j for j, part in enumerate(shape)]
+        term = weight
+        for j, cj in enumerate(c):
+            term *= over[cj + r]
+            for ck in c[j + 1:]:
+                term *= cj - ck
+        total += term
+    return Fraction(total * math.factorial(ctx.g), over[0] ** (r + 1) * den)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +292,27 @@ def restrict_to_locus(ctx: BNContext, e: RingElem, source: RingElem) -> RingElem
 
 
 def _check_integrand(ctx: BNContext, e: RingElem) -> None:
-    """Refuse anything but a k-free class homogeneous of degree rho+1.
+    """Refuse anything but a k-free class homogeneous of degree rho+1, in
+    one walk over the terms.
 
     A class containing k lives on a degeneracy locus, not on the ambient
     product; a nonzero class of another degree would integrate to a silent 0.
     """
     if e.preset != ctx.preset:
         raise PresetMismatchError("element does not live in the context's preset")
-    if "k" in e.generators():
-        raise RingDomainError(
-            "kernel class k present: integrate bn.restrict_to_locus(ctx, e, source)"
-            " instead"
-        )
-    if not e.is_zero() and (not e.is_homogeneous() or e.degree() != ctx.dim_total):
+    k, degree = ctx.preset.index("k"), ctx.preset.monomial_degree
+    degrees = set()
+    for mono, _ in e.numerators:
+        if mono[k]:
+            raise RingDomainError(
+                "kernel class k present: integrate bn.restrict_to_locus(ctx, e, source)"
+                " instead"
+            )
+        degrees.add(degree(mono))
+    if degrees and degrees != {ctx.dim_total}:
         raise RingDomainError(
             f"integrand must be homogeneous of degree rho+1 = {ctx.dim_total};"
-            f" got degrees {sorted({ctx.preset.monomial_degree(m) for m, _ in e.terms})}"
+            f" got degrees {sorted(degrees)}"
         )
 
 
@@ -345,21 +325,11 @@ def evaluate_taut(ctx: BNContext, e: RingElem) -> Fraction:
     curve x Brill-Noether locus.
 
     Monomials containing gamma or missing eta integrate to zero; the
-    others are integrated by the generating-function Harris-Tu determinant
+    others are expanded in Schur shapes, each integrated in closed form
     (see the module docstring).
     """
     _check_integrand(ctx, e)
-    index = ctx.preset.index
-    eta, gamma, c1, k = index("eta"), index("gamma"), index("c1"), index("k")
-    weights: dict[tuple[int, Shape], int] = {}
-    for mono, n in e.numerators:
-        if mono[gamma] or mono[eta] != 1:
-            continue
-        # c_2..c_{r+1} lie between c_1 and k
-        for shape, count in _schur_expansion(ctx.r + 1, mono[c1 + 1:k]):
-            key = (mono[c1], shape)
-            weights[key] = weights.get(key, 0) + n * count
-    return _integrate_shapes(ctx, weights, e.denominator)
+    return _integrate_shapes(ctx, _shape_weights(ctx, e.numerators), e.denominator)
 
 
 @lru_cache(maxsize=16)
@@ -377,12 +347,12 @@ def _recursion_images(preset: RingPreset) -> tuple[RingElem, ...]:
 def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
     """``evaluate_taut`` after rewriting c_2..c_{r+1} in c_1 and theta by
     the h^1 = 1 recursion: one power per image and exponent, and one
-    ``weighted_sum`` of the rewritten numerators, whose value is divided by
-    the denominator at the end.  Not an independent evaluator: the agreement
-    check in ``genus12.side`` covers the rewrite and the Pieri expansion,
-    not the ``series_det`` core that both routes share.  Valid only when
-    g - d + r = 1 (h^1 = 1 across the locus) and the next Brill-Noether
-    locus is empty; other contexts are refused.
+    ``weighted_sum`` of the rewritten numerators, integrated over the product
+    of both denominators.  The input is checked once.  Not an independent
+    evaluator: the agreement check in ``genus12.side`` covers the rewrite and
+    the e_k strips, not the Pieri step for c_1 and the closed form that both
+    routes share.  Valid only when g - d + r = 1 (h^1 = 1 across the locus)
+    and the next Brill-Noether locus is empty; other contexts are refused.
     """
     if ctx.g - ctx.d + ctx.r != 1 or rho(ctx.g, ctx.r + 1, ctx.d) >= 0:
         raise PreconditionError(
@@ -406,4 +376,6 @@ def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
             if m:
                 term = term * power(i, m)
         rewritten.append((1, term))
-    return evaluate_taut(ctx, preset.weighted_sum(rewritten)) / e.denominator
+    rewritten = preset.weighted_sum(rewritten)
+    return _integrate_shapes(ctx, _shape_weights(ctx, rewritten.numerators),
+                             rewritten.denominator * e.denominator)

@@ -9,9 +9,7 @@ list indexed by column holds the rows with an entry there; a pivot visits
 those rows alone, none when its own row is the only one, so the work
 grows with the entries, not with rows x pivots.  It never guesses: it
 returns a report that is either a unique solution, an explicit list of
-undetermined columns, or an inconsistency witness.  ``series_det`` takes
-determinants of matrices of truncated integer power series, the
-Brill-Noether evaluator's core, in integers.
+undetermined columns, or an inconsistency witness.
 """
 from __future__ import annotations
 
@@ -19,67 +17,9 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .errors import DimensionError, InternalCheckError, PreconditionError
+from .errors import DimensionError
 from .record import Record
 from .scalars import ZERO, ratio
-
-
-def _bareiss_entry(head, entry, lead, pivot_row_entry, previous) -> list[int]:
-    """(head*entry - lead*pivot_row_entry) / previous modulo t^(order+1).
-
-    The quotient is integral (it is a minor), and previous[0] != 0 makes
-    the truncated series division unique."""
-    out: list[int] = []
-    p0 = previous[0]
-    for s in range(len(entry)):
-        acc = 0
-        for u in range(s + 1):
-            acc += head[u] * entry[s - u] - lead[u] * pivot_row_entry[s - u]
-        for u in range(1, s + 1):
-            acc -= previous[u] * out[s - u]
-        quotient, remainder = divmod(acc, p0)
-        if remainder:
-            raise InternalCheckError("inexact division in the series determinant")
-        out.append(quotient)
-    return out
-
-
-def series_det(rows: Sequence[Sequence[Sequence[int]]], order: int) -> list[int]:
-    """Determinant of a square matrix of integer power series in t, modulo
-    t^(order+1), as the coefficient list [d_0, ..., d_order].
-
-    Each entry is a coefficient list, constant term first; missing high
-    coefficients are 0.  Fraction-free Bareiss elimination over
-    Z[t]/(t^(order+1)): every intermediate entry is a minor of the matrix,
-    and each division is by the previous pivot, whose constant term is
-    nonzero, so the truncated quotient is exact and integral.  Integer
-    arithmetic only.  The matrix of constant terms must be nonsingular
-    (it is what the pivots are chosen from); PreconditionError otherwise.
-    """
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise DimensionError("determinant of a non-square matrix")
-    if order < 0:
-        raise PreconditionError("series order must be nonnegative")
-    a = [[(list(entry) + [0] * (order + 1))[: order + 1] for entry in row] for row in rows]
-    sign = 1
-    previous = [1] + [0] * order
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k][0] != 0), None)
-        if pivot is None:
-            raise PreconditionError(
-                "series determinant needs a nonsingular matrix of constant terms"
-            )
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        head, pivot_row = a[k][k], a[k]
-        for i in range(k + 1, n):
-            row, lead = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row[j] = _bareiss_entry(head, row[j], lead, pivot_row[j], previous)
-        previous = head
-    return [sign * x for x in a[n - 1][n - 1]]
 
 
 class LinearSolveReport(Record):

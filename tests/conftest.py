@@ -3,9 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from oddspin import bn
-from oddspin.linalg import series_det
-
 
 @pytest.fixture
 def fraction_builds(monkeypatch):
@@ -32,19 +29,3 @@ def fraction_builds(monkeypatch):
             yield built
 
     return counting
-
-
-@pytest.fixture
-def series_det_orders(monkeypatch):
-    """The Harris-Tu determinant memo emptied, and a list of the order of
-    every ``series_det`` call the evaluator makes from then on."""
-    orders = []
-
-    def counting(rows, order):
-        orders.append(order)
-        return series_det(rows, order)
-
-    monkeypatch.setattr(bn, "series_det", counting)
-    bn._series_memo.clear()
-    yield orders
-    bn._series_memo.clear()

@@ -1,47 +1,52 @@
 """Independent oracles shared by the test suite.
 
 Everything here is deliberately written against the naive definition
-(permutation sums, raw polynomial dictionaries) rather than reusing the
-package's algorithms, so that agreement is meaningful.  The Chern-root
-oracle evaluates each root monomial as ``laplace_det`` of its matrix of
-reciprocal factorials and shares nothing with the evaluators'
-generating-function core.  ``dense_solve`` is dense Gauss-Jordan
-elimination, the reference for the sparse ``solve_linear``.
-``jacobian_normal_form`` applies the three Jacobian relations by repeated
-rewriting, as a reference for the ring's closed-form normalization.  The
-``model_*`` functions are the ring arithmetic with one ``Fraction`` per
-coefficient, the reference for the ring's integer numerators over one
-denominator.
+(cofactor and permutation sums, raw polynomial dictionaries) rather than
+reusing the package's algorithms, so that agreement is meaningful.  The
+Chern-root oracle evaluates each root monomial as ``laplace_det`` of its
+matrix of reciprocal factorials.  The generating-function oracle
+integrates c_1^n through one determinant of truncated power series per
+root monomial of the other classes (``series_det``, fraction-free Bareiss
+over Z[t]/(t^(n+1))).  Neither lists Schur shapes or uses the evaluators'
+closed form.  ``dense_solve`` is dense Gauss-Jordan elimination, the
+reference for the sparse ``solve_linear``.  ``jacobian_normal_form``
+applies the three Jacobian relations by repeated rewriting, as a reference
+for the ring's closed-form normalization.  The ``model_*`` functions are
+the ring arithmetic with one ``Fraction`` per coefficient, the reference
+for the ring's integer numerators over one denominator.
 """
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations
 
 from oddspin.errors import DimensionError, PreconditionError
 from oddspin.linalg import LinearSolveReport
 
 
 def laplace_det(rows):
-    """Determinant as the signed sum over all permutations; exact for int
-    and Fraction entries alike."""
+    """Determinant by cofactor expansion along the rows, each minor taken
+    once per set of columns it keeps; exact for int and Fraction entries
+    alike."""
     n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for the parity
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        if inversions % 2:
-            sign = -1
-        prod = 1
-        for i in range(n):
-            prod *= rows[i][perm[i]]
-            if not prod:  # a zero factor ends the term
-                break
-        total += sign * prod
-    return total
+
+    @lru_cache(maxsize=None)
+    def minor(used):
+        # the minor of the rows from bin(used).count("1") on, on the columns
+        # not in the bit set ``used``
+        i = bin(used).count("1")
+        if i == n:
+            return 1
+        total, sign = 0, 1
+        for c in range(n):
+            if used >> c & 1:
+                continue
+            if rows[i][c]:
+                total += sign * rows[i][c] * minor(used | 1 << c)
+            sign = -sign
+        return total
+
+    return minor(0)
 
 
 def matmul(a, b):
@@ -125,11 +130,116 @@ def root_monomial_value(ctx, exponents, theta_power):
     b = ctx.g - ctx.d + ctx.r
     if (ctx.r + 1) * b + sum(exponents) + theta_power != ctx.g:
         return Fraction(0)
-    rows = recip_factorial_rows(ctx, exponents)
-    # top! clears every denominator, so the permutation sum runs over ints
+    # top! clears every denominator, so the expansion runs over ints
     top = math.factorial(b + max(exponents) + ctx.r)
-    integral = [[int(top * entry) for entry in row] for row in rows]
-    return Fraction(laplace_det(integral) * math.factorial(ctx.g), top ** len(rows))
+    integral = [[top // math.factorial(m) if m >= 0 else 0
+                 for m in (b + exponents[j] - j + l for l in range(ctx.r + 1))]
+                for j in range(ctx.r + 1)]
+    return Fraction(laplace_det(integral) * math.factorial(ctx.g), top ** (ctx.r + 1))
+
+
+def _bareiss_entry(head, entry, lead, pivot_row_entry, previous):
+    """(head*entry - lead*pivot_row_entry) / previous modulo t^(order+1).
+
+    The quotient is integral (it is a minor), and previous[0] != 0 makes
+    the truncated series division unique."""
+    out = []
+    p0 = previous[0]
+    for s in range(len(entry)):
+        acc = 0
+        for u in range(s + 1):
+            acc += head[u] * entry[s - u] - lead[u] * pivot_row_entry[s - u]
+        for u in range(1, s + 1):
+            acc -= previous[u] * out[s - u]
+        quotient, remainder = divmod(acc, p0)
+        if remainder:
+            raise ArithmeticError("inexact division in the series determinant")
+        out.append(quotient)
+    return out
+
+
+def series_det(rows, order):
+    """Determinant of a square matrix of integer power series in t, modulo
+    t^(order+1), as the coefficient list [d_0, ..., d_order].
+
+    Each entry is a coefficient list, constant term first; missing high
+    coefficients are 0.  Fraction-free Bareiss elimination over
+    Z[t]/(t^(order+1)): every intermediate entry is a minor of the matrix,
+    and each division is by the previous pivot, whose constant term is
+    nonzero, so the truncated quotient is exact and integral.  The matrix of
+    constant terms must be nonsingular (it is what the pivots are chosen
+    from); PreconditionError otherwise.
+    """
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise DimensionError("determinant of a non-square matrix")
+    if order < 0:
+        raise PreconditionError("series order must be nonnegative")
+    a = [[(list(entry) + [0] * (order + 1))[: order + 1] for entry in row] for row in rows]
+    sign = 1
+    previous = [1] + [0] * order
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k][0] != 0), None)
+        if pivot is None:
+            raise PreconditionError(
+                "series determinant needs a nonsingular matrix of constant terms"
+            )
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        head, pivot_row = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = _bareiss_entry(head, row[j], lead, pivot_row[j], previous)
+        previous = head
+    return [sign * x for x in a[n - 1][n - 1]]
+
+
+def _c1_power_value(base, exponents, n):
+    """L(p_1^n x^e) for the Harris-Tu functional L, p_1 = x_1 + ... + x_{r+1}.
+
+    The determinant is multilinear in its rows and row j depends on x_j
+    alone, so p_1^n = n! [t^n] prod_j exp(t x_j) gives n! [t^n] of
+    det[ sum_s t^s/s! * 1/(b + e_j - j + s + l)! ], with every entry scaled
+    by S = n! top! to an integer.  The series matrix is the product of
+    [t^(m - c_j)/(m - c_j)!]_(j,m) and [1/(m + l)!]_(m,l), c_j = b + e_j - j,
+    so by Cauchy-Binet its determinant sums, over sets of r+1 values m (the
+    shapes), a minor of the second factor (L of the shape) times one of the
+    first (its skew-tableau count over n!): the Pieri sum, taken without
+    listing the shapes."""
+    rows = len(exponents)
+    if len({e - j for j, e in enumerate(exponents)}) < rows:
+        return Fraction(0)  # row j depends on e_j - j alone: two equal rows
+    top = base + max(exponents) + rows - 1 + n
+    scale = math.factorial(n) * math.factorial(top)
+
+    def entry(m, s):
+        return scale // (math.factorial(s) * math.factorial(m)) if m >= 0 else 0
+
+    matrix = [[[entry(base + exponents[j] - j + l + s, s) for s in range(n + 1)]
+               for l in range(rows)] for j in range(rows)]
+    return Fraction(math.factorial(n) * series_det(matrix, n)[n], scale ** rows)
+
+
+def generating_function_value(ctx, elem):
+    """Integral of a k-free class over curve x W^r_d by the generating
+    function of c_1: c_2..c_{r+1} are expanded into Chern-root monomials
+    x^e (``expand_c_monomial``), and c_1^n x^e integrates to g! times
+    ``_c1_power_value``, one series determinant per root monomial."""
+    names = elem.preset.names
+    base = ctx.g - ctx.d + ctx.r
+    total = Fraction(0)
+    for mono, coeff in elem.terms:
+        exps = dict(zip(names, mono))
+        if exps["k"]:
+            raise PreconditionError("the generating-function oracle takes k-free classes")
+        if exps["gamma"] or exps["eta"] != 1:
+            continue
+        others = (0,) + tuple(exps[f"c{i}"] for i in range(2, ctx.r + 2))
+        for root, mult in expand_c_monomial(ctx, others).items():
+            total += coeff * mult * _c1_power_value(base, root, exps["c1"])
+    return total * math.factorial(ctx.g)
 
 
 def poly_mul(a, b):

@@ -24,6 +24,7 @@ from oddspin.ring import preset_jacobian_product, preset_surface_product
 
 from oracles import (
     expand_c_monomial,
+    generating_function_value,
     laplace_det,
     model_normalize,
     model_split_kernel,
@@ -278,22 +279,18 @@ def test_split_kernel_class_matches_the_fraction_split(case, square_coeff):
         " is outside this evaluator's scope")
 
 
-def test_evaluators_build_at_most_one_fraction_per_schur_shape(ctx, jet, fraction_builds, monkeypatch):
-    # the side-X ambient class: 43 terms over the denominator 3, 11 Schur
-    # shapes.  At e4b4516 evaluate_taut built 174 Fractions on it (the
-    # Fraction view of every term, and one per weight and per sum), and the
-    # h^1 = 1 rewrite 81.  The bound is one per shape plus 2.
+def test_evaluators_build_at_most_one_fraction_per_schur_shape(ctx, jet, fraction_builds):
+    # the side-X ambient class: 43 terms over the denominator 3, 19 Schur
+    # shapes.  At e4b4516 evaluate_taut built 174 Fractions on it, and the
+    # h^1 = 1 rewrite 81.  Every shape's term is an integer over one common
+    # denominator, so an evaluation builds one Fraction, whatever its shapes.
     ambient = restrict_to_locus(ctx, side(SIDE_X).integrand, jet)
     assert len(ambient.numerators) == 43 and ambient.denominator == 3
-    shapes = []
-    shape_series = bn._shape_series
-    monkeypatch.setattr(bn, "_shape_series",
-                        lambda *args: shapes.append(args[2]) or shape_series(*args))
     for evaluate in (evaluate_taut, evaluate_taut_recursion):
-        shapes.clear()
+        evaluate(ctx, ambient)  # the rewrite's images are kept per preset
         with fraction_builds() as built:
             assert evaluate(ctx, ambient) == 197340
-        assert len(built) <= len(set(shapes)) + 2
+        assert len(built) == 1
 
 
 # -- the two evaluators -----------------------------------------------------
@@ -414,35 +411,99 @@ def small_context_integrand_sequences(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(small_context_integrand_sequences())
-def test_values_do_not_depend_on_what_the_determinant_memo_holds(case):
-    # the memo is shared with every earlier example of equal rows and b
+def test_values_do_not_depend_on_what_the_schur_memo_holds(case):
+    # the memo is shared with every earlier example of equal rows
     ctx, integrands = case
     values = [evaluate_taut(ctx, elem) for elem in integrands]
     for elem, value in zip(integrands, values):
-        bn._series_memo.clear()
+        bn._schur_expansion.cache_clear()
         assert evaluate_taut(ctx, elem) == value == root_expansion_value(ctx, elem)
 
 
-@pytest.mark.parametrize("first,then,calls", [("c1", "theta", 1), ("theta", "c1", 2)])
-def test_a_determinant_kept_at_a_high_order_serves_the_lower_ones(
-        ctx, series_det_orders, first, then, calls):
+def test_the_schur_memo_is_bounded():
+    bn._schur_expansion.cache_clear()
+    for m in range(1100):
+        bn._schur_expansion(1, (0,) * m)
+    info = bn._schur_expansion.cache_info()
+    assert info.maxsize == 1024 and info.currsize == 1024
+    bn._schur_expansion.cache_clear()
+
+
+def _partitions(n, parts, largest=None):
+    """The partitions of n into at most ``parts`` parts, padded with zeros."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [(0,) * parts]
+    if parts == 0:
+        return []
+    return [(first,) + rest for first in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - first, parts - 1, first)]
+
+
+def _hook_product(shape):
+    """The product of the hook lengths of a partition."""
+    conjugate = [sum(part > j for part in shape) for j in range(max(shape, default=0))]
+    return math.prod(part - j + conjugate[j] - i - 1
+                     for i, part in enumerate(shape) for j in range(part))
+
+
+@pytest.mark.parametrize("g,r,d", LADDER)
+def test_each_shape_integrates_to_the_hook_length_formula(g, r, d):
+    # L(s_mu) = f^nu / |nu|! = 1 / prod hooks(nu), nu = mu + (b^(r+1))
+    ctx = bn_context(g, r, d)
+    b = g - d + r
+    for n in range(ctx.rho + 1):
+        for mu in _partitions(n, r + 1):
+            nu = [b + part for part in mu]
+            assert bn._integrate_shapes(ctx, {mu: 1}, 1) == Fraction(
+                math.factorial(g), _hook_product(nu)), mu
+
+
+def test_a_c1_power_integrates_each_partition_with_its_tableau_count(ctx, monkeypatch):
+    # Pieri: c_1^rho is the sum over the partitions lambda of rho into at
+    # most r+1 parts of f^lambda s_lambda, f^lambda = rho!/prod hooks the
+    # number of standard tableaux; theta^rho integrates the empty shape alone
+    seen = []
+    integrate = bn._integrate_shapes
+    monkeypatch.setattr(bn, "_integrate_shapes",
+                        lambda c, weights, den: seen.append(weights) or integrate(c, weights, den))
     eta = ctx.preset.gen("eta")
-    for name in (first, then):
+    for name in ("c1", "theta"):
         evaluate_taut(ctx, eta * ctx.preset.gen(name) ** ctx.rho)
-    assert len(series_det_orders) == calls
-    assert series_det_orders[-1] == ctx.rho
+    rho, rows = ctx.rho, ctx.r + 1
+    assert seen == [
+        {mu: math.factorial(rho) // _hook_product(mu) for mu in _partitions(rho, rows)},
+        {(0,) * rows: 1},
+    ]
+    assert len(seen[0]) == 10
 
 
-def test_the_determinant_memo_is_bounded(series_det_orders):
-    keys = [(1, b, (s,)) for b in range(33) for s in range(32)]
-    assert len(keys) > bn._SERIES_MEMO_SIZE
-    for rows, b, shape in keys:
-        bn._shape_series(rows, b, shape, 0)
-    assert len(bn._series_memo) == bn._SERIES_MEMO_SIZE
-    assert len(series_det_orders) == len(keys)
-    # the newest entries are kept, so asking for them again takes no determinant
-    bn._shape_series(*keys[-1], 0)
-    assert len(series_det_orders) == len(keys)
+def _bench_classes(ctx):
+    """eta*c1^rho, eta*c2*c1^(rho-2), eta*c3*c1^(rho-3), and a class that
+    mixes shapes, c_1 orders, a theta term and a denominator."""
+    p, rho = ctx.preset, ctx.rho
+    eta, theta = p.gen("eta"), p.gen("theta")
+    c = [None] + [p.gen(f"c{i}") for i in range(1, ctx.r + 2)]
+    return {
+        "c1": eta * c[1] ** rho,
+        "c2c1": eta * c[2] * c[1] ** (rho - 2),
+        "c3c1": eta * c[3] * c[1] ** (rho - 3),
+        "mixed": eta * c[1] ** (rho - 4) * (2 * c[2] ** 2 - 3 * theta * c[3] + c[4])
+        + Fraction(1, 2) * eta * theta ** rho,
+    }
+
+
+@pytest.mark.parametrize("g,r,d", LADDER + ((16, 9, 24),))
+def test_bench_classes_match_the_generating_function_and_root_oracles(g, r, d):
+    # the Chern-root expansion of c1^rho has 6435 and 6188 root monomials
+    # on the two top rungs, and 5005 at r = 9, which takes seconds; there
+    # the generating-function oracle alone checks the value
+    ctx = bn_context(g, r, d)
+    for name, elem in _bench_classes(ctx).items():
+        value = evaluate_taut(ctx, elem)
+        assert value == generating_function_value(ctx, elem), name
+        if (g, r, d) not in ((24, 7, 29), (30, 5, 32), (16, 9, 24)):
+            assert value == root_expansion_value(ctx, elem), name
 
 
 @pytest.mark.parametrize("evaluate", [evaluate_taut, evaluate_taut_recursion])

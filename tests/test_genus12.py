@@ -239,25 +239,34 @@ def test_elliptic_pencil_relation():
 # -- the pipeline's hard checks ---------------------------------------------
 
 def _clear_pipeline_caches():
-    for cached in (side, d12_coefficients, bn.degeneracy_classes, bn._recursion_images):
+    for cached in (side, d12_coefficients, bn.degeneracy_classes, bn._recursion_images,
+                   bn._schur_expansion):
         cached.cache_clear()
-    bn._series_memo.clear()
 
 
 @pytest.fixture
 def fresh_pipeline():
-    """Empty every pipeline cache and the Harris-Tu determinant memo before
-    and after the test, so a perturbed check runs now on fresh determinants
-    and the good values are recomputed afterwards."""
+    """Empty every pipeline cache and the Schur expansion memo before and
+    after the test, so a perturbed check runs now on fresh expansions and
+    the good values are recomputed afterwards."""
     _clear_pipeline_caches()
     yield
     _clear_pipeline_caches()
 
 
-def test_d12_takes_one_determinant_per_schur_shape(fresh_pipeline, series_det_orders):
-    # both sides and both evaluators share one context and its 12 shapes
+def test_a_cold_d12_integrates_24_schur_shapes(fresh_pipeline, monkeypatch):
+    # each side integrates its ambient class (19 shapes) and then its h^1 = 1
+    # rewrite (12: the Pieri shapes of c1^n, n <= 4), each shape in closed
+    # form; both sides share one context, so 24 shapes in all
+    seen = []
+    integrate = bn._integrate_shapes
+    monkeypatch.setattr(bn, "_integrate_shapes", lambda ctx, weights, den:
+                        seen.append(set(weights)) or integrate(ctx, weights, den))
     assert d12_coefficients() == (13245, 1926, 9867)
-    assert len(series_det_orders) == 12
+    assert [len(shapes) for shapes in seen] == [19, 12, 19, 12]
+    assert seen[0] == seen[2] and seen[1] == seen[3]
+    assert all(sum(shape) <= 4 for shape in seen[1])
+    assert len(set().union(*seen)) == 24
 
 
 def test_a_cold_pipeline_makes_at_most_40_powers(fresh_pipeline, monkeypatch, fraction_builds):

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddspin.errors import DimensionError, PreconditionError
-from oddspin.linalg import series_det, solve_linear
+from oddspin.linalg import solve_linear
 from oddspin.scalars import format_scalar, over_lcm, ratio, recip_factorial
 
-from oracles import apply, dense_solve, laplace_det, poly_mul
+from oracles import apply, dense_solve, laplace_det, poly_mul, series_det
 
 
 def _truncated_permutation_det(rows, order):
