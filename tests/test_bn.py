@@ -478,6 +478,29 @@ def test_a_c1_power_integrates_each_partition_with_its_tableau_count(ctx, monkey
     assert len(seen[0]) == 10
 
 
+@pytest.mark.parametrize("first,then,c1_call", [("c1", "theta", 1), ("theta", "c1", 2)])
+def test_a_determinant_kept_at_a_high_order_serves_the_lower_ones(
+        ctx, monkeypatch, first, then, c1_call):
+    # the closed form builds one table of top!/m! at the largest first part
+    # of its shapes; integrating the empty shape of theta^rho with the table
+    # kept for the Pieri shapes of c1^rho gives its own value, in either order
+    seen = []
+    integrate = bn._integrate_shapes
+    monkeypatch.setattr(bn, "_integrate_shapes",
+                        lambda c, weights, den: seen.append(weights) or integrate(c, weights, den))
+    eta = ctx.preset.gen("eta")
+    values = [evaluate_taut(ctx, eta * ctx.preset.gen(name) ** ctx.rho) for name in (first, then)]
+    assert len(seen) == 2
+    assert max(shape[0] for shape in seen[c1_call - 1]) == ctx.rho
+    assert set(seen[2 - c1_call]) == {(0,) * (ctx.r + 1)}
+    merged = dict(seen[0])
+    for shape, weight in seen[1].items():
+        merged[shape] = merged.get(shape, 0) + weight
+    assert integrate(ctx, merged, 1) == sum(values)
+    assert evaluate_taut(ctx, eta * (ctx.preset.gen(first) ** ctx.rho
+                                     + ctx.preset.gen(then) ** ctx.rho)) == sum(values)
+
+
 def _bench_classes(ctx):
     """eta*c1^rho, eta*c2*c1^(rho-2), eta*c3*c1^(rho-3), and a class that
     mixes shapes, c_1 orders, a theta term and a denominator."""
