@@ -81,6 +81,6 @@ from .ring import (
     preset_surface_product,
     preset_universal_curve,
 )
-from .scalars import format_scalar, recip_factorial
+from .scalars import format_scalar
 
 __version__ = "0.1.0"

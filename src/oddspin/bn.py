@@ -23,15 +23,17 @@ rational: one Fraction per evaluation.  The cost is the number of shapes,
 the partitions of at most rho into at most r+1 parts.
 
 ``evaluate_taut_recursion`` eliminates c_2, c_3, ... by the h^1 = 1 relation
-c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)!, one power per image and
-exponent, and integrates the polynomial in c_1 and theta, summed once, by
-the same Pieri step and closed form.  What ``genus12.side``'s agreement
-check compares is two paths to the value: the rewritten class meets only
-the Pieri shapes of c_1, while the raw integrand also goes through the
-vertical strips of c_2..c_{r+1}.  So the check covers the rewrite and the
-e_k strips, not the closed form both routes share; the independent routes
-are the oracles of the test suite.  Their agreement on every valid-degree
-monomial is the package's main internal safety net.
+c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)!.  Against eta, theta
+only fills the degree, so it rewrites the c-exponents that the core reads,
+not ring elements: c_{i+1} acts as ((i+1) c_1 - i) / (i+1)!, and each
+monomial becomes an integer polynomial in c_1 over a product of factorials,
+integrated by the same Pieri step and closed form.  What ``genus12.side``'s
+agreement check compares is two paths to the value: the rewritten class
+meets only the Pieri shapes of c_1, while the raw integrand also goes
+through the vertical strips of c_2..c_{r+1}.  So the check covers the
+rewrite and the e_k strips, not the closed form both routes share; the
+independent routes are the oracles of the test suite.  Their agreement on
+every valid-degree monomial is the package's main internal safety net.
 
 Both evaluators take only a k-free class homogeneous of degree rho+1 on
 curve x W^r_d; anything else raises RingDomainError rather than
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .numerics import rho
@@ -63,7 +65,7 @@ from .ring import (
     geometric_series,
     preset_jacobian_product,
 )
-from .scalars import recip_factorial
+from .scalars import require_int
 
 class BNContext(Record):
     """Fixed (g, r, d) together with the matching ring preset."""
@@ -81,6 +83,8 @@ class BNContext(Record):
 
 
 def bn_context(g: int, r: int, d: int) -> BNContext:
+    for name, given in zip("grd", (g, r, d)):
+        require_int(name, given)
     value = rho(g, r, d)
     if value < 0:
         raise PreconditionError(
@@ -144,18 +148,41 @@ def _schur_expansion(rows: int, exponents: tuple[int, ...]) -> tuple[tuple[Shape
     return tuple(shapes.items())
 
 
-def _shape_weights(ctx: BNContext, numerators) -> dict[Shape, int]:
-    """The integer weight of each Schur shape in a k-free class given by its
-    ``numerators``: monomials containing gamma or missing eta integrate to
-    zero, and c_1..c_{r+1} of the others are expanded in Schur functions."""
-    index = ctx.preset.index
+def _c_parts(ctx: BNContext, e: RingElem) -> list[tuple[tuple[int, ...], int]]:
+    """The (c_1..c_{r+1} exponents, numerator) parts of ``e``, read in one
+    walk that refuses anything but a k-free class homogeneous of degree
+    rho+1: a class with k lives on a degeneracy locus, and one of another
+    degree would integrate to a silent 0.  Monomials containing gamma or
+    missing eta integrate to zero and are left out."""
+    if e.preset != ctx.preset:
+        raise PresetMismatchError("element does not live in the context's preset")
+    index, degree = ctx.preset.index, ctx.preset.monomial_degree
     eta, gamma, c1, k = index("eta"), index("gamma"), index("c1"), index("k")
+    degrees = set()
+    parts = []
+    for mono, n in e.numerators:
+        if mono[k]:
+            raise RingDomainError(
+                "kernel class k present: integrate bn.restrict_to_locus(ctx, e, source)"
+                " instead"
+            )
+        degrees.add(degree(mono))
+        if mono[eta] == 1 and not mono[gamma]:
+            parts.append((mono[c1:k], n))  # c_1..c_{r+1} lie between theta and k
+    if degrees and degrees != {ctx.dim_total}:
+        raise RingDomainError(
+            f"integrand must be homogeneous of degree rho+1 = {ctx.dim_total};"
+            f" got degrees {sorted(degrees)}"
+        )
+    return parts
+
+
+def _shape_weights(ctx: BNContext, parts) -> dict[Shape, int]:
+    """The integer weight of each Schur shape in the (c-exponents, numerator)
+    ``parts``, each expanded in Schur functions."""
     weights: dict[Shape, int] = {}
-    for mono, n in numerators:
-        if mono[gamma] or mono[eta] != 1:
-            continue
-        # c_1..c_{r+1} lie between theta and k
-        for shape, count in _schur_expansion(ctx.r + 1, mono[c1:k]):
+    for exponents, n in parts:
+        for shape, count in _schur_expansion(ctx.r + 1, exponents):
             weights[shape] = weights.get(shape, 0) + n * count
     return weights
 
@@ -291,31 +318,6 @@ def restrict_to_locus(ctx: BNContext, e: RingElem, source: RingElem) -> RingElem
     return free * locus + push * linear
 
 
-def _check_integrand(ctx: BNContext, e: RingElem) -> None:
-    """Refuse anything but a k-free class homogeneous of degree rho+1, in
-    one walk over the terms.
-
-    A class containing k lives on a degeneracy locus, not on the ambient
-    product; a nonzero class of another degree would integrate to a silent 0.
-    """
-    if e.preset != ctx.preset:
-        raise PresetMismatchError("element does not live in the context's preset")
-    k, degree = ctx.preset.index("k"), ctx.preset.monomial_degree
-    degrees = set()
-    for mono, _ in e.numerators:
-        if mono[k]:
-            raise RingDomainError(
-                "kernel class k present: integrate bn.restrict_to_locus(ctx, e, source)"
-                " instead"
-            )
-        degrees.add(degree(mono))
-    if degrees and degrees != {ctx.dim_total}:
-        raise RingDomainError(
-            f"integrand must be homogeneous of degree rho+1 = {ctx.dim_total};"
-            f" got degrees {sorted(degrees)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The two evaluators
 # ---------------------------------------------------------------------------
@@ -328,54 +330,36 @@ def evaluate_taut(ctx: BNContext, e: RingElem) -> Fraction:
     others are expanded in Schur shapes, each integrated in closed form
     (see the module docstring).
     """
-    _check_integrand(ctx, e)
-    return _integrate_shapes(ctx, _shape_weights(ctx, e.numerators), e.denominator)
-
-
-@lru_cache(maxsize=16)
-def _recursion_images(preset: RingPreset) -> tuple[RingElem, ...]:
-    # c_{i+1} = theta^i c_1 / i! - i theta^{i+1} / (i+1)!  for i >= 1
-    theta = preset.gen("theta")
-    c1 = preset.gen("c1")
-    r = preset.param("r")
-    return tuple(
-        recip_factorial(i) * c1 * theta ** i - i * recip_factorial(i + 1) * theta ** (i + 1)
-        for i in range(1, r + 1)
-    )
+    return _integrate_shapes(ctx, _shape_weights(ctx, _c_parts(ctx, e)), e.denominator)
 
 
 def evaluate_taut_recursion(ctx: BNContext, e: RingElem) -> Fraction:
-    """``evaluate_taut`` after rewriting c_2..c_{r+1} in c_1 and theta by
-    the h^1 = 1 recursion: one power per image and exponent, and one
-    ``weighted_sum`` of the rewritten numerators, integrated over the product
-    of both denominators.  The input is checked once.  Not an independent
-    evaluator: the agreement check in ``genus12.side`` covers the rewrite and
-    the e_k strips, not the Pieri step for c_1 and the closed form that both
-    routes share.  Valid only when g - d + r = 1 (h^1 = 1 across the locus)
-    and the next Brill-Noether locus is empty; other contexts are refused.
+    """``evaluate_taut`` after the h^1 = 1 rewrite of c_2..c_{r+1}, done on
+    the c-exponents with no ring arithmetic (see the module docstring): the
+    powers of c_1, over one lcm of factorial products, go through the same
+    Pieri step and closed form.  Not an independent evaluator: the agreement
+    check in ``genus12.side`` covers the rewrite and the e_k strips, not what
+    both routes share.  Valid only when g - d + r = 1 (h^1 = 1 across the
+    locus) and the next Brill-Noether locus is empty; other contexts are
+    refused.
     """
     if ctx.g - ctx.d + ctx.r != 1 or rho(ctx.g, ctx.r + 1, ctx.d) >= 0:
         raise PreconditionError(
             "the h^1 = 1 recursion needs g - d + r = 1 and an empty next"
             " Brill-Noether locus"
         )
-    _check_integrand(ctx, e)
-    preset = ctx.preset
-    images = _recursion_images(preset)
-    c1, k = preset.index("c1"), preset.index("k")
-    groups: dict[tuple[int, ...], dict] = {}
-    for mono, n in e.numerators:
-        # keep eta, gamma, theta and c_1; c_2..c_{r+1}, between c_1 and k,
-        # go through their images, and k is absent
-        groups.setdefault(mono[c1 + 1:k], {})[mono[:c1 + 1] + (0,) * (len(mono) - c1 - 1)] = n
-    power = cache(lambda i, m: images[i] ** m)
-    rewritten = []
-    for exponents, kept in groups.items():
-        term = preset.element(kept)
-        for i, m in enumerate(exponents):
-            if m:
-                term = term * power(i, m)
-        rewritten.append((1, term))
-    rewritten = preset.weighted_sum(rewritten)
-    return _integrate_shapes(ctx, _shape_weights(ctx, rewritten.numerators),
-                             rewritten.denominator * e.denominator)
+    parts = _c_parts(ctx, e)
+    dens = [math.prod(math.factorial(i) ** m for i, m in enumerate(exponents[1:], start=2))
+            for exponents, _ in parts]
+    den = math.lcm(*dens)
+    powers = [0] * ctx.dim_total  # of c_1, 0..rho
+    for (exponents, n), part_den in zip(parts, dens):
+        poly = [0] * exponents[0] + [n * (den // part_den)]  # lowest power first
+        for i, m in enumerate(exponents[1:], start=1):
+            for _ in range(m):  # times (i+1) c_1 - i
+                poly = [(i + 1) * lower - i * same for lower, same in zip([0] + poly, poly + [0])]
+        for p, coeff in enumerate(poly):
+            powers[p] += coeff
+    pad = (0,) * ctx.r  # the key evaluate_taut gives a pure c_1 power
+    weights = _shape_weights(ctx, [((p,) + pad, n) for p, n in enumerate(powers) if n])
+    return _integrate_shapes(ctx, weights, den * e.denominator)

@@ -206,13 +206,6 @@ class TestCurve(Record):
 
     __slots__ = ("name", "basis", "pairings", "assumed_zero")
 
-    @staticmethod
-    def from_pairings(name: str, basis: PicBasis, mapping: Mapping[str, object],
-                      assumed_zero: Sequence[str] = ()) -> "TestCurve":
-        """The curve with the given pairings by generator name."""
-        row = _pairing_row(name, basis, mapping)
-        return TestCurve(name, basis, tuple(row.items()), tuple(assumed_zero))
-
     def pairing(self, name: str) -> int:
         return dict(self.pairings).get(self.basis.index(name), 0)
 

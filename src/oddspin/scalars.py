@@ -19,7 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import EngineError
+from .errors import EngineError, PreconditionError
 
 ZERO = Fraction(0)
 _INT = {int}  # the types over_lcm passes through unchanged
@@ -33,6 +33,14 @@ def ratio(value) -> tuple[int, int]:
     if not isinstance(value, Fraction):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     return value.numerator, value.denominator
+
+
+def require_int(name: str, value) -> None:
+    """Refuse a ``value`` whose type is not int (a bool, float, Fraction or
+    str) with PreconditionError: the one gate for a genus, rank, degree or
+    index, ahead of any cache that keys ``7.0`` and ``Fraction(7)`` as 7."""
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int, got {value!r}")
 
 
 def over_lcm(values) -> tuple[list[int], int]:
@@ -101,9 +109,3 @@ def render_terms(pairs: list[tuple[str, int]], den: int) -> str:
             out.append(f"{format_ratio(num, den)}*{body}")
     return "".join(out)
 
-
-def recip_factorial(n: int) -> Fraction:
-    """1/n!, extended by 0 for negative arguments (a total function)."""
-    if n < 0:
-        return ZERO
-    return Fraction(1, math.factorial(n))

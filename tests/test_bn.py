@@ -20,7 +20,7 @@ from oddspin.bn import (
 from oddspin.errors import PreconditionError, PresetMismatchError, RingDomainError
 
 from oddspin.genus12 import SIDE_X, side
-from oddspin.ring import preset_jacobian_product, preset_surface_product
+from oddspin.ring import RingElem, RingPreset, preset_jacobian_product, preset_surface_product
 
 from oracles import (
     expand_c_monomial,
@@ -287,10 +287,39 @@ def test_evaluators_build_at_most_one_fraction_per_schur_shape(ctx, jet, fractio
     ambient = restrict_to_locus(ctx, side(SIDE_X).integrand, jet)
     assert len(ambient.numerators) == 43 and ambient.denominator == 3
     for evaluate in (evaluate_taut, evaluate_taut_recursion):
-        evaluate(ctx, ambient)  # the rewrite's images are kept per preset
+        evaluate(ctx, ambient)  # warms the Schur memo
         with fraction_builds() as built:
             assert evaluate(ctx, ambient) == 197340
         assert len(built) == 1
+
+
+def test_the_recursion_does_no_ring_arithmetic(ctx, jet, monkeypatch, fraction_builds):
+    # at 425fd04 the h^1 = 1 rewrite of the side-X ambient class went through
+    # the ring: 49 products, powers, elements and weighted sums cold, 33 warm.
+    # Against eta, theta only fills the degree, so the rewrite reads the
+    # c-exponents alone and builds no ring element.
+    ambient = restrict_to_locus(ctx, side(SIDE_X).integrand, jet)
+    calls = []
+    for owner, name in ((RingElem, "__mul__"), (RingElem, "__pow__"),
+                        (RingPreset, "element"), (RingPreset, "weighted_sum")):
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _call=getattr(owner, name):
+                            calls.append(_name) or _call(*args))
+    bn._schur_expansion.cache_clear()
+    for _ in range(2):  # cold, then warm
+        with fraction_builds() as built:
+            assert evaluate_taut_recursion(ctx, ambient) == 197340
+        assert calls == [] and len(built) == 1
+
+
+def test_a_c1_power_fills_one_schur_memo_entry_through_both_evaluators(ctx):
+    # the rewrite keys a pure c_1 power as (p, 0, ..., 0), the key
+    # evaluate_taut reads off the monomial, so one expansion serves both
+    eta_c1 = ctx.preset.gen("eta") * ctx.preset.gen("c1") ** ctx.rho
+    bn._schur_expansion.cache_clear()
+    assert evaluate_taut(ctx, eta_c1) == evaluate_taut_recursion(ctx, eta_c1)
+    info = bn._schur_expansion.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    bn._schur_expansion.cache_clear()
 
 
 # -- the two evaluators -----------------------------------------------------
@@ -350,6 +379,31 @@ def test_recursion_rewrites_c2_power_series_oracle(ctx):
     assert evaluate_taut(ctx, eta * theta ** 4 * preset.gen("c2")) == evaluate_taut(
         ctx, eta * theta ** 4 * c2_image
     )
+
+
+@st.composite
+def h1_one_classes(draw):
+    """An h^1 = 1 context whose next locus is empty (r <= 4, r+1 <= g <=
+    2r+3, d = g+r-1) and a sum of balanced c-monomials with small
+    coefficients over a drawn denominator."""
+    r = draw(st.integers(0, 4))
+    g = draw(st.integers(r + 1, 2 * r + 3))
+    ctx = bn_context(g, r, g + r - 1)
+    den = draw(st.integers(1, 6))
+    monomial = st.sampled_from(balanced_c_monomials(r + 1, ctx.rho))
+    elem = ctx.preset.zero()
+    for coeff, exps in draw(st.lists(st.tuples(st.integers(-5, 5).filter(bool), monomial),
+                                     min_size=1, max_size=4)):
+        elem = elem + Fraction(coeff, den) * balanced_element(ctx, exps)
+    return ctx, elem
+
+
+@settings(max_examples=60, deadline=None)
+@given(h1_one_classes())
+def test_the_recursion_matches_the_direct_core_and_the_root_oracle(case):
+    ctx, elem = case
+    value = evaluate_taut_recursion(ctx, elem)
+    assert value == evaluate_taut(ctx, elem) == root_expansion_value(ctx, elem)
 
 
 @pytest.mark.parametrize("g,r,d", [(16, 3, 17), (20, 4, 21)])
@@ -576,3 +630,16 @@ def test_context_validation():
     ctx = bn_context(11, 4, 14)
     assert ctx.rho == 6
     assert ctx.dim_total == 7
+
+
+def test_bn_context_takes_only_ints():
+    # 11.0 used to be accepted, and evaluate_taut then raised a bare
+    # TypeError; True named its preset jacobian(g=True,...)
+    for slot, name in enumerate("grd"):
+        for bad in (11.0, Fraction(11), True, "11"):
+            args = [11, 4, 14]
+            args[slot] = bad
+            with pytest.raises(PreconditionError) as refusal:
+                bn_context(*args)
+            assert type(refusal.value) is PreconditionError
+            assert str(refusal.value) == f"{name} must be an int, got {bad!r}"

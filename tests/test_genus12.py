@@ -239,8 +239,7 @@ def test_elliptic_pencil_relation():
 # -- the pipeline's hard checks ---------------------------------------------
 
 def _clear_pipeline_caches():
-    for cached in (side, d12_coefficients, bn.degeneracy_classes, bn._recursion_images,
-                   bn._schur_expansion):
+    for cached in (side, d12_coefficients, bn.degeneracy_classes, bn._schur_expansion):
         cached.cache_clear()
 
 

@@ -340,7 +340,7 @@ def test_theta_pencil_is_the_test_curve_p():
     assert p.assumed_zero == ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3")
 
 
-def test_classes_and_curves_share_the_name_to_vector_builder():
+def test_classes_and_curves_share_the_name_to_vector_builder(monkeypatch):
     basis = spin_basis(5)
     # integer numerators over the least common denominator: the nonzero ones
     # by basis index, in basis order, and a class fills in the zeros
@@ -377,8 +377,10 @@ def test_classes_and_curves_share_the_name_to_vector_builder():
         with pytest.raises(BasisMismatchError):
             DivisorClass.from_mapping(basis, bad)
     # a curve meets every divisor in an integer
-    with pytest.raises(PreconditionError, match="non-integer pairing"):
-        picard.TestCurve.from_pairings("X", basis, {"lambda": Fraction(1, 2)})
+    monkeypatch.setitem(picard.TEST_CURVES, "F0",
+                        (spin_basis, lambda g: {"lambda": Fraction(1, 2)}, None))
+    with pytest.raises(PreconditionError, match="test curve F0 has a non-integer pairing"):
+        boundary_curve("F0", 5)
 
 
 def every_test_curve(g):
