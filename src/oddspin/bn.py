@@ -65,7 +65,6 @@ from .ring import (
     geometric_series,
     preset_jacobian_product,
 )
-from .scalars import require_int
 
 class BNContext(Record):
     """Fixed (g, r, d) together with the matching ring preset."""
@@ -83,9 +82,7 @@ class BNContext(Record):
 
 
 def bn_context(g: int, r: int, d: int) -> BNContext:
-    for name, given in zip("grd", (g, r, d)):
-        require_int(name, given)
-    value = rho(g, r, d)
+    value = rho(g, r, d)  # refuses a non-int g, r or d first
     if value < 0:
         raise PreconditionError(
             f"negative Brill-Noether number rho({g},{r},{d}) = {value}"
@@ -259,7 +256,7 @@ def point_pair_inverse_chern(preset: RingPreset, line_degree: int) -> RingElem:
     return geometric_series(line_degree * eta + gamma) * (preset.one() - eta)
 
 
-@lru_cache(maxsize=16)  # bounded; one derivation serves the locus check and the restriction
+@lru_cache(maxsize=16)  # bounded; genus12.side and restrict_to_locus share one derivation
 def degeneracy_classes(ctx: BNContext, source: RingElem) -> tuple[RingElem, RingElem]:
     """(locus class, kernel push-down) of the degeneracy locus of a morphism
     from a rank-2 source bundle, given by its inverse total Chern series

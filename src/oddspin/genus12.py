@@ -8,8 +8,8 @@ with the 6-dimensional Brill-Noether locus of degree-14 line bundles with
 five sections, i.e. in the context (g, r, d) = (11, 4, 14).  Each 3-fold is
 the degeneracy locus of a rank-2 source bundle mapping to the tautological
 bundle.  ``_recorded`` is the one place that tells the two sides apart: it
-holds each side's recorded inputs.  ``side`` derives that side's classes
-from them through ``bn`` and runs the three hard checks.  The boundary
+holds each side's trusted inputs.  ``side`` derives that side's classes
+from them through ``bn`` and checks that its evaluators agree.  The boundary
 coefficients of the resulting genus-12 divisor come from the pairing table
 of the moduli test curves C0, C1 and R; this module never hardcodes those
 degrees.
@@ -86,9 +86,8 @@ def sym2_chern(v: BundleChern, r: int) -> BundleChern:
     return BundleChern(f"Sym2({v.name})", s1, s2, s3)
 
 
-def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem, RingElem, RingElem]:
-    """(source series, target bundle, quotient class, degree-4 locus class,
-    k-free part of the integrand) recorded for one side.
+def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem]:
+    """(source series, target bundle, quotient class) recorded for one side.
 
     Side X is the locus of pencils with a double base-like point at a
     moving point: its source is the dual jet bundle, and A2 has fibers the
@@ -97,13 +96,10 @@ def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem, RingElem, Rin
     evaluation bundle there, and B2 has fibers the squares vanishing at
     both points.  The six bundle classes are trusted inputs (a routine
     Grothendieck-Riemann-Roch computation); the pipeline's agreement with
-    three independently known intersection numbers validates them.  The
-    locus classes and the k-free polynomials, written out term by term,
-    are hard-checked by ``side``.
+    three independently known intersection numbers validates them.
     """
     preset = context().preset
     eta, gamma, theta, k = (preset.gen(n) for n in ("eta", "gamma", "theta", "k"))
-    c1, c2, c3, c4 = (preset.gen(f"c{i}") for i in range(1, 5))
     if name == SIDE_X:
         return (
             jet_bundle_inverse_chern(preset, CURVE_GENUS, LINE_DEGREE),
@@ -115,18 +111,6 @@ def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem, RingElem, Rin
                 - 32 * theta ** 2 * gamma,
             ),
             2 * gamma + 48 * eta - k,
-            c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3,
-            28 * c2 * theta
-            - 88 * c1 * c1 * theta
-            + 440 * eta * c1 * c1
-            - 53 * c1 * c2
-            - Fraction(32, 3) * theta ** 3
-            + 128 * eta * theta ** 2
-            - 432 * eta * theta * c1
-            + 64 * c1 ** 3
-            - 140 * eta * c2
-            + 48 * theta ** 2 * c1
-            + 9 * c3,
         )
     if name == SIDE_Y:
         return (
@@ -139,43 +123,24 @@ def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem, RingElem, Rin
                 - 16 * theta ** 2 * gamma,
             ),
             13 * eta + gamma - k,
-            c4 - 2 * eta * theta * c2 + (13 * eta + gamma) * c3,
-            28 * c2 * theta
-            - 88 * c1 * c1 * theta
-            - 22 * eta * c1 * c1
-            - 53 * c1 * c2
-            - Fraction(32, 3) * theta ** 3
-            - 8 * eta * theta ** 2
-            + 24 * eta * theta * c1
-            + 64 * c1 ** 3
-            + 7 * eta * c2
-            + 48 * theta ** 2 * c1
-            + 9 * c3,
         )
     raise PreconditionError(f"unknown side {name!r}; expected 'X' or 'Y'")
 
 
 @lru_cache(maxsize=2)
 def side(name: str) -> Side:
-    """One side of the pipeline, once its three hard checks have passed.
+    """One side of the pipeline, once its evaluators agree.
 
-    1. The recorded locus class equals the one ``bn.degeneracy_classes``
-       re-derives from the source series.
-    2. The k-free part of the integrand c_3(F - Sym^2 E) equals the
-       recorded polynomial.  F is the target bundle extended by the square
-       of the quotient line bundle; E is the restricted tautological
-       bundle, so Sym^2 E has the classes of ``sym2_chern`` with
-       c_i(E) = (-1)^i c_i.
-    3. The two evaluators agree on the degree-7 ambient class that
-       ``bn.restrict_to_locus`` makes of the integrand.
+    The locus class comes from ``bn.degeneracy_classes``.  The integrand
+    is c_3(F - Sym^2 E): F is the target bundle extended by the square of
+    the quotient line bundle; E is the restricted tautological bundle, so
+    Sym^2 E has the classes of ``sym2_chern`` with c_i(E) = (-1)^i c_i.
+    The one hard check: the two evaluators agree on the degree-7 ambient
+    class that ``bn.restrict_to_locus`` makes of the integrand.
     """
     ctx = context()
-    source, bundle, quotient_c1, locus, kfree = _recorded(name)
-    if degeneracy_classes(ctx, source)[0] != locus:
-        raise InternalCheckError(
-            f"re-derived class of the side-{name} locus disagrees with the"
-            " recorded degree-4 form"
-        )
+    source, bundle, quotient_c1 = _recorded(name)
+    locus = degeneracy_classes(ctx, source)[0]
 
     f1 = bundle.c1 + 2 * quotient_c1
     f2 = bundle.c2 + 2 * bundle.c1 * quotient_c1
@@ -184,11 +149,6 @@ def side(name: str) -> Side:
     sym = sym2_chern(BundleChern("E", -c1, c2, -c3), BUNDLE_RANK_INDEX)
     s1, s2, s3 = sym.c1, sym.c2, sym.c3
     integrand = f3 - s3 - f1 * s2 + 2 * s1 * s2 - s1 * f2 + s1 * s1 * f1 - s1 ** 3
-    if split_kernel_class(integrand)[0] != kfree:
-        raise InternalCheckError(
-            f"k-free part of the side-{name} integrand disagrees with the"
-            " recorded polynomial"
-        )
 
     ambient = restrict_to_locus(ctx, integrand, source)
     total = evaluate_taut(ctx, ambient)
@@ -267,8 +227,6 @@ def d12_class_info() -> D12ClassInfo:
 def d12_slope_report() -> SlopeReport:
     """Slope a / b0 against the threshold 6 + 12/(g+1), decided exactly."""
     a, b0, b1 = d12_coefficients()
-    if b0 == 0:
-        raise InternalCheckError("vanishing delta_0 coefficient; slope undefined")
     slope_value = a / b0
     threshold = 6 + Fraction(12, TARGET_GENUS + 1)
     lhs = slope_value.numerator * threshold.denominator

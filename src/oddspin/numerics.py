@@ -7,10 +7,13 @@ from __future__ import annotations
 from .errors import InternalCheckError, PreconditionError
 from .record import Record
 from .ring import adjunction_genus, preset_surface_product
+from .scalars import require_int
 
 
 def rho(g: int, r: int, d: int) -> int:
     """Brill-Noether number g - (r+1)(g-d+r)."""
+    for name, given in zip("grd", (g, r, d)):
+        require_int(name, given)
     return g - (r + 1) * (g - d + r)
 
 
@@ -24,6 +27,7 @@ class SpinCounts(Record):
 
 def theta_counts(g: int) -> SpinCounts:
     """Numbers of even and odd theta-characteristics in genus g."""
+    require_int("g", g)
     if g < 1:
         raise PreconditionError("theta-characteristic counts need g >= 1")
     half = 2 ** (g - 1)
@@ -39,6 +43,8 @@ def boundary_degrees(g: int, i: int) -> tuple[int, int]:
     theta-characteristics of the normalized genus g-1 curve.  Below genus 2
     the closed forms are not integers, so g < 2 is refused.
     """
+    require_int("g", g)
+    require_int("i", i)
     if g < 2:
         raise PreconditionError("boundary covering degrees need g >= 2")
     if not 0 <= i <= g // 2:
@@ -80,6 +86,7 @@ _MUKAI_DIMENSIONS = {7: 10, 8: 8, 9: 6, 10: 5}
 
 def mukai_profile(g: int) -> MukaiProfile:
     """Dimension profile of the Mukai variety dominating genus-g curves."""
+    require_int("g", g)
     if g not in _MUKAI_DIMENSIONS:
         raise PreconditionError("Mukai profiles exist for g in 7..10")
     dim_v = _MUKAI_DIMENSIONS[g]

@@ -37,7 +37,9 @@ from .linalg import solve_linear, solve_over_lcm
 from .numerics import boundary_degrees, theta_counts
 from .record import Record, set_field
 from .ring import integrate, preset_universal_curve
-from .scalars import ZERO, format_ratio, format_scalar, over_lcm, ratio, render_terms
+from .scalars import (
+    ZERO, format_ratio, format_scalar, over_lcm, ratio, render_terms, require_int,
+)
 
 SPIN = "spin"
 MODULI = "moduli"
@@ -72,6 +74,7 @@ class PicBasis(Record):
 # bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once
 @lru_cache(maxsize=64)
 def spin_basis(g: int) -> PicBasis:
+    require_int("g", g)
     if g < 3:
         raise PreconditionError("spin Picard basis needs g >= 3")
     m = g // 2
@@ -83,6 +86,7 @@ def spin_basis(g: int) -> PicBasis:
 
 @lru_cache(maxsize=64)
 def moduli_basis(g: int) -> PicBasis:
+    require_int("g", g)
     if g < 3:
         raise PreconditionError("moduli Picard basis needs g >= 3")
     names = ("lambda",) + tuple(f"delta{i}" for i in range(g // 2 + 1))
@@ -280,7 +284,7 @@ def pushforward(g: int, c: DivisorClass) -> DivisorClass:
 
 # bounded like the bases; a class is immutable, so one build and one check
 # of the identity below serve every caller
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def canonical_class(space: str, g: int) -> DivisorClass:
     """Canonical class of the chosen moduli space.
 
@@ -288,6 +292,7 @@ def canonical_class(space: str, g: int) -> DivisorClass:
     beta_0 (the covering is simply branched there); this identity is
     asserted when the class is built, once per genus.
     """
+    require_int("g", g)
     if g < 3:
         raise PreconditionError("canonical classes need g >= 3")
     if space == MODULI:
@@ -333,6 +338,7 @@ def zg_class(g: int) -> DivisorClass:
     """Class of the divisor of odd spin curves with non-reduced support:
     (g+8) lambda - (g+2)/4 alpha_0 - 2 beta_0 - sum 2(g-i) alpha_i - sum 2i beta_i.
     """
+    require_int("g", g)
     if g < 3:
         raise PreconditionError("the degenerate-theta divisor class needs g >= 3")
     out = {

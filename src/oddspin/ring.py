@@ -59,7 +59,7 @@ from operator import add, mul
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .record import Record, set_field
-from .scalars import ZERO, format_scalar, over_lcm, ratio, render_terms
+from .scalars import ZERO, format_scalar, over_lcm, ratio, render_terms, require_int
 
 JACOBIAN = "jacobian"
 SURFACE = "surface"
@@ -362,6 +362,8 @@ class RingElem(Record):
 
 def preset_jacobian_product(g: int, d: int, r: int) -> RingPreset:
     """Cohomology preset for curve x Pic^d with a rank r+1 tautological bundle."""
+    for name, given in zip("gdr", (g, d, r)):
+        require_int(name, given)
     if g < 1 or d < 0 or r < 0:
         raise PreconditionError(
             f"jacobian preset needs g >= 1, d >= 0, r >= 0 (got g={g}, d={d}, r={r})"
@@ -380,6 +382,7 @@ def preset_jacobian_product(g: int, d: int, r: int) -> RingPreset:
 
 def preset_surface_product(g: int) -> RingPreset:
     """Cohomology preset for the self-product of a genus-g curve."""
+    require_int("g", g)
     if g < 2:
         raise PreconditionError(f"surface preset needs g >= 2 (got g={g})")
     return RingPreset(
@@ -394,6 +397,7 @@ def preset_surface_product(g: int) -> RingPreset:
 
 def preset_universal_curve(g: int) -> RingPreset:
     """Preset for the universal curve: omega over the Hodge class lambda."""
+    require_int("g", g)
     if g < 2:
         raise PreconditionError(f"universal-curve preset needs g >= 2 (got g={g})")
     return RingPreset(

@@ -95,8 +95,8 @@ def test_criterion_03_intermediate_golden_checks():
     c1, c2, c3, c4 = (preset.gen(f"c{i}") for i in range(1, 5))
     jet = jet_bundle_inverse_chern(preset, 11, 14)
     assert jet == 1 + 48 * eta + 2 * gamma - 6 * eta * theta
-    # side(X) internally re-derives the locus through the jet series and
-    # hard-asserts; compare against the recorded degree-4 form here as well
+    # side(X) derives the locus from the jet series; this is the oracle for
+    # its degree-4 form
     assert side(SIDE_X).locus == c4 - 6 * eta * theta * c2 + (48 * eta + 2 * gamma) * c3
     payload = json.loads(
         run_command(["d12", "run", "--dump-intermediates", "--format", "json"]).stdout

@@ -1,8 +1,20 @@
-"""The library never constructs a floating-point value."""
+"""The library never constructs a floating-point value, and takes a genus,
+rank, degree or index only as an int."""
 import ast
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import oddspin
+from oddspin.errors import PreconditionError
+from oddspin.numerics import boundary_degrees, mukai_profile, rho, theta_counts
+from oddspin.picard import canonical_class, moduli_basis, spin_basis, zg_class
+from oddspin.ring import (
+    preset_jacobian_product,
+    preset_surface_product,
+    preset_universal_curve,
+)
 
 FLOAT_MATH = {"sqrt", "log", "exp"}
 
@@ -33,3 +45,39 @@ def test_no_floating_point_in_the_library():
         for line, what in _float_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+# (function, valid arguments, index of the argument replaced by a non-int 7)
+INT_GATED = [
+    (rho, (7, 7, 7), 0),
+    (rho, (7, 7, 7), 1),
+    (rho, (7, 7, 7), 2),
+    (theta_counts, (7,), 0),
+    (boundary_degrees, (7, 3), 0),
+    (boundary_degrees, (14, 7), 1),
+    (mukai_profile, (7,), 0),
+    (preset_jacobian_product, (7, 7, 7), 0),
+    (preset_jacobian_product, (7, 7, 7), 1),
+    (preset_jacobian_product, (7, 7, 7), 2),
+    (preset_surface_product, (7,), 0),
+    (preset_universal_curve, (7,), 0),
+    (spin_basis, (7,), 0),
+    (moduli_basis, (7,), 0),
+    (canonical_class, ("spin", 7), 1),
+    (canonical_class, ("moduli", 7), 1),
+    (zg_class, (7,), 0),
+]
+
+
+@pytest.mark.parametrize("function,args,slot", INT_GATED,
+                         ids=[f"{f.__name__}-{'-'.join(map(str, args))}-arg{slot}"
+                              for f, args, slot in INT_GATED])
+def test_library_boundary_takes_only_ints(function, args, slot):
+    # the int call runs first, so a memo that keys 7.0 or Fraction(7) as 7
+    # would hand back the cached value instead of refusing
+    function(*args)
+    for bad in (7.0, Fraction(7), True, "7"):
+        given = list(args)
+        given[slot] = bad
+        with pytest.raises(PreconditionError, match="must be an int"):
+            function(*given)

@@ -268,39 +268,21 @@ def test_a_cold_d12_integrates_24_schur_shapes(fresh_pipeline, monkeypatch):
     assert len(set().union(*seen)) == 24
 
 
-def test_a_cold_pipeline_makes_at_most_40_powers(fresh_pipeline, monkeypatch, fraction_builds):
+def test_a_cold_pipeline_makes_at_most_12_powers(fresh_pipeline, monkeypatch, fraction_builds):
     # at e4b4516 a cold d12_coefficients() made 134 RingElem.__pow__ calls,
     # each image power of the h^1 = 1 rewrite once per term, and built 619
     # Fractions, most of them the Fraction view of the classes the
     # evaluators and the kernel split read; the Fraction bound here is a
-    # tenth of that
+    # tenth of that.  The power bound is exact (side derives each locus
+    # once and compares it with no typed-in copy); the Fraction count
+    # varies with the Python version, so its bound keeps the old headroom
     powers = []
     power = RingElem.__pow__
     monkeypatch.setattr(RingElem, "__pow__", lambda self, n: powers.append(n) or power(self, n))
     with fraction_builds() as built:
         assert d12_coefficients() == (13245, 1926, 9867)
-    assert len(powers) <= 40
+    assert len(powers) <= 12
     assert len(built) <= 62
-
-
-def _perturbed_recorded_locus(monkeypatch):
-    recorded = genus12._recorded
-
-    def perturbed(name):
-        source, bundle, quotient_c1, locus, kfree = recorded(name)
-        return source, bundle, quotient_c1, locus + context().preset.gen("c4"), kfree
-
-    monkeypatch.setattr(genus12, "_recorded", perturbed)
-
-
-def _perturbed_kfree_reference(monkeypatch):
-    recorded = genus12._recorded
-
-    def perturbed(name):
-        source, bundle, quotient_c1, locus, kfree = recorded(name)
-        return source, bundle, quotient_c1, locus, kfree + context().preset.gen("c3")
-
-    monkeypatch.setattr(genus12, "_recorded", perturbed)
 
 
 def _perturbed_evaluator_agreement(monkeypatch):
@@ -310,10 +292,8 @@ def _perturbed_evaluator_agreement(monkeypatch):
 
 
 @pytest.mark.parametrize("perturb,message", [
-    (_perturbed_recorded_locus, "recorded degree-4 form"),
-    (_perturbed_kfree_reference, "recorded polynomial"),
     (_perturbed_evaluator_agreement, "evaluators disagree"),
-], ids=["recorded_locus", "kfree_reference", "evaluator_agreement"])
+], ids=["evaluator_agreement"])
 def test_pipeline_hard_checks_fire(fresh_pipeline, monkeypatch, perturb, message):
     perturb(monkeypatch)
     with pytest.raises(InternalCheckError, match=message):
