@@ -53,11 +53,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
 from .numerics import rho
-from .record import Record
+from .record import Record, memo
 from .ring import (
     JACOBIAN,
     RingElem,
@@ -111,22 +110,20 @@ def _vertical_strips(shape: Shape, k: int) -> list[Shape]:
                 for i, part in enumerate(shape) if i == 0 or shape[i - 1] > part]
     rows = len(shape)
     out: list[Shape] = []
-
-    def extend(i: int, left: int, grown: list[int]) -> None:
+    todo = [(0, k, ())]  # (next row, boxes left, the rows before it), depth first
+    while todo:
+        i, left, grown = todo.pop()
         if left == 0:
-            out.append(tuple(grown) + shape[i:])
-            return
-        if rows - i < left:
-            return
-        extend(i + 1, left, grown + [shape[i]])
-        if i == 0 or grown[i - 1] > shape[i]:
-            extend(i + 1, left - 1, grown + [shape[i] + 1])
-
-    extend(0, k, [])
+            out.append(grown + shape[i:])
+        elif rows - i >= left:
+            part = shape[i]
+            if i == 0 or grown[-1] > part:
+                todo.append((i + 1, left - 1, grown + (part + 1,)))
+            todo.append((i + 1, left, grown + (part,)))  # popped first
     return out
 
 
-@lru_cache(maxsize=1024)
+@memo
 def _schur_expansion(rows: int, exponents: tuple[int, ...]) -> tuple[tuple[Shape, int], ...]:
     """prod_k e_k^{m_k} in Schur functions of ``rows`` variables, with
     ``exponents`` = (m_1, m_2, ...): ((shape, multiplicity), ...).
@@ -256,7 +253,7 @@ def point_pair_inverse_chern(preset: RingPreset, line_degree: int) -> RingElem:
     return geometric_series(line_degree * eta + gamma) * (preset.one() - eta)
 
 
-@lru_cache(maxsize=16)  # bounded; genus12.side and restrict_to_locus share one derivation
+@memo
 def degeneracy_classes(ctx: BNContext, source: RingElem) -> tuple[RingElem, RingElem]:
     """(locus class, kernel push-down) of the degeneracy locus of a morphism
     from a rank-2 source bundle, given by its inverse total Chern series

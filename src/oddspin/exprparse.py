@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .errors import ExprSyntaxError, PreconditionError
 from .picard import DivisorClass, PicBasis
+from .record import memo
 from .ring import RingElem, RingPreset
 from .scalars import ZERO, digit_limit
 
@@ -208,7 +209,7 @@ def _run(expr: Expr, leaf, power, product, total):
     return stack.pop()
 
 
-@functools.cache
+@memo
 def _bits_of_power_of_ten(limit: int) -> int:
     """The bit length of 10^limit, computed once per digit limit."""
     return (10 ** limit).bit_length()

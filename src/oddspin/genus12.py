@@ -17,7 +17,6 @@ degrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .bn import (
     bn_context,
@@ -31,7 +30,7 @@ from .bn import (
 )
 from .errors import InternalCheckError, PreconditionError
 from .picard import DivisorClass, moduli_basis, test_curve
-from .record import Record
+from .record import Record, memo
 from .ring import RingElem
 from .scalars import format_scalar
 
@@ -43,7 +42,7 @@ SIDE_X = "X"
 SIDE_Y = "Y"
 
 
-@lru_cache(maxsize=None)
+@memo
 def context():
     return bn_context(CURVE_GENUS, BUNDLE_RANK_INDEX, LINE_DEGREE)
 
@@ -127,7 +126,7 @@ def _recorded(name: str) -> tuple[RingElem, BundleChern, RingElem]:
     raise PreconditionError(f"unknown side {name!r}; expected 'X' or 'Y'")
 
 
-@lru_cache(maxsize=2)
+@memo
 def side(name: str) -> Side:
     """One side of the pipeline, once its evaluators agree.
 
@@ -161,7 +160,7 @@ def side(name: str) -> Side:
     return Side(source, bundle, quotient_c1, locus, integrand, total)
 
 
-@lru_cache(maxsize=None)
+@memo
 def d12_coefficients() -> tuple[Fraction, Fraction, Fraction]:
     """(a, b0, b1) of the genus-12 divisor a*lambda - b0*delta_0 - b1*delta_1 - ...
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     BasisMismatchError,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .linalg import solve_linear, solve_over_lcm
 from .numerics import boundary_degrees, theta_counts
-from .record import Record, set_field
+from .record import Record, memo, set_field
 from .ring import integrate, preset_universal_curve
 from .scalars import (
     ZERO, format_ratio, format_scalar, over_lcm, ratio, render_terms, require_int,
@@ -71,8 +70,7 @@ class PicBasis(Record):
         return tuple([(j, p) for j, p in pairs if p]), den
 
 
-# bounded; 64 bases hold a solve-zg sweep over g = 3..40, each built once
-@lru_cache(maxsize=64)
+@memo
 def spin_basis(g: int) -> PicBasis:
     require_int("g", g)
     if g < 3:
@@ -84,7 +82,7 @@ def spin_basis(g: int) -> PicBasis:
     return PicBasis(SPIN, g, names)
 
 
-@lru_cache(maxsize=64)
+@memo
 def moduli_basis(g: int) -> PicBasis:
     require_int("g", g)
     if g < 3:
@@ -217,23 +215,6 @@ class TestCurve(Record):
         return tuple(f"{self.name}:{gen}" for gen in self.assumed_zero)
 
 
-def _pairing_row(name: str, basis: PicBasis, mapping: Mapping[str, object]) -> dict[int, int]:
-    """Pairings by generator name as {basis index: int}, the nonzero ones in
-    basis order.  Every name is looked up, as in ``PicBasis.entries``, but
-    no common denominator is taken: a curve meets every divisor in an
-    integer, so a non-integer is refused."""
-    row = []
-    for gen, value in mapping.items():
-        j = basis.index(gen)
-        if type(value) is not int:
-            value, den = ratio(value)
-            if den != 1:
-                raise PreconditionError(f"test curve {name} has a non-integer pairing")
-        if value:
-            row.append((j, value))
-    return dict(sorted(row))
-
-
 def pair(t: TestCurve, c: DivisorClass) -> Fraction:
     """Exact intersection pairing (dot product over the common basis)."""
     if t.basis != c.basis:
@@ -282,9 +263,7 @@ def pushforward(g: int, c: DivisorClass) -> DivisorClass:
 # Named divisor classes
 # ---------------------------------------------------------------------------
 
-# bounded like the bases; a class is immutable, so one build and one check
-# of the identity below serve every caller
-@lru_cache(maxsize=64, typed=True)
+@memo
 def canonical_class(space: str, g: int) -> DivisorClass:
     """Canonical class of the chosen moduli space.
 
@@ -331,9 +310,7 @@ def degenerate_theta_lambda_coefficient(g: int) -> Fraction:
     return integrate(integrand)
 
 
-# bounded like canonical_class: solve-zg, cert --aux bn and push --class zg
-# all read it, and one build serves them
-@lru_cache(maxsize=64)
+@memo
 def zg_class(g: int) -> DivisorClass:
     """Class of the divisor of odd spin curves with non-reduced support:
     (g+8) lambda - (g+2)/4 alpha_0 - 2 beta_0 - sum 2(g-i) alpha_i - sum 2i beta_i.
@@ -427,20 +404,24 @@ def test_curve(name: str, g: int, i: int | None = None) -> TestCurve:
     key = "H0" if name == "H" else name
     if key not in TEST_CURVES:
         raise PreconditionError(f"unknown test curve {name!r}")
-    label, basis, row, assumed = _curve_row(key, g, i)
-    return TestCurve(label, basis, tuple(row.items()), assumed)
+    return TestCurve(*_curve_row(key, g, i))
 
 
 def _curve_row(key: str, g: int, i: int | None = None):
-    """The ``TEST_CURVES`` entry ``key`` in genus g (family index i) as its
-    name, basis, ``_pairing_row`` and assumed-zero generators: the one
-    reading of the table, so ``solve_zg`` builds no ``TestCurve`` per row."""
+    """The ``TEST_CURVES`` entry ``key`` in genus g (family index i) as the
+    fields of its ``TestCurve``: the one reading of the table, so
+    ``solve_zg`` builds no ``TestCurve`` per row.  The pairings are read by
+    ``PicBasis.entries``; a curve meets every divisor in an integer, so a
+    common denominator other than 1 is refused."""
     build_basis, pairing_rule, assumed_rule = TEST_CURVES[key]
     basis = build_basis(g)
     label = key if i is None else f"{key}{i}"
     pairings = pairing_rule(g) if i is None else pairing_rule(g, i)
     assumed = assumed_rule(basis, pairings) if assumed_rule else ()
-    return label, basis, _pairing_row(label, basis, pairings), assumed
+    row, den = basis.entries(pairings)
+    if den != 1:
+        raise PreconditionError(f"test curve {label} has a non-integer pairing")
+    return label, basis, row, assumed
 
 
 class ThetaPencilProfile(Record):
@@ -510,7 +491,7 @@ def solve_zg(g: int) -> ZgSolveReport:
                for key, value in (("F0", 0), ("G0", 0), ("H0", 2 * (g - 2)))]
     for key, i, value, kind in curves:
         label, _, row, assumed = _curve_row(key, g, i)
-        system.append((row, value, kind + label))
+        system.append((dict(row), value, kind + label))
         assumptions.extend([f"{label}:{gen}" for gen in assumed])
     rows, rhs, labels = zip(*system)
 

@@ -1,8 +1,9 @@
-"""Immutable value records without generated code.
+"""Immutable value records without generated code, and the one memo policy.
 
 A record lists its fields in ``__slots__``; a slot whose name starts with
 ``_`` is a private cache, outside construction, equality, hash and repr.
 """
+from functools import lru_cache
 from operator import attrgetter
 
 # writes one field of a record under construction; records refuse setattr
@@ -45,3 +46,24 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+
+MEMOS = []  # every function declared with ``memo``, in declaration order
+
+
+def memo(fn):
+    """``fn`` memoised in C and listed in ``MEMOS``: the one memo policy.
+    Callers share a returned value, so it is immutable.  Keys are typed:
+    7.0, Fraction(7) and True miss the entry of 7 and reach the int gate.
+    A sweep, a side or an evaluation reads one basis, class or Schur
+    expansion many times.  One pass of a bench workload or of the golden
+    corpus leaves at most 56 entries in a memo; the bound of 64 counts
+    entries, not bytes."""
+    cached = lru_cache(maxsize=64, typed=True)(fn)
+    MEMOS.append(cached)
+    return cached
+
+
+def clear_memos() -> None:
+    for cached in MEMOS:
+        cached.cache_clear()

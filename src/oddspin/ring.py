@@ -51,14 +51,13 @@ Integration, fixed once for the whole package, is one rule: a preset's
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, mul
 
 from .errors import PreconditionError, PresetMismatchError, RingDomainError
-from .record import Record, set_field
+from .record import Record, memo, set_field
 from .scalars import ZERO, format_scalar, over_lcm, ratio, render_terms, require_int
 
 JACOBIAN = "jacobian"
@@ -205,7 +204,7 @@ def _normalize(preset: RingPreset, left: Iterable[tuple[Monomial, int]],
     return acc
 
 
-@functools.cache
+@memo
 def _unit(size: int) -> tuple[tuple[Monomial, int]]:
     """The one term of 1: the kernel's right operand for a single factor."""
     return (((0,) * size, 1),)

@@ -37,8 +37,7 @@ def ratio(value) -> tuple[int, int]:
 
 def require_int(name: str, value) -> None:
     """Refuse a ``value`` whose type is not int (a bool, float, Fraction or
-    str) with PreconditionError: the one gate for a genus, rank, degree or
-    index, ahead of any cache that keys ``7.0`` and ``Fraction(7)`` as 7."""
+    str) with PreconditionError: the one gate for a genus, rank, degree or index."""
     if type(value) is not int:
         raise PreconditionError(f"{name} must be an int, got {value!r}")
 

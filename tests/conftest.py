@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from oddspin.record import MEMOS, clear_memos
+
 
 @pytest.fixture
 def fraction_builds(monkeypatch):
@@ -29,3 +31,11 @@ def fraction_builds(monkeypatch):
             yield built
 
     return counting
+
+
+@pytest.fixture
+def cold_memos():
+    """Every memo empty around the test; yields each memo's cache_info by name."""
+    clear_memos()
+    yield lambda: {cached.__name__: cached.cache_info() for cached in MEMOS}
+    clear_memos()

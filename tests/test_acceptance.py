@@ -7,6 +7,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,3 +303,16 @@ def test_criterion_13_property_suites():
     argv2 = ["cert", "--g", "14", "--aux", "bn", "--format", "json"]
     assert run_command(argv2).stdout.encode() == run_command(argv2).stdout.encode()
     report(13, "confluence, linearity, parser round-trip, byte-stable JSON")
+
+
+def test_the_readme_library_example_states_its_values():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    *lines, last = block.split("```", 1)[0].strip().splitlines()
+    scope = {}
+    exec("\n".join(lines), scope)
+    assert (scope["a"], scope["b0"], scope["b1"]) == (13245, 1926, 9867)
+    assert scope["report"].slope == Fraction(4415, 642)
+    assert str(scope["down"]) == "308*lambda - 32*delta0 - 76*delta1"
+    assert scope["mu"] == Fraction(1, 7)
+    assert eval(last, scope) == 332640  # the block ends on the value it shows

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -20,6 +21,7 @@ from oddspin.bn import (
 from oddspin.errors import PreconditionError, PresetMismatchError, RingDomainError
 
 from oddspin.genus12 import SIDE_X, side
+from oddspin.record import clear_memos
 from oddspin.ring import RingElem, RingPreset, preset_jacobian_product, preset_surface_product
 
 from oracles import (
@@ -304,22 +306,20 @@ def test_the_recursion_does_no_ring_arithmetic(ctx, jet, monkeypatch, fraction_b
                         (RingPreset, "element"), (RingPreset, "weighted_sum")):
         monkeypatch.setattr(owner, name, lambda *args, _name=name, _call=getattr(owner, name):
                             calls.append(_name) or _call(*args))
-    bn._schur_expansion.cache_clear()
+    clear_memos()
     for _ in range(2):  # cold, then warm
         with fraction_builds() as built:
             assert evaluate_taut_recursion(ctx, ambient) == 197340
         assert calls == [] and len(built) == 1
 
 
-def test_a_c1_power_fills_one_schur_memo_entry_through_both_evaluators(ctx):
+def test_a_c1_power_fills_one_schur_memo_entry_through_both_evaluators(ctx, cold_memos):
     # the rewrite keys a pure c_1 power as (p, 0, ..., 0), the key
     # evaluate_taut reads off the monomial, so one expansion serves both
     eta_c1 = ctx.preset.gen("eta") * ctx.preset.gen("c1") ** ctx.rho
-    bn._schur_expansion.cache_clear()
     assert evaluate_taut(ctx, eta_c1) == evaluate_taut_recursion(ctx, eta_c1)
-    info = bn._schur_expansion.cache_info()
+    info = cold_memos()["_schur_expansion"]
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    bn._schur_expansion.cache_clear()
 
 
 # -- the two evaluators -----------------------------------------------------
@@ -470,17 +470,24 @@ def test_values_do_not_depend_on_what_the_schur_memo_holds(case):
     ctx, integrands = case
     values = [evaluate_taut(ctx, elem) for elem in integrands]
     for elem, value in zip(integrands, values):
-        bn._schur_expansion.cache_clear()
+        clear_memos()
         assert evaluate_taut(ctx, elem) == value == root_expansion_value(ctx, elem)
 
 
-def test_the_schur_memo_is_bounded():
-    bn._schur_expansion.cache_clear()
-    for m in range(1100):
-        bn._schur_expansion(1, (0,) * m)
-    info = bn._schur_expansion.cache_info()
-    assert info.maxsize == 1024 and info.currsize == 1024
-    bn._schur_expansion.cache_clear()
+def test_vertical_strips_match_every_0_1_row_vector():
+    # the brute force adds a 0/1 vector to the rows and keeps the partitions
+    for rows in range(1, 6):
+        for shape in itertools.combinations_with_replacement(range(3, -1, -1), rows):
+            for k in range(1, 6):
+                brute = [tuple(map(sum, zip(shape, v)))
+                         for v in itertools.product((0, 1), repeat=rows) if sum(v) == k]
+                expected = [s for s in brute if list(s) == sorted(s, reverse=True)]
+                assert sorted(bn._vertical_strips(shape, k)) == sorted(expected)
+
+
+def test_vertical_strips_need_no_recursion_for_many_rows():
+    # one recursive call per row passed the default recursion limit near 1000
+    assert bn._vertical_strips((0,) * 3000, 2) == [(1, 1) + (0,) * 2998]
 
 
 def _partitions(n, parts, largest=None):

@@ -238,22 +238,7 @@ def test_elliptic_pencil_relation():
 
 # -- the pipeline's hard checks ---------------------------------------------
 
-def _clear_pipeline_caches():
-    for cached in (side, d12_coefficients, bn.degeneracy_classes, bn._schur_expansion):
-        cached.cache_clear()
-
-
-@pytest.fixture
-def fresh_pipeline():
-    """Empty every pipeline cache and the Schur expansion memo before and
-    after the test, so a perturbed check runs now on fresh expansions and
-    the good values are recomputed afterwards."""
-    _clear_pipeline_caches()
-    yield
-    _clear_pipeline_caches()
-
-
-def test_a_cold_d12_integrates_24_schur_shapes(fresh_pipeline, monkeypatch):
+def test_a_cold_d12_integrates_24_schur_shapes(cold_memos, monkeypatch):
     # each side integrates its ambient class (19 shapes) and then its h^1 = 1
     # rewrite (12: the Pieri shapes of c1^n, n <= 4), each shape in closed
     # form; both sides share one context, so 24 shapes in all
@@ -268,7 +253,7 @@ def test_a_cold_d12_integrates_24_schur_shapes(fresh_pipeline, monkeypatch):
     assert len(set().union(*seen)) == 24
 
 
-def test_a_cold_pipeline_makes_at_most_12_powers(fresh_pipeline, monkeypatch, fraction_builds):
+def test_a_cold_pipeline_makes_at_most_12_powers(cold_memos, monkeypatch, fraction_builds):
     # at e4b4516 a cold d12_coefficients() made 134 RingElem.__pow__ calls,
     # each image power of the h^1 = 1 rewrite once per term, and built 619
     # Fractions, most of them the Fraction view of the classes the
@@ -294,7 +279,7 @@ def _perturbed_evaluator_agreement(monkeypatch):
 @pytest.mark.parametrize("perturb,message", [
     (_perturbed_evaluator_agreement, "evaluators disagree"),
 ], ids=["evaluator_agreement"])
-def test_pipeline_hard_checks_fire(fresh_pipeline, monkeypatch, perturb, message):
+def test_pipeline_hard_checks_fire(cold_memos, monkeypatch, perturb, message):
     perturb(monkeypatch)
     with pytest.raises(InternalCheckError, match=message):
         d12_coefficients()

@@ -71,10 +71,9 @@ def test_canonical_class_branch_relation():
         assert spin_k == pullback(g, canonical_class(MODULI, g)) + branch
 
 
-def test_canonical_class_is_built_and_checked_once_per_genus(monkeypatch):
+def test_canonical_class_is_built_and_checked_once_per_genus(monkeypatch, cold_memos):
     from oddspin.cli import run_command
 
-    canonical_class.cache_clear()
     checked = []
     unchecked_pullback = picard.pullback
 

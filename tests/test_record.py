@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -5,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from oddspin import cli, picard
+from oddspin import bn, cli, picard
 from oddspin.numerics import MukaiProfile, SpinCounts
 from oddspin.picard import PicBasis, moduli_basis, solve_zg, spin_basis
-from oddspin.record import Record
+from oddspin.record import MEMOS, Record
 from oddspin.ring import RingElem, RingPreset, preset_jacobian_product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,9 +96,27 @@ def test_traced_methods_stay_in_their_class_dict():
     assert "element" in RingPreset.__dict__
 
 
-def test_a_solve_zg_sweep_builds_each_basis_once():
-    spin_basis.cache_clear()
+def test_a_solve_zg_sweep_builds_each_basis_once(cold_memos):
     for g in range(3, 13):
         solve_zg(g)
         assert picard.test_curve("F", g, 1).basis is spin_basis(g)
-    assert spin_basis.cache_info().misses == 10
+    assert cold_memos()["spin_basis"].misses == 10
+
+
+def test_every_memo_is_a_record_memo_with_one_bound_and_typed_keys(cold_memos):
+    uses, declared = [], set()
+    for path in sorted(SRC.joinpath("oddspin").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = f"{path.stem}.{getattr(top, 'name', '')}"
+            uses += [name for node in ast.walk(top)
+                     if getattr(node, "id", getattr(node, "attr", "")) in ("lru_cache", "cache")]
+            if "memo" in map(ast.unparse, getattr(top, "decorator_list", ())):
+                declared.add(name)
+    # the per-call operand cache of one expression run is the one other cache
+    assert sorted(uses) == ["exprparse._run", "record.memo"]
+    assert len(declared) == len(MEMOS) == 11
+    assert {f"{m.__module__}.{m.__name__}" for m in MEMOS} == {f"oddspin.{d}" for d in declared}
+    assert all(m.cache_parameters() == {"maxsize": 64, "typed": True} for m in MEMOS)
+    for m in range(100):
+        bn._schur_expansion(1, (0,) * m)
+    assert cold_memos()["_schur_expansion"].currsize == 64
