@@ -21,7 +21,10 @@ left-to-right pass over the tokens writes a postfix program, after
 Dijkstra's operator-precedence ("shunting-yard") idea, with each literal
 as a pair of ints in lowest terms; one stack machine runs that program
 over either algebra, ring elements or (constant, divisor class) pairs.
-Each run of '+'/'-' terms is one step that sums all of its terms at once.
+A parenthesised sum, or the whole input, whose every term is a literal, a
+name or a literal times a name is one ``lin`` step, which each algebra
+builds in one accumulation of ints over the lcm of its denominators; any
+other run of '+'/'-' terms is one step that sums all of its terms at once.
 """
 from __future__ import annotations
 
@@ -87,7 +90,9 @@ class Expr:
     ``num`` pushes a (numerator, positive denominator) pair in lowest terms
     and ``name`` a generator; ``^`` raises the top operand to the integer
     ``value``; ``*`` multiplies the top two; ``+`` replaces the top
-    ``len(value)`` operands by their sum, each with its sign in ``value``.
+    ``len(value)`` operands by their sum, each with its sign in ``value``;
+    ``lin`` pushes the sum of its (signed numerator, denominator, name or
+    None, offset) terms, a constant term where the name is None.
     """
 
     __slots__ = ("steps",)
@@ -119,9 +124,26 @@ def _rational(tokens: list[Token], i: int, steps: list) -> int:
     return i + 3
 
 
-def _sum_step(signs: list[int], pos: int, steps: list) -> None:
-    if len(signs) > 1:
-        steps.append(("+", tuple(signs), pos))
+def _sum_step(frame: list, pos: int, steps: list) -> None:
+    """Close ``frame``'s group: a program of two or more steps whose terms are
+    each a literal, a name or a literal times a name becomes one ``lin`` step;
+    otherwise two or more terms end with one '+' step."""
+    signs, _, starts = frame
+    end, terms = len(steps), []
+    for sign, start, stop in zip(signs, starts, starts[1:] + [end]):
+        kind, value, at = steps[start]
+        if stop - start == 3 and kind == "num" and (
+                steps[start + 1][0], steps[start + 2][0]) == ("name", "*"):
+            _, name, at = steps[start + 1]
+        elif stop - start == 1 and kind in ("num", "name"):
+            name, value = (None, value) if kind == "num" else (value, (1, 1))
+        else:
+            if len(signs) > 1:
+                steps.append(("+", tuple(signs), pos))
+            return
+        terms.append((sign * value[0], value[1], name, at))
+    if end - starts[0] > 1:
+        steps[starts[0]:] = [("lin", tuple(terms), pos)]
 
 
 def parse_expression(text: str, context) -> Expr:
@@ -130,15 +152,15 @@ def parse_expression(text: str, context) -> Expr:
         raise PreconditionError("context must be a RingPreset or a PicBasis")
     tokens = tokenize(text)
     steps: list = []
-    # one frame per open group: the signs of its terms so far, and the offset
-    # of a '*' whose right factor is still being read (None when none is)
-    frames = [[[1], None]]
+    # one frame per open group: the signs and first step indices of its terms so
+    # far, and the offset of a '*' whose right factor is still being read, or None
+    frames = [[[1], None, [0]]]
     i = 0
     while True:
         # operand state: a group opens, or an atom is read
         kind, word, pos = tokens[i]
         if kind == "(":
-            frames.append([[1], None])
+            frames.append([[1], None, [len(steps)]])
             i += 1
             continue
         if kind == "name":
@@ -164,12 +186,13 @@ def parse_expression(text: str, context) -> Expr:
             kind, word, pos = tokens[i]
             if kind != ")" or len(frames) == 1:
                 break
-            _sum_step(frames.pop()[0], pos, steps)
+            _sum_step(frames.pop(), pos, steps)
             i += 1
         if kind == "*":
             frame[1] = pos
         elif kind in ("+", "-"):
             frame[0].append(1 if kind == "+" else -1)
+            frame[2].append(len(steps))
         elif len(frames) > 1:
             raise ExprSyntaxError("unbalanced parentheses: expected ')'", pos)
         elif kind == "end":
@@ -177,10 +200,10 @@ def parse_expression(text: str, context) -> Expr:
         else:
             raise ExprSyntaxError(f"unexpected trailing input {word!r}", pos)
         i += 1
-    _sum_step(frames[0][0], pos, steps)
+    _sum_step(frames[0], pos, steps)
     # names are checked once the whole input has parsed, in textual order, so
     # a syntax error anywhere wins over an unknown name before it
-    for kind, name, pos in steps:
+    for kind, name, pos in tokens:
         if kind == "name" and name not in context.names:
             raise ExprSyntaxError(f"unknown name {name!r} in {context.label}", pos)
     return Expr(steps)
@@ -234,21 +257,29 @@ def expr_to_ring(expr: Expr, preset: RingPreset) -> RingElem:
     def leaf(kind: str, value) -> RingElem:
         if kind == "name":
             return preset.gen(value)
-        # a literal in lowest terms is a canonical constant element
-        return RingElem(preset, ((constant, value[0]),), value[1]) if value[0] else preset.zero()
+        # a literal or a linear sum: 1 and a lone generator are in normal form,
+        # so it is one accumulation of ints by monomial over one denominator
+        terms = value if kind == "lin" else [(*value, None, None)]
+        den, acc = math.lcm(*[d for _, d, _, _ in terms]), {}
+        for num, d, name, _ in terms:
+            mono = constant if name is None else preset.monomial(name)
+            acc[mono] = acc.get(mono, 0) + num * (den // d)
+        return RingElem.reduced(preset, {m: n for m, n in acc.items() if n}, den)
 
     def power(base: RingElem, exponent: int, pos: int) -> RingElem:
-        terms = base.numerators
-        if len(terms) == 1:  # the coefficient is raised unless the monomial's power drops
-            mono, numerator = terms[0]
-            if (RingElem(preset, ((mono, 1),), 1) ** exponent).is_zero():
-                numerator = 0
-        else:
+        terms, den = base.numerators, base.denominator
+        if len(terms) != 1:
             # every generator has positive degree, so the constant term of
             # the power is exactly the power of the base's constant term (the last)
-            numerator = dict(terms[-1:]).get(constant, 0)
-        _refuse_oversized_power(numerator, base.denominator, exponent, pos)
-        return base ** exponent
+            _refuse_oversized_power(dict(terms[-1:]).get(constant, 0), den, exponent, pos)
+            return base ** exponent
+        # the monomial is raised once; the coefficient only unless it drops
+        (mono, numerator), = terms
+        raised = RingElem(preset, ((mono, 1),), 1) ** exponent
+        if raised.is_zero():
+            return raised
+        _refuse_oversized_power(numerator, den, exponent, pos)
+        return raised.scaled(numerator ** exponent, den ** exponent)
 
     return _run(expr, leaf, power, lambda left, right, pos: left * right, preset.weighted_sum)
 
@@ -259,9 +290,15 @@ def expr_to_class(expr: Expr, basis: PicBasis) -> DivisorClass:
 
     # operands are (constant part, class part) pairs
     def leaf(kind: str, value) -> tuple[Fraction, DivisorClass]:
-        if kind == "num":
-            return Fraction(*value), zero
-        return ZERO, DivisorClass.from_mapping(basis, {value: 1})
+        if kind == "name":
+            return ZERO, DivisorClass.from_mapping(basis, {value: 1})
+        # a literal or a linear sum: ints over one denominator, the constant's last
+        terms = value if kind == "lin" else [(*value, None, None)]
+        den, acc = math.lcm(*[d for _, d, _, _ in terms]), [0] * (len(basis.names) + 1)
+        for num, d, name, _ in terms:
+            acc[-1 if name is None else basis.index(name)] += num * (den // d)
+        const = acc.pop()
+        return (Fraction(const, den) if const else ZERO), DivisorClass.reduced(basis, acc, den)
 
     def power(base, exponent: int, pos: int):
         const, cls = base

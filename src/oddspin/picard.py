@@ -64,10 +64,18 @@ class PicBasis(Record):
     def entries(self, mapping: Mapping[str, object]) -> tuple[tuple[tuple[int, int], ...], int]:
         """Int or Fraction coefficients by generator name as (basis index,
         numerator) pairs over one denominator (``scalars.over_lcm``): the
-        nonzero numerators only, in basis order."""
-        numerators, den = over_lcm(mapping.values())
-        pairs = sorted(zip(map(self.index, mapping), numerators))
-        return tuple([(j, p) for j, p in pairs if p]), den
+        nonzero numerators only, in basis order.  Every name is looked up,
+        zero-valued ones too; an all-int mapping skips ``over_lcm``."""
+        values, den = mapping.values(), 1
+        if not {int}.issuperset(map(type, values)):
+            values, den = over_lcm(values)
+        pairs = []
+        for name, value in zip(mapping, values):
+            j = self.index(name)
+            if value:
+                pairs.append((j, value))
+        pairs.sort()
+        return tuple(pairs), den
 
 
 @memo

@@ -121,10 +121,14 @@ class RingPreset(Record):
     def one(self) -> "RingElem":
         return RingElem(self, (((0,) * len(self.names), 1),), 1)
 
-    def gen(self, name: str) -> "RingElem":
+    def monomial(self, name: str) -> Monomial:
+        """The exponent vector of the generator ``name``."""
         mono = [0] * len(self.names)
         mono[self.index(name)] = 1
-        return RingElem(self, ((tuple(mono), 1),), 1)
+        return tuple(mono)
+
+    def gen(self, name: str) -> "RingElem":
+        return RingElem(self, ((self.monomial(name), 1),), 1)
 
     def element(self, terms: Mapping[Monomial, object]) -> "RingElem":
         """The element with the given int or Fraction coefficients."""
@@ -246,6 +250,7 @@ class RingElem(Record):
     __slots__ = ("preset", "numerators", "denominator")
 
     reduced = staticmethod(_reduced)  # sum(acc) / den in canonical form
+    scaled = _scaled  # self * num / den for a positive den
 
     def __init__(self, preset: RingPreset, numerators: tuple[tuple[Monomial, int], ...],
                  denominator: int):

@@ -7,14 +7,22 @@ from hypothesis import strategies as st
 
 from oddspin.errors import ExprSyntaxError, PreconditionError
 from oddspin.exprparse import expr_to_class, expr_to_ring, parse_expression
-from oddspin.picard import DivisorClass, moduli_basis, spin_basis
+from oddspin.picard import DivisorClass, PicBasis, moduli_basis, spin_basis
 from oddspin.ring import (
     RingElem,
+    RingPreset,
     preset_jacobian_product,
     preset_surface_product,
     preset_universal_curve,
 )
-from oracles import model_add, model_mul, model_normalize, model_pow, model_terms
+from oracles import (
+    model_add,
+    model_mul,
+    model_normalize,
+    model_pow,
+    model_scale,
+    model_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +57,15 @@ def test_unknown_name_reports_position(jac):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expression("eta*zeta", jac)
     assert err.value.position == 4
+    # inside a linear sum the name keeps its own offset; a syntax error after
+    # it still wins
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("2*eta - 1/3*zeta + theta", jac)
+    assert (err.value.message, err.value.position) == (
+        "unknown name 'zeta' in jacobian(g=11,d=14,r=4)", 12)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression("(2*eta - 1/3*zeta + theta)*(eta", jac)
+    assert (err.value.message, err.value.position) == ("unbalanced parentheses: expected ')'", 31)
     with pytest.raises(ExprSyntaxError):
         parse_expression("c7", jac)  # rank stops at c5
     with pytest.raises(ExprSyntaxError):
@@ -144,13 +161,14 @@ def test_class_render_parse_round_trip():
 
 JAC_3 = preset_jacobian_product(3, 2, 0)
 MODULI_5 = moduli_basis(5)
+SPIN_7 = spin_basis(7)
 
 
 def evaluate(text, context):
     """The rendered value of ``text``, or the (message, position) of its refusal."""
     try:
         expr = parse_expression(text, context)
-        if context is MODULI_5:
+        if isinstance(context, PicBasis):
             return expr_to_class(expr, context).render()
         return expr_to_ring(expr, context).render()
     except ExprSyntaxError as err:
@@ -206,6 +224,22 @@ EXPONENT = "expected a nonnegative integer exponent"
     (JAC_3, "eta\u00a0+ theta", ("unexpected character '\\xa0'", 3)),
     (JAC_3, "eta\t+\ntheta", "eta + theta"),
     (MODULI_5, "delta\uff10", ("unexpected character '\uff10'", 5)),
+    # linear sums: repeated generators that cancel, constant terms, zero
+    # literals and nested one-term groups, in the ring and in a Picard basis
+    (JAC_3, "2*eta - eta - eta", "0"),
+    (JAC_3, "1/2 + eta - 3/4", "eta - 1/4"),
+    (JAC_3, "3*theta - 0/5 + 0/5*gamma", "3*theta"),
+    (JAC_3, "((2*eta))*theta", "2*eta*theta"),
+    (JAC_3, "(eta - 1/2*eta)^2 + (2 - 3)^3", "-1"),
+    (JAC_3, "2*eta - 1/3*zeta + theta^", (EXPONENT, 25)),
+    (MODULI_5, "delta0 - 2*lambda + 1/3*delta0 - delta0", "-2*lambda + 1/3*delta0"),
+    (MODULI_5, "lambda - lambda + 2 - 2", "0"),
+    (MODULI_5, "lambda + 1 - 1/2", ("constant terms do not belong to a divisor class", 0)),
+    (MODULI_5, "((2*delta1))", "2*delta1"),
+    (MODULI_5, "0/5*lambda + delta2 - 0/5", "delta2"),
+    (SPIN_7, "2*alpha0 - 1/2*beta3 + alpha0 - 3*alpha0", "-1/2*beta3"),
+    (SPIN_7, "lambda - 12*alpha0 + alpha1 - 1/2*lambda", "1/2*lambda - 12*alpha0 + alpha1"),
+    (SPIN_7, "delta0 + lambda", ("unknown name 'delta0' in spin(g=7)", 0)),
 ])
 def test_every_parser_path_gives_its_value_or_refusal(context, text, expected):
     assert evaluate(text, context) == expected
@@ -285,6 +319,37 @@ def test_ring_literals_build_no_fraction(fraction_builds, text):
     assert built == []
 
 
+def count_calls(monkeypatch, *methods):
+    """A list that records the name of each call to the (owner, name) methods."""
+    calls = []
+    for owner, name in methods:
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _call=getattr(owner, name):
+                            calls.append(_name) or _call(*args))
+    return calls
+
+
+def test_a_linear_form_is_one_step_and_one_accumulation(monkeypatch, fraction_builds):
+    # each parenthesised linear form is one ``lin`` step, summed as ints over
+    # the lcm of its denominators: only the product of the two forms is a
+    # ring product, and no literal becomes a Fraction or a ring element
+    expr = parse_expression("(4/3*eta - gamma + 2*theta)*(-3/2*eta - theta)", JAC_3)
+    assert [kind for kind, _, _ in expr.steps] == ["lin", "lin", "*"]
+    calls = count_calls(monkeypatch, (RingElem, "__mul__"), (RingPreset, "weighted_sum"))
+    with fraction_builds() as built:
+        elem = expr_to_ring(expr, JAC_3)
+    assert calls == ["__mul__"]
+    assert built == []
+    assert elem.render() == "-13/3*eta*theta + gamma*theta - 2*theta^2"
+
+
+def test_a_one_term_power_raises_its_monomial_once(jac, monkeypatch):
+    calls = count_calls(monkeypatch, (RingElem, "__pow__"))
+    elem = expr_to_ring(parse_expression("(2/3*theta)^5", jac), jac)
+    assert calls == ["__pow__"]
+    assert elem.render() == "32/243*theta^5"
+    assert expr_to_ring(parse_expression("eta^2", jac), jac).is_zero()
+
+
 @st.composite
 def literals(draw):
     """The text and value of a literal: signed or not, zero, multi-digit,
@@ -300,50 +365,101 @@ def literals(draw):
     return text, value
 
 
-def ring_expressions(preset):
-    """(text, dict-of-Fraction model, is an atom) triples of sums, products
-    and powers of literals and generators; a compound operand is grouped."""
-    def unit(name):
-        return tuple(int(name == other) for other in preset.names)
+SUM, PRODUCT, POWER, ATOM = range(4)  # how tightly an operand's text binds
 
-    def atom(text, mono, value):
-        return text, model_normalize(preset, [(mono, value)]), True
 
-    def grouped(operand):
-        return operand[0] if operand[2] else f"({operand[0]})"
+def expressions(names, literal, generator, add, multiply, power):
+    """(text, model, binding) triples of sums, products, powers and groups of
+    literals and generators, with the model operations given.  An operand is
+    grouped only where the grammar needs it, so ungrouped linear sums such as
+    ``2*eta - 1/3*gamma + 1`` occur, and a group may hold one operand."""
+    def grouped(operand, binding):
+        return operand[0] if operand[2] >= binding else f"({operand[0]})"
 
     def total(first, rest):
-        text = grouped(first) + "".join(
-            f" {'+' if sign > 0 else '-'} {grouped(term)}" for sign, term in rest)
+        text = grouped(first, PRODUCT) + "".join(
+            f" {'+' if sign > 0 else '-'} {grouped(term, PRODUCT)}" for sign, term in rest)
         model = first[1]
         for sign, term in rest:
-            model = model_add(model, term[1], sign)
-        return text, model, False
+            model = add(model, term[1], sign)
+        return text, model, SUM
 
     def extend(operands):
         signed = st.tuples(st.sampled_from((1, -1)), operands)
         return st.one_of(
             st.tuples(operands, st.lists(signed, min_size=1, max_size=2)).map(
                 lambda args: total(*args)),
+            # a right factor is never a bare product: '*' is read from the left
             st.tuples(operands, operands).map(lambda pair: (
-                f"{grouped(pair[0])}*{grouped(pair[1])}",
-                model_mul(preset, pair[0][1], pair[1][1]), False)),
+                f"{grouped(pair[0], PRODUCT)}*{grouped(pair[1], POWER)}",
+                multiply(pair[0][1], pair[1][1]), PRODUCT)),
             st.tuples(operands, st.integers(0, 3)).map(lambda pair: (
-                f"{grouped(pair[0])}^{pair[1]}", model_pow(preset, pair[0][1], pair[1]), False)),
+                f"{grouped(pair[0], ATOM)}^{pair[1]}", power(pair[0][1], pair[1]), POWER)),
+            operands.map(lambda operand: (f"({operand[0]})", operand[1], ATOM)),
         )
 
-    constant = (0,) * len(preset.names)
-    leaves = st.one_of(literals().map(lambda lit: atom(lit[0], constant, lit[1])),
-                       st.sampled_from(preset.names).map(lambda name: atom(name, unit(name), 1)))
+    leaves = st.one_of(literals().map(lambda lit: (lit[0], literal(lit[1]), ATOM)),
+                       st.sampled_from(names).map(lambda name: (name, generator(name), ATOM)))
     return st.recursive(leaves, extend, max_leaves=5)
 
 
-@pytest.mark.parametrize("preset", [JAC_3, preset_surface_product(3), preset_universal_curve(3)],
-                         ids=["jac", "surface", "uc"])
+def ring_expressions(preset):
+    """``expressions`` over a ring preset, modelled by dicts of Fractions."""
+    def atom(mono, value):
+        return model_normalize(preset, [(mono, value)])
+
+    return expressions(
+        preset.names, lambda value: atom((0,) * len(preset.names), value),
+        lambda name: atom(tuple(int(name == other) for other in preset.names), 1),
+        model_add, lambda a, b: model_mul(preset, a, b), lambda a, n: model_pow(preset, a, n))
+
+
+PRODUCTS = "products of divisor-class generators are not defined"
+POWERS = "powers of divisor-class generators are not defined"
+
+
+def class_expressions(basis):
+    """``expressions`` over a Picard basis, modelled by (constant, {name:
+    coefficient}) pairs, or by the message of the refusal that the first
+    offending product or power, in the order the program runs, raises."""
+    def refusal(*models):
+        return next((model for model in models if isinstance(model, str)), None)
+
+    def add(a, b, sign):
+        return refusal(a, b) or (a[0] + sign * b[0], model_add(a[1], b[1], sign))
+
+    def multiply(a, b):
+        if refusal(a, b) or (a[1] and b[1]):
+            return refusal(a, b) or PRODUCTS
+        return a[0] * b[0], model_add(model_scale(a[1], b[0]), model_scale(b[1], a[0]))
+
+    def power(a, n):
+        if refusal(a) or not a[1]:
+            return refusal(a) or (a[0] ** n, {})
+        return a if n == 1 else POWERS
+
+    return expressions(basis.names, lambda value: (value, {}),
+                       lambda name: (Fraction(0), {name: Fraction(1)}), add, multiply, power)
+
+
+@pytest.mark.parametrize("context", [JAC_3, preset_surface_product(3), preset_universal_curve(3),
+                                     SPIN_7, MODULI_5],
+                         ids=["jac", "surface", "uc", "spin", "moduli"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_literals_evaluate_as_the_fraction_model(preset, data):
-    text, model, _ = data.draw(ring_expressions(preset))
-    elem = expr_to_ring(parse_expression(text, preset), preset)
-    assert elem.terms == model_terms(model)
-    assert elem == preset.element(model)  # the same canonical numerators and denominator
+def test_literals_evaluate_as_the_fraction_model(context, data):
+    if isinstance(context, RingPreset):
+        text, model, _ = data.draw(ring_expressions(context))
+        elem = expr_to_ring(parse_expression(text, context), context)
+        assert elem.terms == model_terms(model)
+        assert elem == context.element(model)  # the same canonical numerators and denominator
+        return
+    text, model, _ = data.draw(class_expressions(context))
+    if not isinstance(model, str) and model[0]:
+        model = "constant terms do not belong to a divisor class"
+    try:
+        cls = expr_to_class(parse_expression(text, context), context)
+    except ExprSyntaxError as refused:
+        assert refused.message == model
+    else:
+        assert cls == DivisorClass.from_mapping(context, model[1])

@@ -352,6 +352,8 @@ def test_classes_and_curves_share_the_name_to_vector_builder(monkeypatch):
     for refused in ("1/3", "1e3"):
         with pytest.raises(TypeError, match="as an exact rational"):
             basis.entries({**mixed, "lambda": refused})
+        with pytest.raises(TypeError, match="as an exact rational"):  # before the unknown name
+            basis.entries({"delta0": 1, "lambda": refused})
         with pytest.raises(TypeError, match="as an exact rational"):
             DivisorClass.from_mapping(basis, {**mixed, "lambda": refused})
         with pytest.raises(TypeError, match="as an exact rational"):
